@@ -89,7 +89,6 @@ def _oracle_config(args) -> OracleConfig:
         rank=getattr(args, "rank", None),
         restarts=getattr(args, "restarts", 5),
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -378,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="base seed for every random choice (default 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker bound for oracle restarts (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="iterlinopt",

@@ -11,7 +11,6 @@ works in: the oracle does coordinate ascent directly on the Gram rows.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +131,9 @@ class OracleConfig:
 
     rank is the Gram-factor width for random restarts (default roughly
     sqrt(2n) + 1, enough for an optimal solution to exist at that rank).
-    Restart k draws its starting rows from a generator seeded seed + k, so
-    results do not depend on scheduling when threads > 1.
+    Restart k draws its starting rows from a generator seeded seed + k.
+    The restarts advance together as one batch, but each stops on its own
+    sweep_tol test, so every run ends as it would alone, up to rounding.
     """
 
     rank: int | None = None
@@ -141,7 +141,6 @@ class OracleConfig:
     max_sweeps: int = 5000
     restarts: int = 5
     seed: int = 0
-    threads: int = 1
     grad_tol: float = 1e-14  # rows with gradient below this stay frozen
 
     def __post_init__(self):
@@ -162,32 +161,61 @@ class OracleResult:
     sweeps: int
     sweep_objectives: list  # objective after each sweep of the winning run
     candidate_grams: list = field(default_factory=list)  # every run's factor
+    status: str = "step_tol"  # how the winning run stopped: step_tol | max_sweeps
+
+
+def _row_norms(a):
+    """Euclidean norms along the last axis. matmul takes each one with the
+    BLAS dot that np.linalg.norm uses on a single row, so the rounding of a
+    norm does not depend on how many runs share the batch."""
+    return np.sqrt(np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0])
 
 
 def _ascend(c, c_off, v0, cfg):
-    """Cyclic row updates v_i <- g_i / |g_i| with g_i = sum_{j != i} c_ij v_j.
+    """Cyclic row updates v_i <- g_i / |g_i| with g_i = sum_{j != i} c_ij v_j,
+    for a batch of same-width starts advanced together.
 
-    Each update maximizes the row's linear subproblem exactly, so the
-    objective c . V V^T never decreases from sweep to sweep.
+    v0 has shape (n, R, r): run k starts from the factor v0[:, k]. Each
+    update maximizes the row's linear subproblem exactly, so every run's
+    objective c . V V^T never decreases from sweep to sweep. A run stops
+    once its largest row move in a sweep falls below sweep_tol; it is then
+    frozen and dropped from the batch, so batching changes no run beyond
+    rounding. Returns one (factor, sweeps, objectives, status) tuple
+    per run, status being "step_tol" or "max_sweeps".
     """
+    n, runs, r = v0.shape
+    final = np.empty_like(v0)
+    objs = [[] for _ in range(runs)]  # one entry per sweep a run took
+    status = ["max_sweeps"] * runs
+    active = np.arange(runs)
     v = v0.copy()
-    n = v.shape[0]
-    objs = []
-    sweeps = 0
-    for sweeps in range(1, cfg.max_sweeps + 1):
-        moved = 0.0
+    for _ in range(cfg.max_sweeps):
+        start = v.copy()
+        flat = v.reshape(n, -1)
         for i in range(n):
-            g = c_off[i] @ v
-            ng = float(np.linalg.norm(g))
-            if ng < cfg.grad_tol:
-                continue
-            g = g / ng
-            moved = max(moved, float(np.linalg.norm(g - v[i])))
-            v[i] = g
-        objs.append(float(np.sum((c @ v) * v)))
-        if moved < cfg.sweep_tol:
-            break
-    return v, sweeps, objs
+            g = (c_off[i] @ flat).reshape(-1, r)
+            ng = _row_norms(g)[:, None]
+            np.divide(g, ng, out=v[i], where=ng >= cfg.grad_tol)
+        # every row moves once per sweep, so the largest row step equals
+        # the largest single update of the sweep
+        step = _row_norms(v - start).max(axis=0)
+        # each run's objective summed over its own contiguous (n, r) block
+        obj = ((c @ flat).reshape(v.shape) * v).transpose(1, 0, 2).reshape(
+            len(active), -1).sum(axis=1)
+        for k, o in zip(active, obj):
+            objs[k].append(float(o))
+        done = step < cfg.sweep_tol
+        if done.any():
+            final[:, active[done]] = v[:, done]
+            for k in active[done]:
+                status[k] = "step_tol"
+            # a copy, so that the rows stay contiguous and flat stays a view
+            active, v = active[~done], v[:, ~done].copy()
+            if not active.size:
+                break
+    final[:, active] = v
+    final = np.ascontiguousarray(final.transpose(1, 0, 2))
+    return [(final[k], len(objs[k]), objs[k], status[k]) for k in range(runs)]
 
 
 def _stationarity(c_off, v) -> float:
@@ -217,35 +245,29 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     c_off = c.copy()
     np.fill_diagonal(c_off, 0.0)
 
-    candidates = []
+    batches = []
     if warm_start is not None:
         w = np.asarray(warm_start, dtype=float)
         if w.ndim != 2 or w.shape[0] != n:
             raise ElliptopeError("warm start must have one row per index")
-        candidates.append(w / np.linalg.norm(w, axis=1)[:, None])
-    for k in range(cfg.restarts):
-        candidates.append(random_gram(n, r, np.random.default_rng(cfg.seed + k)))
-    if not candidates:
+        batches.append((w / np.linalg.norm(w, axis=1)[:, None])[:, None, :])
+    if cfg.restarts:
+        batches.append(np.stack(
+            [random_gram(n, r, np.random.default_rng(cfg.seed + k))
+             for k in range(cfg.restarts)], axis=1))
+    if not batches:
         raise ElliptopeError("restarts=0 requires a warm start")
-
-    def run(v0):
-        return _ascend(c, c_off, v0, cfg)
-
-    if cfg.threads > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, candidates))
-    else:
-        results = [run(v0) for v0 in candidates]
+    results = [run for b in batches for run in _ascend(c, c_off, b, cfg)]
 
     objectives = [objs[-1] if objs else float(np.sum((c @ v) * v))
-                  for v, _, objs in results]
+                  for v, _, objs, _ in results]
     # objective gaps below numerical resolution count as ties, and ties go
     # to the lowest candidate index; otherwise float noise could bounce the
     # output across a face of equally good maximizers
     max_obj = max(objectives)
     tie_tol = 1e-12 * max(1.0, abs(max_obj))
     best = next(i for i, o in enumerate(objectives) if o >= max_obj - tie_tol)
-    v, sweeps, objs = results[best]
+    v, sweeps, objs, status = results[best]
     x = gram_to_matrix(v, row_tol=1e-9)
     obj = float(np.vdot(c, x))
     # Polish: when the optimal face is a vertex the ascent creeps toward it
@@ -269,6 +291,7 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
         sweeps=sweeps,
         sweep_objectives=[float(o) for o in objs],
         candidate_grams=[r[0] for r in results],
+        status=status,
     )
 
 

@@ -134,24 +134,22 @@ def brute_force_maxcut(g: WeightedGraph):
         raise ValueError(f"brute force is capped at n = {BRUTE_FORCE_CAP}")
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    m = 1 << (g.n - 1)
-    if g.edges:
-        us = np.array([e[0] for e in g.edges])
-        vs = np.array([e[1] for e in g.edges])
-        ws = np.array([e[2] for e in g.edges])
+    # the 2^low counters of one chunk share their high bits: the sign block
+    # of the low bits is built once, and each chunk sets only the columns
+    # of its high bits
+    low = min(16, g.n - 1)
+    w_upper = np.zeros((g.n, g.n))
+    for u, v, wt in g.edges:
+        w_upper[u, v] = wt
+    bits = np.arange(1 << low)[:, None] >> np.arange(low)
+    signs = np.ones((1 << low, g.n))
+    signs[:, 1:low + 1] = 1.0 - 2.0 * (bits & 1)
     best_val = -np.inf
     best_signs = None
-    chunk = 1 << 16
-    for start in range(0, m, chunk):
-        idx = np.arange(start, min(start + chunk, m), dtype=np.uint32)
-        signs = np.ones((idx.size, g.n))
-        for b in range(g.n - 1):
-            signs[:, b + 1] = np.where((idx >> b) & 1, -1.0, 1.0)
-        if g.edges:
-            agree = signs[:, us] * signs[:, vs]
-            cuts = 0.5 * (g.total_weight - agree @ ws)
-        else:
-            cuts = np.zeros(idx.size)
+    for high in range(1 << (g.n - 1 - low)):
+        signs[:, low + 1:] = 1.0 - 2.0 * ((high >> np.arange(g.n - 1 - low)) & 1)
+        # s^T W_upper s is the sum of w_uv s_u s_v over the edges
+        cuts = 0.5 * (g.total_weight - np.sum((signs @ w_upper) * signs, axis=1))
         k = int(np.argmax(cuts))
         if cuts[k] > best_val:
             best_val = float(cuts[k])

@@ -153,6 +153,19 @@ class TestOracle:
         with pytest.raises(ElliptopeError):
             elliptope_oracle(c)
 
+    def test_status_reports_the_sweep_cap(self):
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal((10, 10))
+        c = 0.5 * (c + c.T)
+        res = elliptope_oracle(c, OracleConfig(max_sweeps=3))
+        assert res.status == "max_sweeps"
+        assert res.sweeps == 3
+
+    def test_status_of_a_converged_run(self):
+        res = elliptope_oracle(np.eye(3) - J3)  # the relaxation cost of K3
+        assert res.status == "step_tol"
+        assert res.sweeps < OracleConfig().max_sweeps
+
     def test_no_candidates_rejected(self):
         with pytest.raises(ElliptopeError):
             elliptope_oracle(J3, OracleConfig(restarts=0))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,61 @@ class TestCutArithmetic:
             cut_value(K3, [1, -1])
 
 
+def signed_torus(rows, cols, rng):
+    edges = set()
+    for i in range(rows):
+        for j in range(cols):
+            u = i * cols + j
+            for v in (((i + 1) % rows) * cols + j, i * cols + (j + 1) % cols):
+                edges.add((min(u, v), max(u, v)))
+    return WeightedGraph(rows * cols, [(u, v, float(rng.choice((-1.0, 1.0))))
+                                       for u, v in sorted(edges)])
+
+
+def enumerated_maxcut(g):
+    """Reference: every sign vector with s_0 = +1, bit k of the counter
+    flipping vertex k+1, the first of equal cuts kept."""
+    best_val, best_signs = -np.inf, None
+    # product varies its last entry fastest, which is bit 0 of the counter
+    for bits in itertools.product((1, -1), repeat=g.n - 1):
+        s = (1,) + bits[::-1]
+        val = sum(w for u, v, w in g.edges if s[u] != s[v])
+        if val > best_val:
+            best_val, best_signs = val, s
+    return np.array(best_signs), float(best_val)
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("name", ["K5", "signed-torus", "random-weights",
+                                      "n1", "n2", "n18-ties", "n18-high-bit"])
+    def test_matches_plain_enumeration(self, name):
+        rng = np.random.default_rng(11)
+        if name == "K5":
+            g = complete_graph(5)
+        elif name == "signed-torus":
+            g = signed_torus(3, 4, rng)
+        elif name == "random-weights":
+            g = WeightedGraph(9, [(u, v, float(rng.standard_normal()))
+                                  for u in range(9) for v in range(u + 1, 9)
+                                  if rng.random() < 0.6])
+        elif name == "n1":
+            g = WeightedGraph(1, [])
+        elif name == "n2":
+            g = WeightedGraph(2, [(0, 1, 1.5)])
+        elif name == "n18-ties":
+            # vertex 17 is isolated, so every optimum of the first chunk of
+            # 2^16 vectors ties one of the second; the first must win
+            g = WeightedGraph(18, [(k, k + 1, float(rng.choice((-1.0, 1.0))))
+                                   for k in range(16)] + [(0, 9, 1.0)])
+        else:
+            # the heavy edge (0, 17) puts every optimum in the second chunk
+            g = WeightedGraph(18, [(k, k + 1, 1.0) for k in range(17)]
+                              + [(0, 17, 20.0)])
+        signs, val = brute_force_maxcut(g)
+        ref_signs, ref_val = enumerated_maxcut(g)
+        assert np.array_equal(signs, ref_signs)
+        assert val == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
+
     def test_triangle(self):
         signs, val = brute_force_maxcut(K3)
         assert val == 2.0

@@ -17,6 +17,7 @@ from iterlinopt import (
     l4_family,
     sign_kernel_fixed_point,
 )
+from iterlinopt.elliptope import _ascend, default_rank_budget, random_gram
 
 
 def _ball_case(rng):
@@ -112,12 +113,44 @@ def test_blocks_of_fixed_points_are_fixed_points():
             assert fixed_point_certificate(block).is_fixed
 
 
-def test_oracle_threads_do_not_change_the_result():
+def test_batched_restarts_match_single_runs():
+    # restarts advance as one batch; each must end as it would alone, also
+    # after other runs of the batch have stopped and been dropped from it
     rng = np.random.default_rng(5)
-    c = rng.standard_normal((8, 8))
-    c = 0.5 * (c + c.T)
-    serial = elliptope_oracle(c, OracleConfig(seed=9, restarts=6, threads=1))
-    threaded = elliptope_oracle(c, OracleConfig(seed=9, restarts=6, threads=4))
-    assert np.array_equal(serial.matrix, threaded.matrix)
-    assert serial.restart_objectives == threaded.restart_objectives
-    assert serial.best_index == threaded.best_index
+    for n, s in ((8, 9), (15, 3)):
+        c = rng.standard_normal((n, n))
+        c = 0.5 * (c + c.T)
+        batched = elliptope_oracle(c, OracleConfig(seed=s, restarts=5))
+        singles = [elliptope_oracle(c, OracleConfig(seed=s + k, restarts=1))
+                   for k in range(5)]
+        sweeps = [one.sweeps for one in singles]
+        assert len(set(sweeps)) > 1
+        assert batched.sweeps == sweeps[batched.best_index]
+        for k, one in enumerate(singles):
+            assert batched.restart_objectives[k] == pytest.approx(
+                one.restart_objectives[0], rel=1e-12)
+            assert np.max(np.abs(batched.candidate_grams[k]
+                                 - one.candidate_grams[0])) <= 1e-10
+        # per-run sweep counts straight from the kernel
+        c_off = c - np.diag(np.diag(c))
+        starts = np.stack([random_gram(n, default_rank_budget(n),
+                                       np.random.default_rng(s + k))
+                           for k in range(5)], axis=1)
+        runs = _ascend(c, c_off, starts, OracleConfig())
+        assert [run[1] for run in runs] == sweeps
+
+
+def test_batched_rows_freeze_per_run():
+    # row 0 has a zero gradient in the first run only: v_1 = -v_2 there
+    c = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    c_off = c.copy()
+    e = np.eye(3)
+    starts = np.stack([np.array([e[0], e[1], -e[1]]),
+                       np.array([e[0], e[1], e[1]])], axis=1)
+    cfg = OracleConfig()
+    runs = _ascend(c, c_off, starts, cfg)
+    alone = [_ascend(c, c_off, starts[:, k:k + 1], cfg)[0] for k in range(2)]
+    assert np.array_equal(runs[0][0][0], e[0])
+    for run, one in zip(runs, alone):
+        assert run[1] == one[1]
+        assert np.max(np.abs(run[0] - one[0])) <= 1e-12
