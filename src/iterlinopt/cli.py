@@ -5,8 +5,9 @@ All numeric output is printed with 17 significant digits and every run is
 reproducible from its flags: the default seed is 0, never the clock.
 
 Exit codes: 0 success (for verify, "fixed"), 1 file or parse problems,
-2 validation failures (infeasible start, matrix outside the feasible body,
-size caps), 3 for a clean "not fixed" verdict from verify.
+2 validation failures (bad flag values, infeasible start, matrix outside the
+feasible body, size caps), 3 for a clean "not fixed" verdict from verify.
+``main`` is the one place where errors become exit codes.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .elliptope import (
 from .engine import InfeasibleStartError, IterationConfig, iterate
 from .maxcut import (
     BRUTE_FORCE_CAP,
+    GRAPH_CAP,
     GraphFormatError,
     load_graph,
     maxcut_pipeline,
@@ -51,6 +53,18 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_NOT_FIXED = 3
+
+# sign_kernel_census(n) holds (3^n - 1 - 2n) / 2 matrices in one list:
+# 265,708 at n = 12, about 1.1 GiB of them at n = 13
+CENSUS_CAP = 12
+
+# The maxcut record, in stdout order. graph and edges come from the input,
+# every other field from the RoundingReport.
+MAXCUT_RECORD = ("graph", "n", "edges", "iterations", "escapes",
+                 "rounding_starts", "terminal_status", "partition_source",
+                 "partition", "relaxation_objective", "relaxed_cut",
+                 "oracle_residual", "restart_spread", "cut_value",
+                 "baseline_cut", "brute_force_cut")
 
 
 class CliError(Exception):
@@ -71,25 +85,14 @@ def _matrix_lines(m):
     return [" ".join(_fmt(v) for v in row) for row in np.asarray(m)]
 
 
-def _require_file(path):
-    if not os.path.isfile(path):
-        raise CliError(EXIT_PARSE, f"cannot read {path}: no such file")
-
-
-def _read_matrix(path):
-    _require_file(path)
-    try:
-        return read_matrix_text(path)
-    except ElliptopeError as exc:
-        raise CliError(EXIT_PARSE, str(exc))
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _oracle_config(args) -> OracleConfig:
-    return OracleConfig(
-        rank=getattr(args, "rank", None),
-        restarts=getattr(args, "restarts", 5),
-        seed=args.seed,
-    )
+    return OracleConfig(rank=args.rank, restarts=args.restarts, seed=args.seed)
 
 
 def _parse_start_vector(text):
@@ -113,7 +116,7 @@ def cmd_iterate(args) -> int:
         domain = ElliptopeDomain(args.n, _oracle_config(args))
         # any symmetric matrix is a legal start: an exterior start acts as
         # the cost of a one-shot linear maximization
-        x0 = _read_matrix(args.start)
+        x0 = read_matrix_text(args.start)
         if x0.shape[0] != args.n:
             raise CliError(EXIT_INVALID,
                            f"{args.start}: matrix is {x0.shape[0]}x{x0.shape[0]}, "
@@ -122,21 +125,11 @@ def cmd_iterate(args) -> int:
             raise CliError(EXIT_INVALID,
                            f"{args.start}: matrix is not in the feasible body")
     else:
-        _require_file(args.domain)
-        try:
-            domain = load_domain(args.domain)
-        except DomainError as exc:
-            raise CliError(EXIT_PARSE, str(exc))
+        domain = load_domain(args.domain)
         x0 = _parse_start_vector(args.start)
     cfg = IterationConfig(tol=args.tol, max_iter=args.max_iter,
-                          record_trace=True,
                           validate_start=args.validate_start)
-    try:
-        traj = iterate(domain, x0, cfg)
-    except InfeasibleStartError as exc:
-        raise CliError(EXIT_INVALID, str(exc))
-    except DomainError as exc:
-        raise CliError(EXIT_PARSE, str(exc))
+    traj = iterate(domain, x0, cfg)
     print(f"status: {traj.status}")
     print(f"iterations: {len(traj.step_norms)}")
     final = traj.final
@@ -159,7 +152,7 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    x = _read_matrix(args.matrix)
+    x = read_matrix_text(args.matrix)
     if not is_in_elliptope(x, diag_tol=args.diag_tol):
         raise CliError(EXIT_INVALID,
                        f"{args.matrix}: matrix is not in the feasible body")
@@ -174,7 +167,7 @@ def cmd_verify(args) -> int:
         gtxt = _fmt(gamma) if gamma is not None else "n/a"
         print(f"component {k}: {' '.join(str(i) for i in comp)}  gamma: {gtxt}")
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "n": x.shape[0],
             "d": [float(v) for v in report.d],
             "residual": report.residual,
@@ -183,10 +176,7 @@ def cmd_verify(args) -> int:
             "components": report.components,
             "gammas": report.gammas,
             "label": report.label,
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     return EXIT_OK if report.is_fixed else EXIT_NOT_FIXED
 
 
@@ -200,8 +190,6 @@ def _print_census_group(name, mats):
 
 def cmd_census(args) -> int:
     n = args.n
-    if n < 2:
-        raise CliError(EXIT_INVALID, "census needs n >= 2")
     if n == 3:
         pts = l3_census()
         print("census n=3: complete (14 fixed points)")
@@ -209,8 +197,6 @@ def cmd_census(args) -> int:
             _print_census_group(family,
                                 [p.matrix for p in pts if p.family == family])
         return EXIT_OK
-    if n > 16:
-        raise CliError(EXIT_INVALID, "census enumeration is capped at n = 16")
     print(f"census n={n}: partial (the fixed-point set is infinite for n > 3; "
           "emitting vertices and sign-kernel points only)")
     vertices = enumerate_vertices(n)
@@ -224,23 +210,29 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _print_classification(result, prefix="empirical"):
-    print(f"{prefix} label: {result.label}")
-    print(f"eps: {_fmt(result.eps)}")
-    print(f"samples: {result.samples}")
-    print(f"returned: {result.returned}")
-    print(f"escaped: {result.escaped}")
-    print(f"undecided: {result.undecided}")
-    if result.witness is not None:
-        w = result.witness
+def _print_witness(w):
+    if w is not None:
         print(f"witness pair: {w.i} {w.j}")
         print(f"witness alphas: {_fmt_vec(w.alphas)}")
         print(f"witness norms_sq: {_fmt_vec(w.norms_sq)}")
 
 
+def _classify_empirical(args, domain, x):
+    result = classify_empirical(domain, x, eps=args.eps, samples=args.samples,
+                                seed=args.seed, tol=args.tol,
+                                max_iter=args.max_iter)
+    print(f"empirical label: {result.label}")
+    print(f"eps: {_fmt(result.eps)}")
+    print(f"samples: {result.samples}")
+    print(f"returned: {result.returned}")
+    print(f"escaped: {result.escaped}")
+    print(f"undecided: {result.undecided}")
+    _print_witness(result.witness)
+
+
 def cmd_classify(args) -> int:
     if args.matrix:
-        x = _read_matrix(args.matrix)
+        x = read_matrix_text(args.matrix)
         if not is_in_elliptope(x, diag_tol=1e-8):
             raise CliError(EXIT_INVALID,
                            f"{args.matrix}: matrix is not in the feasible body")
@@ -251,25 +243,14 @@ def cmd_classify(args) -> int:
                            f"(residual {_fmt(cert.residual)})")
         theorem = classify_elliptope_fixed_point(x)
         print(f"theorem label: {theorem.label}")
-        if theorem.witness is not None:
-            w = theorem.witness
-            print(f"witness pair: {w.i} {w.j}")
-            print(f"witness alphas: {_fmt_vec(w.alphas)}")
-            print(f"witness norms_sq: {_fmt_vec(w.norms_sq)}")
+        _print_witness(theorem.witness)
         if args.samples > 0:
-            domain = ElliptopeDomain(x.shape[0], _oracle_config(args))
-            result = classify_empirical(domain, x, eps=args.eps,
-                                        samples=args.samples, seed=args.seed,
-                                        tol=args.tol, max_iter=args.max_iter)
-            _print_classification(result)
+            _classify_empirical(
+                args, ElliptopeDomain(x.shape[0], _oracle_config(args)), x)
         return EXIT_OK
     if not args.domain or not args.point:
         raise CliError(EXIT_PARSE, "classify needs --matrix, or --domain with --point")
-    _require_file(args.domain)
-    try:
-        domain = load_domain(args.domain)
-    except DomainError as exc:
-        raise CliError(EXIT_PARSE, str(exc))
+    domain = load_domain(args.domain)
     x = _parse_start_vector(args.point)
     fx = domain.maximize(x)
     residual = float(np.linalg.norm(np.ravel(fx - x)))
@@ -278,10 +259,7 @@ def cmd_classify(args) -> int:
                        f"point is not a fixed point (residual {_fmt(residual)})")
     print(f"fixed point: {_fmt_vec(x)}")
     print(f"fixed-point residual: {_fmt(residual)}")
-    result = classify_empirical(domain, x, eps=args.eps, samples=args.samples,
-                                seed=args.seed, tol=args.tol,
-                                max_iter=args.max_iter)
-    _print_classification(result)
+    _classify_empirical(args, domain, x)
     if isinstance(domain, (BallDomain, EllipsoidDomain)) and domain.dim == 2:
         k = domain.boundary_curvature(x)
         print(f"curvature: {_fmt(k)}")
@@ -289,37 +267,20 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-_REPORT_FIELDS = ("relaxation_objective", "relaxed_cut", "oracle_residual",
-                  "restart_spread", "cut_value", "baseline_cut",
-                  "brute_force_cut")
-
-
-def _report_dict(path, report):
-    payload = {
-        "graph": path,
-        "n": report.n,
-        "iterations": report.iterations,
-        "escapes": report.escapes,
-        "rounding_starts": report.rounding_starts,
-        "terminal_status": report.terminal_status,
-        "partition_source": report.partition_source,
-        "partition": [int(s) for s in report.partition],
-        "norms_sq": [float(v) for v in report.norms_sq],
-    }
-    for name in _REPORT_FIELDS:
-        value = getattr(report, name)
-        payload[name] = None if value is None else float(value)
-    return payload
+def _text(value) -> str:
+    """A record value as stdout and --csv show it."""
+    if isinstance(value, list):
+        return " ".join(str(v) for v in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def cmd_maxcut(args) -> int:
-    reports = []
+    records = []
     for path in args.graph:
-        _require_file(path)
-        try:
-            g = load_graph(path)
-        except GraphFormatError as exc:
-            raise CliError(EXIT_PARSE, str(exc))
+        g = load_graph(path)
+        if g.n > GRAPH_CAP:
+            raise CliError(EXIT_INVALID,
+                           f"{path}: n = {g.n} is over the cap n = {GRAPH_CAP}")
         if args.brute_force and g.n > BRUTE_FORCE_CAP:
             raise CliError(EXIT_INVALID,
                            f"{path}: brute force is capped at n = {BRUTE_FORCE_CAP}")
@@ -330,42 +291,25 @@ def cmd_maxcut(args) -> int:
             escape_alpha=args.escape_alpha,
             escape_retries=args.escape_retries,
         )
-        reports.append((path, report))
-        print(f"graph: {path}")
-        print(f"n: {g.n}")
-        print(f"edges: {len(g.edges)}")
-        print(f"iterations: {report.iterations}")
-        print(f"escapes: {report.escapes}")
-        print(f"rounding_starts: {report.rounding_starts}")
-        print(f"terminal_status: {report.terminal_status}")
-        print(f"partition_source: {report.partition_source}")
-        print(f"partition: {' '.join(str(int(s)) for s in report.partition)}")
-        for name in _REPORT_FIELDS:
-            value = getattr(report, name)
+        given = {"graph": path, "edges": len(g.edges),
+                 "partition": [int(s) for s in report.partition]}
+        record = {name: given[name] if name in given else getattr(report, name)
+                  for name in MAXCUT_RECORD}
+        for name, value in record.items():
             if value is not None:
-                print(f"{name}: {_fmt(value)}")
+                print(f"{name}: {_text(value)}")
+        records.append((record, report.norms_sq))
     if args.json:
-        payload = [_report_dict(p, r) for p, r in reports]
-        with open(args.json, "w") as fh:
-            json.dump(payload if len(payload) > 1 else payload[0], fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
+        payload = [{**rec, "norms_sq": [float(v) for v in norms]}
+                   for rec, norms in records]
+        _write_json(args.json, payload if len(payload) > 1 else payload[0])
     if args.csv:
-        cols = ["graph", "n", "iterations", "escapes", "rounding_starts",
-                "terminal_status", "partition_source"] + list(_REPORT_FIELDS) \
-            + ["partition"]
-        lines = [",".join(cols)]
-        for path, r in reports:
-            row = [path, str(r.n), str(r.iterations), str(r.escapes),
-                   str(r.rounding_starts), r.terminal_status,
-                   r.partition_source]
-            for name in _REPORT_FIELDS:
-                value = getattr(r, name)
-                row.append("" if value is None else _fmt(value))
-            row.append(" ".join(str(int(s)) for s in r.partition))
-            lines.append(",".join(row))
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        import csv
+        with open(args.csv, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(MAXCUT_RECORD)
+            out.writerows(["" if v is None else _text(v) for v in rec.values()]
+                          for rec, _ in records)
     return EXIT_OK
 
 
@@ -373,10 +317,28 @@ def cmd_maxcut(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low):
+    """argparse type for an integer flag with a lower bound."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    # flags shared by several subcommands, each declared once
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--seed", type=int, default=0,
                         help="base seed for every random choice (default 0)")
+    oracle.add_argument("--rank", type=_int_at_least(1),
+                        help="oracle rank budget (default about sqrt(2n) + 1)")
+    oracle.add_argument("--restarts", type=_int_at_least(0), default=5,
+                        help="seeded random restarts per oracle call")
+    iteration = argparse.ArgumentParser(add_help=False)
+    iteration.add_argument("--tol", type=float, default=1e-10)
+    iteration.add_argument("--max-iter", type=int, default=10_000)
 
     parser = argparse.ArgumentParser(
         prog="iterlinopt",
@@ -386,25 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("iterate", parents=[common],
+    p = sub.add_parser("iterate", parents=[oracle, iteration],
                        help="run the iteration from a start point")
     p.add_argument("--domain", required=True,
                    help="domain config file, or the literal 'elliptope'")
-    p.add_argument("--n", type=int, help="dimension for --domain elliptope")
+    p.add_argument("--n", type=_int_at_least(1),
+                   help="dimension for --domain elliptope")
     p.add_argument("--start", required=True,
                    help="start point: coordinates like '0,1.9', a coordinate "
                         "file, or a matrix file for the elliptope")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10_000)
     p.add_argument("--trace", help="write the trajectory to this CSV file")
     p.add_argument("--validate-start", action="store_true",
                    help="reject starts outside the domain (exit 2)")
-    p.add_argument("--rank", type=int, help="oracle rank budget (elliptope)")
-    p.add_argument("--restarts", type=int, default=5)
     p.set_defaults(func=cmd_iterate)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="check the algebraic fixed-point certificate")
+    p = sub.add_parser("verify", help="check the algebraic fixed-point certificate")
     p.add_argument("--matrix", required=True, help="matrix text file")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="certificate tolerance per unit dimension")
@@ -412,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write the report as JSON")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("census", parents=[common],
-                       help="list known fixed points of the feasible body")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("census", help="list known fixed points of the feasible body")
+    p.add_argument("--n", type=int, required=True,
+                   choices=range(2, CENSUS_CAP + 1), metavar=f"2..{CENSUS_CAP}")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[oracle, iteration],
                        help="attractive/repelling diagnosis of a fixed point")
     p.add_argument("--matrix", help="matrix text file (elliptope fixed point)")
     p.add_argument("--domain", help="domain config file (with --point)")
@@ -425,23 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=32,
                    help="perturbation samples; 0 skips the empirical run")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10_000)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--restarts", type=int, default=5)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("maxcut", parents=[common],
+    p = sub.add_parser("maxcut", parents=[oracle],
                        help="relax, round and score a max-cut instance")
     p.add_argument("--graph", required=True, nargs="+",
-                   help="edge-list file(s): lines 'u v [w]'")
+                   help=f"edge-list file(s): lines 'u v [w]', n <= {GRAPH_CAP}")
     p.add_argument("--baseline", choices=["gw"],
                    help="also run hyperplane-rounding as a baseline")
     p.add_argument("--baseline-samples", type=int, default=64)
     p.add_argument("--brute-force", action="store_true",
                    help=f"also compute the exact optimum (n <= {BRUTE_FORCE_CAP})")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--escape-alpha", type=float, default=0.25)
     p.add_argument("--escape-retries", type=int, default=5)
     p.add_argument("--json", help="write report(s) as JSON to this path")
@@ -452,16 +404,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version or a bad flag (exit 2)
+        return exc.code
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (FileNotFoundError, PermissionError) as exc:
-        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_PARSE
+        code, message = exc.code, str(exc)
+    except InfeasibleStartError as exc:
+        code, message = EXIT_INVALID, str(exc)
+    except (DomainError, ElliptopeError, GraphFormatError) as exc:
+        code, message = EXIT_PARSE, str(exc)
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        code, message = EXIT_PARSE, f"{exc.filename}: {exc.strerror}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

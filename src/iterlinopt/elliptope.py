@@ -21,6 +21,8 @@ SYM_TOL = 1e-12
 PSD_TOL = 1e-9
 CERT_TOL = 1e-8  # fixed-point verdict allows CERT_TOL * n of Frobenius defect
 ZERO_TOL = 1e-9  # support-graph zero threshold
+SWEEP_TOL = 1e-13  # an ascent run stops once no row moves this far in a sweep
+GRAD_TOL = 1e-14  # rows with gradient below this stay frozen
 
 
 class ElliptopeError(ValueError):
@@ -133,15 +135,13 @@ class OracleConfig:
     sqrt(2n) + 1, enough for an optimal solution to exist at that rank).
     Restart k draws its starting rows from a generator seeded seed + k.
     The restarts advance together as one batch, but each stops on its own
-    sweep_tol test, so every run ends as it would alone, up to rounding.
+    SWEEP_TOL test, so every run ends as it would alone, up to rounding.
     """
 
     rank: int | None = None
-    sweep_tol: float = 1e-13
     max_sweeps: int = 5000
     restarts: int = 5
     seed: int = 0
-    grad_tol: float = 1e-14  # rows with gradient below this stay frozen
 
     def __post_init__(self):
         if self.rank is not None and self.rank < 1:
@@ -178,7 +178,7 @@ def _ascend(c, c_off, v0, cfg):
     v0 has shape (n, R, r): run k starts from the factor v0[:, k]. Each
     update maximizes the row's linear subproblem exactly, so every run's
     objective c . V V^T never decreases from sweep to sweep. A run stops
-    once its largest row move in a sweep falls below sweep_tol; it is then
+    once its largest row move in a sweep falls below SWEEP_TOL; it is then
     frozen and dropped from the batch, so batching changes no run beyond
     rounding. Returns one (factor, sweeps, objectives, status) tuple
     per run, status being "step_tol" or "max_sweeps".
@@ -195,7 +195,7 @@ def _ascend(c, c_off, v0, cfg):
         for i in range(n):
             g = (c_off[i] @ flat).reshape(-1, r)
             ng = _row_norms(g)[:, None]
-            np.divide(g, ng, out=v[i], where=ng >= cfg.grad_tol)
+            np.divide(g, ng, out=v[i], where=ng >= GRAD_TOL)
         # every row moves once per sweep, so the largest row step equals
         # the largest single update of the sweep
         step = _row_norms(v - start).max(axis=0)
@@ -204,7 +204,7 @@ def _ascend(c, c_off, v0, cfg):
             len(active), -1).sum(axis=1)
         for k, o in zip(active, obj):
             objs[k].append(float(o))
-        done = step < cfg.sweep_tol
+        done = step < SWEEP_TOL
         if done.any():
             final[:, active[done]] = v[:, done]
             for k in active[done]:
@@ -626,7 +626,10 @@ def read_matrix_text(path) -> np.ndarray:
         raise ElliptopeError(f"{path}: expected {n} rows, found {len(lines) - 1}")
     rows = []
     for k, ln in enumerate(lines[1:], 1):
-        vals = [float(tok) for tok in ln.split()]
+        try:
+            vals = [float(tok) for tok in ln.split()]
+        except ValueError:
+            raise ElliptopeError(f"{path}: row {k} has a non-numeric entry")
         if len(vals) != n:
             raise ElliptopeError(f"{path}: row {k} has {len(vals)} entries, expected {n}")
         rows.append(vals)

@@ -14,6 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# A run stalls when the step norm stays above tol for STALL_WINDOW
+# consecutive iterations while the squared norm gains less than
+# STALL_GAIN_TOL (a creep along a connected set of fixed points).
+STALL_WINDOW = 100
+STALL_GAIN_TOL = 1e-14
+
+
 class InfeasibleStartError(ValueError):
     """Starting point failed domain validation."""
 
@@ -28,11 +35,6 @@ class IterationConfig:
     max_iter: int = 10_000
     record_trace: bool = True
     validate_start: bool = False
-    # A run stalls when the step norm stays above tol for stall_window
-    # consecutive iterations while the squared norm gains less than
-    # stall_gain_tol (a creep along a connected set of fixed points).
-    stall_window: int = 100
-    stall_gain_tol: float = 1e-14
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -118,8 +120,8 @@ def iterate(domain, x0, config: IterationConfig | None = None) -> Trajectory:
         if step <= cfg.tol:
             status = "converged"
             break
-        stall = stall + 1 if gain < cfg.stall_gain_tol else 0
-        if stall >= cfg.stall_window:
+        stall = stall + 1 if gain < STALL_GAIN_TOL else 0
+        if stall >= STALL_WINDOW:
             status = "stalled"
             break
     if not cfg.record_trace:

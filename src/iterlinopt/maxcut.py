@@ -31,6 +31,8 @@ from .elliptope import (
 )
 
 BRUTE_FORCE_CAP = 22
+GRAPH_CAP = 2048  # one dense float64 n x n array at this size is 32 MB
+FALLBACK_SAMPLES = 64  # hyperplanes tried when rounding falls back
 
 
 class GraphFormatError(ValueError):
@@ -72,8 +74,9 @@ class WeightedGraph:
 
 def load_graph(path) -> WeightedGraph:
     """Parse edge-list lines "u v w" (0-indexed, '#' comments, weight
-    defaults to 1.0). Duplicate edges are summed with a warning; self-loops
-    and negative indices are rejected with the offending line number."""
+    defaults to 1.0). Duplicate edges are summed with a warning; self-loops,
+    negative indices and non-finite weights are rejected with the offending
+    line number, and a file without edges is rejected."""
     edges = {}
     nmax = -1
     with open(path) as fh:
@@ -99,10 +102,13 @@ def load_graph(path) -> WeightedGraph:
             if (u, v) in edges:
                 warnings.warn(f"{path}:{ln}: duplicate edge ({u}, {v}) summed",
                               stacklevel=2)
-                edges[(u, v)] += w
-            else:
-                edges[(u, v)] = w
+                w += edges[(u, v)]
+            if not np.isfinite(w):
+                raise GraphFormatError(f"{path}:{ln}: edge weight is not finite")
+            edges[(u, v)] = w
             nmax = max(nmax, v)
+    if not edges:
+        raise GraphFormatError(f"{path}: no edges")
     return WeightedGraph(nmax + 1, [(u, v, w) for (u, v), w in sorted(edges.items())])
 
 
@@ -208,7 +214,7 @@ class RoundingReport:
 def round_by_iteration(x0, config: OracleConfig | None = None,
                        graph: WeightedGraph | None = None,
                        escape_alpha=0.25, escape_retries=5, max_rounds=500,
-                       vertex_tol=1e-6, gw_samples=64, gw_seed=0) -> RoundingReport:
+                       gw_seed=0) -> RoundingReport:
     """Round a feasible matrix to a partition by iterating the map.
 
     Applies the linear-maximization map until a vertex appears (the
@@ -228,7 +234,7 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
     partition = None
     source = None
     for _ in range(max_rounds):
-        if is_vertex(x, vertex_tol):
+        if is_vertex(x):
             signs = vertex_signs(x)
             x = np.outer(signs, signs).astype(float)
             partition = signs
@@ -251,7 +257,7 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
     if partition is None:
         v = gram_factor(x)
         if graph is not None:
-            partition, _ = gw_hyperplane_round(v, graph, gw_samples, gw_seed)
+            partition, _ = gw_hyperplane_round(v, graph, FALLBACK_SAMPLES, gw_seed)
         else:
             partition = np.where(v[:, 0] >= 0.0, 1, -1).astype(int)
         source = "hyperplane_fallback"

@@ -1,3 +1,6 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -91,8 +94,14 @@ class TestVerify:
         write_matrix_text(x, path)
         assert main(["verify", "--matrix", str(path)]) == 2
 
+    def test_non_numeric_entry_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "x.txt"
+        path.write_text("2\n1 x\nx 1\n")
+        assert main(["verify", "--matrix", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {path}: row 1 has a non-numeric entry"
+
     def test_json_report(self, tmp_path):
-        import json
         path = tmp_path / "x.txt"
         write_matrix_text(np.ones((3, 3)), path)
         out = tmp_path / "rep.json"
@@ -120,6 +129,12 @@ class TestCensus:
 
     def test_n1_error(self, capsys):
         assert main(["census", "--n", "1"]) == 2
+
+    def test_cap_exits_2_before_enumerating(self, capsys):
+        start = time.perf_counter()
+        assert main(["census", "--n", "13"]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().out == ""
 
 
 class TestClassify:
@@ -192,8 +207,41 @@ class TestMaxcut:
         p.write_text("0 0 1.0\n")
         assert main(["maxcut", "--graph", str(p)]) == 1
 
+    def test_one_record_for_stdout_csv_and_json(self, k3_file, tmp_path, capsys):
+        csv = tmp_path / "k3.csv"
+        js = tmp_path / "k3.json"
+        code = main(["maxcut", "--graph", k3_file, "--brute-force",
+                     "--baseline", "gw", "--csv", str(csv), "--json", str(js)])
+        assert code == 0
+        order = ["graph", "n", "edges", "iterations", "escapes",
+                 "rounding_starts", "terminal_status", "partition_source",
+                 "partition", "relaxation_objective", "relaxed_cut",
+                 "oracle_residual", "restart_spread", "cut_value",
+                 "baseline_cut", "brute_force_cut"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split(": ", 1)[0] for ln in lines] == order
+        stdout = dict(ln.split(": ", 1) for ln in lines)
+        header, row = csv.read_text().splitlines()
+        assert header.split(",") == order
+        assert dict(zip(order, row.split(","))) == stdout
+        payload = json.loads(js.read_text())
+        assert set(payload) == set(order) | {"norms_sq"}
+        assert payload["edges"] == 3 and payload["partition"] == [1, -1, 1]
+
+    def test_missing_values_are_empty_csv_cells_and_json_nulls(
+            self, k3_file, tmp_path, capsys):
+        csv = tmp_path / "k3.csv"
+        js = tmp_path / "k3.json"
+        assert main(["maxcut", "--graph", k3_file, "--csv", str(csv),
+                     "--json", str(js)]) == 0
+        out = capsys.readouterr().out
+        assert "baseline_cut" not in out and "brute_force_cut" not in out
+        assert csv.read_text().splitlines()[1].endswith(",,")
+        payload = json.loads(js.read_text())
+        assert payload["baseline_cut"] is None
+        assert payload["brute_force_cut"] is None
+
     def test_csv_and_json(self, k3_file, tmp_path, capsys):
-        import json
         csv = tmp_path / "batch.csv"
         js = tmp_path / "rep.json"
         code = main(["maxcut", "--graph", k3_file, "--brute-force",
@@ -203,6 +251,27 @@ class TestMaxcut:
         assert len(rows) == 2 and rows[0].startswith("graph,n,")
         payload = json.loads(js.read_text())
         assert payload["cut_value"] == 2.0
+
+
+@pytest.mark.parametrize("argv, content, code", [
+    (["maxcut", "--graph", "FILE"], "0 1 nan\n", 1),
+    (["maxcut", "--graph", "FILE"], "# no edges\n", 1),
+    (["maxcut", "--graph", "FILE", "--rank", "0"], "0 1\n", 2),
+    (["maxcut", "--graph", "FILE", "--restarts", "-1"], "0 1\n", 2),
+    (["maxcut", "--graph", "FILE"], "0 2048\n", 2),  # n = 2049, one over the cap
+    (["iterate", "--domain", "elliptope", "--n", "0", "--start", "FILE"], "", 2),
+    (["census", "--n", "13"], "", 2),
+    (["verify", "--matrix", "FILE", "--seed", "1"], "", 2),
+    (["census", "--n", "3", "--seed", "1"], "", 2),
+], ids=["nan-weight", "no-edges", "rank-0", "restarts-negative", "graph-cap",
+        "elliptope-n-0", "census-cap", "verify-seed", "census-seed"])
+def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
+    f = tmp_path / "input.txt"
+    f.write_text(content)
+    assert main([str(f) if a == "FILE" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([ln for ln in captured.err.splitlines() if "error: " in ln]) == 1
 
 
 class TestReproducibility:

@@ -390,6 +390,12 @@ class TestReportsAndIO:
         with pytest.raises(ElliptopeError):
             read_matrix_text(path)
 
+    def test_rejects_non_numeric_entry_naming_the_row(self, tmp_path):
+        path = tmp_path / "word.txt"
+        path.write_text("2\n1 0\n0 one\n")
+        with pytest.raises(ElliptopeError, match="word.txt: row 2 "):
+            read_matrix_text(path)
+
     def test_rejects_ragged_file(self, tmp_path):
         path = tmp_path / "ragged.txt"
         path.write_text("2\n1 0\n0\n")

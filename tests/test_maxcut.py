@@ -68,6 +68,25 @@ class TestGraphIO:
         with pytest.raises(GraphFormatError):
             load_graph(p)
 
+    def test_non_finite_weight_rejected_with_line_number(self, tmp_path):
+        p = tmp_path / "nan.txt"
+        p.write_text("0 1 1.0\n1 2 nan\n")
+        with pytest.raises(GraphFormatError, match=":2: edge weight is not finite"):
+            load_graph(p)
+
+    def test_duplicates_summing_to_infinity_rejected(self, tmp_path):
+        p = tmp_path / "big.txt"
+        p.write_text("0 1 1e308\n1 0 1e308\n")
+        with pytest.warns(UserWarning), \
+                pytest.raises(GraphFormatError, match=":2:"):
+            load_graph(p)
+
+    def test_file_without_edges_rejected(self, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("# nothing here\n\n")
+        with pytest.raises(GraphFormatError, match="no edges"):
+            load_graph(p)
+
     def test_duplicates_summed_with_warning(self, tmp_path):
         p = tmp_path / "dup.txt"
         p.write_text("0 1 1.0\n1 0 2.0\n")
