@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptope import (
+    ElliptopeDomain,
     ElliptopeError,
     OracleConfig,
     check_symmetric,
-    elliptope_oracle,
     fixed_point_certificate,
     gram_factor,
     gram_to_matrix,
@@ -65,7 +65,10 @@ def classify_empirical(domain, x, eps, samples=32, seed=0, tol=1e-10,
     nothing escapes (connected sets of fixed points behave this way), and
     indeterminate on mixed evidence. Per-sample seeds derive from
     (seed, sample index), so the verdict does not depend on scheduling.
+    At least one sample is required: no evidence supports no label.
     """
+    if samples < 1:
+        raise ValueError("classification needs at least one sample")
     x = np.asarray(x, dtype=float)
     fx = domain.maximize(x)
     if float(np.linalg.norm(np.ravel(fx - x))) > 10.0 * tol:
@@ -150,8 +153,8 @@ def vertex_basin_check(x, m, config: OracleConfig | None = None,
     mm = validate_elliptope(m, diag_tol=1e-8)
     if float(np.linalg.norm(mm - x)) >= 1.0:
         raise ValueError("m must lie within unit Frobenius distance of the vertex")
-    res = elliptope_oracle(mm, config, warm_start=gram_factor(mm))
-    return bool(np.max(np.abs(res.matrix - np.asarray(x, dtype=float))) <= tol)
+    tx = ElliptopeDomain(mm.shape[0], config).maximize(mm)
+    return bool(np.max(np.abs(tx - np.asarray(x, dtype=float))) <= tol)
 
 
 def classify_elliptope_fixed_point(x, cert_tol=1e-8,

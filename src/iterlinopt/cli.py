@@ -27,6 +27,7 @@ from .domains import (
     EllipsoidDomain,
     curvature_classify_2d,
     load_domain,
+    read_lines,
 )
 from .elliptope import (
     ElliptopeDomain,
@@ -92,13 +93,12 @@ def _write_json(path, payload):
 
 
 def _oracle_config(args) -> OracleConfig:
-    return OracleConfig(rank=args.rank, restarts=args.restarts, seed=args.seed)
+    return OracleConfig(rank=args.rank, seed=args.seed)  # maxcut adds restarts
 
 
 def _parse_start_vector(text):
     if os.path.isfile(text):
-        with open(text) as fh:
-            text = fh.read()
+        text = "".join(read_lines(text, lambda m: CliError(EXIT_PARSE, m)))
     try:
         return np.array([float(tok) for tok in text.replace(",", " ").split()])
     except ValueError:
@@ -121,9 +121,6 @@ def cmd_iterate(args) -> int:
             raise CliError(EXIT_INVALID,
                            f"{args.start}: matrix is {x0.shape[0]}x{x0.shape[0]}, "
                            f"--n is {args.n}")
-        if args.validate_start and not is_in_elliptope(x0, diag_tol=1e-8):
-            raise CliError(EXIT_INVALID,
-                           f"{args.start}: matrix is not in the feasible body")
     else:
         domain = load_domain(args.domain)
         x0 = _parse_start_vector(args.start)
@@ -259,7 +256,8 @@ def cmd_classify(args) -> int:
                        f"point is not a fixed point (residual {_fmt(residual)})")
     print(f"fixed point: {_fmt_vec(x)}")
     print(f"fixed-point residual: {_fmt(residual)}")
-    _classify_empirical(args, domain, x)
+    if args.samples > 0:
+        _classify_empirical(args, domain, x)
     if isinstance(domain, (BallDomain, EllipsoidDomain)) and domain.dim == 2:
         k = domain.boundary_curvature(x)
         print(f"curvature: {_fmt(k)}")
@@ -285,7 +283,7 @@ def cmd_maxcut(args) -> int:
             raise CliError(EXIT_INVALID,
                            f"{path}: brute force is capped at n = {BRUTE_FORCE_CAP}")
         report = maxcut_pipeline(
-            g, _oracle_config(args),
+            g, OracleConfig(rank=args.rank, restarts=args.restarts, seed=args.seed),
             baseline_samples=args.baseline_samples if args.baseline == "gw" else 0,
             brute_force=args.brute_force,
             escape_alpha=args.escape_alpha,
@@ -317,14 +315,23 @@ def cmd_maxcut(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _int_at_least(low):
-    """argparse type for an integer flag with a lower bound."""
-    def integer(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+def _checked(convert, ok, bound):
+    """argparse type: convert the flag's text, then require ok(value)."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
-    return integer
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _int_at_least(low):
+    return _checked(int, lambda v: v >= low, f"at least {low}")
+
+
+_positive = _checked(float, lambda v: v > 0.0, "positive")
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,11 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base seed for every random choice (default 0)")
     oracle.add_argument("--rank", type=_int_at_least(1),
                         help="oracle rank budget (default about sqrt(2n) + 1)")
-    oracle.add_argument("--restarts", type=_int_at_least(0), default=5,
-                        help="seeded random restarts per oracle call")
     iteration = argparse.ArgumentParser(add_help=False)
-    iteration.add_argument("--tol", type=float, default=1e-10)
-    iteration.add_argument("--max-iter", type=int, default=10_000)
+    iteration.add_argument("--tol", type=_positive, default=1e-10)
+    iteration.add_argument("--max-iter", type=_int_at_least(1), default=10_000)
 
     parser = argparse.ArgumentParser(
         prog="iterlinopt",
@@ -381,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", help="domain config file (with --point)")
     p.add_argument("--point", help="fixed point coordinates like '3,0'")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=32,
+    p.add_argument("--samples", type=_int_at_least(0), default=32,
                    help="perturbation samples; 0 skips the empirical run")
     p.set_defaults(func=cmd_classify)
 
@@ -389,13 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relax, round and score a max-cut instance")
     p.add_argument("--graph", required=True, nargs="+",
                    help=f"edge-list file(s): lines 'u v [w]', n <= {GRAPH_CAP}")
+    p.add_argument("--restarts", type=_int_at_least(1), default=5,
+                   help="seeded random starts of the relaxation")
     p.add_argument("--baseline", choices=["gw"],
                    help="also run hyperplane-rounding as a baseline")
-    p.add_argument("--baseline-samples", type=int, default=64)
+    p.add_argument("--baseline-samples", type=_int_at_least(1), default=64)
     p.add_argument("--brute-force", action="store_true",
                    help=f"also compute the exact optimum (n <= {BRUTE_FORCE_CAP})")
-    p.add_argument("--escape-alpha", type=float, default=0.25)
-    p.add_argument("--escape-retries", type=int, default=5)
+    p.add_argument("--escape-alpha", type=_fraction, default=0.25)
+    p.add_argument("--escape-retries", type=_int_at_least(0), default=5)
     p.add_argument("--json", help="write report(s) as JSON to this path")
     p.add_argument("--csv", help="write one CSV row per instance to this path")
     p.set_defaults(func=cmd_maxcut)

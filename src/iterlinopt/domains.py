@@ -21,6 +21,17 @@ class DomainError(ValueError):
     """Invalid domain description or query."""
 
 
+def read_lines(path, error):
+    """Yield the lines of a UTF-8 text file. A file that does not decode
+    raises ``error(message)`` naming the path, so that each parser reports
+    it as its own kind of error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _point(x, dim=None) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.ndim != 1:
@@ -324,6 +335,18 @@ def _parse_matrix(text):
     return np.array([_parse_vector(r) for r in rows])
 
 
+# the keys each kind takes besides kind itself
+DOMAIN_KEYS = {
+    "ball": ("center", "radius"),
+    "disk": ("center", "radius"),
+    "ellipsoid": ("shape",),
+    "ellipse": ("shape",),
+    "polytope": ("vertices",),
+    "cone": ("apex", "base_center", "base_radius"),
+    "elliptope": ("n", "rank", "seed"),
+}
+
+
 def load_domain(path):
     """Build a domain from a key=value description file.
 
@@ -332,21 +355,26 @@ def load_domain(path):
       kind=ellipsoid   shape=<rows separated by ';'>
       kind=polytope    vertices=<points separated by ';'>
       kind=cone        apex=<vector>  base_center=<vector>  base_radius=<float>
-      kind=elliptope   n=<int>  [rank=<int>  restarts=<int>  seed=<int>]
+      kind=elliptope   n=<int>  [rank=<int>  seed=<int>]
 
-    Vectors accept commas or whitespace; '#' starts a comment.
+    Vectors accept commas or whitespace; '#' starts a comment. A key that
+    the kind does not take is rejected.
     """
     spec = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            spec[key.strip().lower()] = val.strip()
+    for ln, raw in enumerate(read_lines(path, DomainError), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        spec[key.strip().lower()] = val.strip()
     kind = spec.get("kind", "").lower()
+    if kind not in DOMAIN_KEYS:
+        raise DomainError(f"{path}: unknown domain kind {spec.get('kind')!r}")
+    unknown = [key for key in spec if key not in ("kind", *DOMAIN_KEYS[kind])]
+    if unknown:
+        raise DomainError(f"{path}: kind {kind!r} takes no key {unknown[0]!r}")
     try:
         if kind in ("ball", "disk"):
             return BallDomain(_parse_vector(spec["center"]), float(spec["radius"]))
@@ -360,11 +388,8 @@ def load_domain(path):
                               float(spec["base_radius"]))
         if kind == "elliptope":
             from .elliptope import ElliptopeDomain, OracleConfig
-            cfg = OracleConfig(
-                rank=int(spec["rank"]) if "rank" in spec else None,
-                restarts=int(spec.get("restarts", 5)),
-                seed=int(spec.get("seed", 0)),
-            )
+            cfg = OracleConfig(rank=int(spec["rank"]) if "rank" in spec else None,
+                               seed=int(spec.get("seed", 0)))
             return ElliptopeDomain(int(spec["n"]), cfg)
     except KeyError as exc:
         raise DomainError(f"{path}: missing key {exc.args[0]!r} for kind {kind!r}")
@@ -372,4 +397,3 @@ def load_domain(path):
         if isinstance(exc, DomainError):
             raise
         raise DomainError(f"{path}: {exc}")
-    raise DomainError(f"{path}: unknown domain kind {spec.get('kind')!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import ConvexDomain
+from .domains import ConvexDomain, read_lines
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -140,7 +140,7 @@ class OracleConfig:
 
     rank: int | None = None
     max_sweeps: int = 5000
-    restarts: int = 5
+    restarts: int = 5  # run only by calls without a warm start
     seed: int = 0
 
     def __post_init__(self):
@@ -157,7 +157,7 @@ class OracleResult:
     objective: float
     stationarity_residual: float
     restart_objectives: list
-    best_index: int  # 0 is the warm start when one was supplied
+    best_index: int  # always 0 when a warm start was supplied
     sweeps: int
     sweep_objectives: list  # objective after each sweep of the winning run
     candidate_grams: list = field(default_factory=list)  # every run's factor
@@ -230,11 +230,11 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
                      warm_start=None) -> OracleResult:
     """Approximately maximize C . X over unit-diagonal PSD matrices.
 
-    Runs coordinate ascent on Gram rows from the warm start (when given)
-    and from ``restarts`` seeded random factors, and keeps the run with the
-    best objective, ties to the lowest candidate index. The stationarity
-    residual at the winner measures how far the output is from satisfying
-    the eigenmatrix condition exactly; it is reported, never hidden.
+    Runs coordinate ascent on Gram rows from the warm start alone, or
+    without one from ``restarts`` seeded random factors, keeping the run
+    with the best objective, ties to the lowest candidate index. The
+    stationarity residual at the winner measures how far the output is from
+    satisfying the eigenmatrix condition exactly; it is reported, never hidden.
     """
     cfg = config or OracleConfig()
     c = check_symmetric(c, name="cost matrix")
@@ -245,19 +245,18 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     c_off = c.copy()
     np.fill_diagonal(c_off, 0.0)
 
-    batches = []
     if warm_start is not None:
         w = np.asarray(warm_start, dtype=float)
         if w.ndim != 2 or w.shape[0] != n:
             raise ElliptopeError("warm start must have one row per index")
-        batches.append((w / np.linalg.norm(w, axis=1)[:, None])[:, None, :])
-    if cfg.restarts:
-        batches.append(np.stack(
+        starts = (w / np.linalg.norm(w, axis=1)[:, None])[:, None, :]
+    elif cfg.restarts:
+        starts = np.stack(
             [random_gram(n, r, np.random.default_rng(cfg.seed + k))
-             for k in range(cfg.restarts)], axis=1))
-    if not batches:
+             for k in range(cfg.restarts)], axis=1)
+    else:
         raise ElliptopeError("restarts=0 requires a warm start")
-    results = [run for b in batches for run in _ascend(c, c_off, b, cfg)]
+    results = _ascend(c, c_off, starts, cfg)
 
     objectives = [objs[-1] if objs else float(np.sum((c @ v) * v))
                   for v, _, objs, _ in results]
@@ -298,10 +297,10 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
 class ElliptopeDomain(ConvexDomain):
     """The unit-diagonal PSD body of order n, driven by the ascent oracle.
 
-    ``maximize`` warm-starts the ascent at the query point's own Gram
-    factor, which guarantees the output scores at least as well as the
-    input against the query functional; that is exactly the inequality the
-    iteration engine's monotonicity rests on.
+    ``maximize`` applies the map from the query point's own Gram factor
+    alone: the output scores at least as well as the input against the
+    query functional (the engine's monotonicity rests on this), and at that
+    full width n the ascent has no spurious local maxima for restarts to fix.
     """
 
     def __init__(self, n, config: OracleConfig | None = None):
@@ -314,13 +313,12 @@ class ElliptopeDomain(ConvexDomain):
     def maximize(self, x):
         x = check_symmetric(x)
         try:
-            warm = gram_factor(x)
-        except ElliptopeError:
-            # a zero functional (or a zero row) constrains nothing; fall back
-            # to seeded random starts, where frozen rows keep their init
-            warm = None
-        res = elliptope_oracle(x, self.config, warm_start=warm)
-        return res.matrix
+            start = gram_factor(x)
+        except ElliptopeError:  # a zero row: start from restart 0's factor
+            n = x.shape[0]
+            start = random_gram(n, self.config.rank or default_rank_budget(n),
+                                np.random.default_rng(self.config.seed))
+        return elliptope_oracle(x, self.config, warm_start=start).matrix
 
     def contains(self, x, tol=PSD_TOL):
         return is_in_elliptope(x, diag_tol=1e-8, psd_tol=tol)
@@ -611,10 +609,10 @@ def analyze_fixed_point(m, tol=CERT_TOL, zero_tol=ZERO_TOL) -> FixedPointReport:
 def read_matrix_text(path) -> np.ndarray:
     """Parse the matrix text format: first line n, then n rows.
 
-    Rejects ragged rows and asymmetry beyond 1e-12.
+    Rejects ragged rows, asymmetry beyond 1e-12 and files not in UTF-8.
     """
-    with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
+    lines = [ln.split("#", 1)[0].strip()
+             for ln in read_lines(path, ElliptopeError)]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ElliptopeError(f"{path}: empty matrix file")

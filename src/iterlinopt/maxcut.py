@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import escape_curve
+from .domains import read_lines
 from .elliptope import (
+    ElliptopeDomain,
     OracleConfig,
     OracleResult,
     elliptope_oracle,
@@ -33,6 +35,7 @@ from .elliptope import (
 BRUTE_FORCE_CAP = 22
 GRAPH_CAP = 2048  # one dense float64 n x n array at this size is 32 MB
 FALLBACK_SAMPLES = 64  # hyperplanes tried when rounding falls back
+MAX_ROUNDS = 500  # map applications and escapes before rounding falls back
 
 
 class GraphFormatError(ValueError):
@@ -76,37 +79,36 @@ def load_graph(path) -> WeightedGraph:
     """Parse edge-list lines "u v w" (0-indexed, '#' comments, weight
     defaults to 1.0). Duplicate edges are summed with a warning; self-loops,
     negative indices and non-finite weights are rejected with the offending
-    line number, and a file without edges is rejected."""
+    line number, and a file without edges or not in UTF-8 is rejected."""
     edges = {}
     nmax = -1
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(f"{path}:{ln}: expected 'u v [w]'")
-            try:
-                u = int(parts[0])
-                v = int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise GraphFormatError(f"{path}:{ln}: could not parse 'u v [w]'")
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"{path}:{ln}: negative vertex index")
-            if u == v:
-                raise GraphFormatError(f"{path}:{ln}: self-loop rejected")
-            if u > v:
-                u, v = v, u
-            if (u, v) in edges:
-                warnings.warn(f"{path}:{ln}: duplicate edge ({u}, {v}) summed",
-                              stacklevel=2)
-                w += edges[(u, v)]
-            if not np.isfinite(w):
-                raise GraphFormatError(f"{path}:{ln}: edge weight is not finite")
-            edges[(u, v)] = w
-            nmax = max(nmax, v)
+    for ln, raw in enumerate(read_lines(path, GraphFormatError), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise GraphFormatError(f"{path}:{ln}: expected 'u v [w]'")
+        try:
+            u = int(parts[0])
+            v = int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise GraphFormatError(f"{path}:{ln}: could not parse 'u v [w]'")
+        if u < 0 or v < 0:
+            raise GraphFormatError(f"{path}:{ln}: negative vertex index")
+        if u == v:
+            raise GraphFormatError(f"{path}:{ln}: self-loop rejected")
+        if u > v:
+            u, v = v, u
+        if (u, v) in edges:
+            warnings.warn(f"{path}:{ln}: duplicate edge ({u}, {v}) summed",
+                          stacklevel=2)
+            w += edges[(u, v)]
+        if not np.isfinite(w):
+            raise GraphFormatError(f"{path}:{ln}: edge weight is not finite")
+        edges[(u, v)] = w
+        nmax = max(nmax, v)
     if not edges:
         raise GraphFormatError(f"{path}: no edges")
     return WeightedGraph(nmax + 1, [(u, v, w) for (u, v), w in sorted(edges.items())])
@@ -213,27 +215,27 @@ class RoundingReport:
 
 def round_by_iteration(x0, config: OracleConfig | None = None,
                        graph: WeightedGraph | None = None,
-                       escape_alpha=0.25, escape_retries=5, max_rounds=500,
-                       gw_seed=0) -> RoundingReport:
+                       escape_alpha=0.25, escape_retries=5) -> RoundingReport:
     """Round a feasible matrix to a partition by iterating the map.
 
     Applies the linear-maximization map until a vertex appears (the
     partition is then read off its first row). A non-vertex fixed point
     triggers a norm-increasing escape step and the run resumes, up to
-    escape_retries times; after that, or if max_rounds passes without a
-    vertex, hyperplane rounding of the current Gram factor supplies the
-    partition and the provenance is flagged. The squared norm never
-    decreases across accepted iterates.
+    escape_retries times; after that, or if MAX_ROUNDS pass without a
+    vertex, hyperplane rounding of the current Gram factor, seeded with the
+    config's seed, supplies the partition and the provenance is flagged.
+    The squared norm never decreases across accepted iterates.
     """
     cfg = config or OracleConfig()
     x = validate_elliptope(np.asarray(x0, dtype=float), diag_tol=1e-8)
+    domain = ElliptopeDomain(x.shape[0], cfg)
     norms = [float(np.vdot(x, x))]
     escapes = 0
     iterations = 0
     status = "max_rounds"
     partition = None
     source = None
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if is_vertex(x):
             signs = vertex_signs(x)
             x = np.outer(signs, signs).astype(float)
@@ -250,14 +252,13 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
                 continue
             status = "nonvertex_fixed_point"
             break
-        res = elliptope_oracle(x, cfg, warm_start=gram_factor(x))
-        x = res.matrix
+        x = domain.maximize(x)
         iterations += 1
         norms.append(float(np.vdot(x, x)))
     if partition is None:
         v = gram_factor(x)
         if graph is not None:
-            partition, _ = gw_hyperplane_round(v, graph, FALLBACK_SAMPLES, gw_seed)
+            partition, _ = gw_hyperplane_round(v, graph, FALLBACK_SAMPLES, cfg.seed)
         else:
             partition = np.where(v[:, 0] >= 0.0, 1, -1).astype(int)
         source = "hyperplane_fallback"
@@ -279,8 +280,7 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
 
 def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
                     baseline_samples=0, brute_force=False,
-                    escape_alpha=0.25, escape_retries=5,
-                    max_rounds=500) -> RoundingReport:
+                    escape_alpha=0.25, escape_retries=5) -> RoundingReport:
     """Full chain: relaxation, iterated rounding, optional baselines.
 
     The relaxation optimum is not always unique (complete graphs are the
@@ -301,12 +301,10 @@ def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
             if all(float(np.max(np.abs(x - s))) > 1e-12 for s in starts):
                 starts.append(x)
     report = None
-    for k, x0 in enumerate(starts):
+    for x0 in starts:
         cand = round_by_iteration(x0, cfg, graph=g,
                                   escape_alpha=escape_alpha,
-                                  escape_retries=escape_retries,
-                                  max_rounds=max_rounds,
-                                  gw_seed=cfg.seed)
+                                  escape_retries=escape_retries)
         if report is None or cand.cut_value > report.cut_value:
             report = cand
     report.rounding_starts = len(starts)

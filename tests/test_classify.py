@@ -77,6 +77,14 @@ class TestEmpirical2D:
             assert emp.label == cur
 
 
+    def test_needs_at_least_one_sample(self):
+        dom = BallDomain([1.0, 0.0], 2.0)
+        for samples in (0, -2):
+            with pytest.raises(ValueError, match="at least one sample"):
+                classify_empirical(dom, np.array([3.0, 0.0]), eps=0.3,
+                                   samples=samples)
+
+
 class TestVertexBasin:
     @staticmethod
     def _blend(vertex, t):

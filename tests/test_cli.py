@@ -64,6 +64,16 @@ class TestIterate:
                      "--validate-start"])
         assert code == 2
 
+    def test_infeasible_matrix_start_exits_2_with_validation(self, tmp_path,
+                                                             capsys):
+        start = tmp_path / "x0.txt"
+        write_matrix_text(2.0 * np.eye(3), start)
+        argv = ["iterate", "--domain", "elliptope", "--n", "3",
+                "--start", str(start)]
+        assert main(argv + ["--validate-start"]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0  # an exterior start is legal without the flag
+
 
 class TestVerify:
     def test_family_member_fixed(self, tmp_path, capsys):
@@ -172,6 +182,15 @@ class TestClassify:
         assert "empirical label: repelling" in out
         assert "curvature label: repelling" in out
 
+    def test_domain_point_with_zero_samples_skips_the_empirical_run(
+            self, disk_cfg, capsys):
+        code = main(["classify", "--domain", disk_cfg, "--point", "3,0",
+                     "--samples", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "empirical label" not in out and "samples:" not in out
+        assert "curvature label: attractive" in out
+
     def test_non_fixed_point_exits_2(self, disk_cfg):
         assert main(["classify", "--domain", disk_cfg, "--point", "0,2"]) == 2
 
@@ -258,13 +277,36 @@ class TestMaxcut:
     (["maxcut", "--graph", "FILE"], "# no edges\n", 1),
     (["maxcut", "--graph", "FILE", "--rank", "0"], "0 1\n", 2),
     (["maxcut", "--graph", "FILE", "--restarts", "-1"], "0 1\n", 2),
+    (["maxcut", "--graph", "FILE", "--restarts", "0"], "0 1\n", 2),
     (["maxcut", "--graph", "FILE"], "0 2048\n", 2),  # n = 2049, one over the cap
     (["iterate", "--domain", "elliptope", "--n", "0", "--start", "FILE"], "", 2),
     (["census", "--n", "13"], "", 2),
     (["verify", "--matrix", "FILE", "--seed", "1"], "", 2),
     (["census", "--n", "3", "--seed", "1"], "", 2),
-], ids=["nan-weight", "no-edges", "rank-0", "restarts-negative", "graph-cap",
-        "elliptope-n-0", "census-cap", "verify-seed", "census-seed"])
+    (["iterate", "--domain", "elliptope", "--n", "3", "--start", "FILE",
+      "--restarts", "2"], "", 2),
+    (["classify", "--matrix", "FILE", "--restarts", "2"], "", 2),
+    (["iterate", "--domain", "FILE", "--start", "0,1"],
+     "kind=ball\ncenter=1,0\nradius=2\nrestarts=5\n", 1),
+    (["iterate", "--domain", "FILE", "--start", "0,1"],
+     "kind=ball\ncenter=1,0\nradius=2\nradious=2\n", 1),
+    (["iterate", "--domain", "FILE", "--start", "0,1", "--max-iter", "0"], "", 2),
+    (["iterate", "--domain", "FILE", "--start", "0,1", "--tol", "0"], "", 2),
+    (["classify", "--matrix", "FILE", "--max-iter", "0"], "", 2),
+    (["classify", "--matrix", "FILE", "--tol", "0"], "", 2),
+    (["classify", "--matrix", "FILE", "--samples", "-2"], "", 2),
+    (["maxcut", "--graph", "FILE", "--baseline-samples", "-1"], "0 1\n", 2),
+    (["maxcut", "--graph", "FILE", "--baseline-samples", "0"], "0 1\n", 2),
+    (["maxcut", "--graph", "FILE", "--escape-alpha", "1.5"], "0 1\n", 2),
+    (["maxcut", "--graph", "FILE", "--escape-alpha", "-0.25"], "0 1\n", 2),
+    (["maxcut", "--graph", "FILE", "--escape-retries", "-1"], "0 1\n", 2),
+], ids=["nan-weight", "no-edges", "rank-0", "restarts-negative", "restarts-0", "graph-cap",
+        "elliptope-n-0", "census-cap", "verify-seed", "census-seed",
+        "iterate-restarts", "classify-restarts", "domain-restarts-key",
+        "domain-misspelt-key", "iterate-max-iter-0", "iterate-tol-0",
+        "classify-max-iter-0", "classify-tol-0", "classify-samples-negative",
+        "baseline-samples-negative", "baseline-samples-0", "escape-alpha-above-1",
+        "escape-alpha-negative", "escape-retries-negative"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
     f = tmp_path / "input.txt"
     f.write_text(content)
@@ -272,6 +314,21 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len([ln for ln in captured.err.splitlines() if "error: " in ln]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxcut", "--graph", "FILE"],
+    ["verify", "--matrix", "FILE"],
+    ["iterate", "--domain", "FILE", "--start", "0,1"],
+], ids=["maxcut", "verify", "iterate"])
+def test_file_not_in_utf8_gives_one_error_line(tmp_path, capsys, argv):
+    f = tmp_path / "input.txt"
+    f.write_bytes(b"\xff\xfe0 1\n")
+    assert main([str(f) if a == "FILE" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {f}: not UTF-8 text")
+    assert len(captured.err.splitlines()) == 1
 
 
 class TestReproducibility:

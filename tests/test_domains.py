@@ -238,6 +238,37 @@ class TestLoadDomain:
         dom = load_domain(cfg)
         assert isinstance(dom, ElliptopeDomain) and dom.n == 3
 
+    def test_elliptope_keys(self, tmp_path):
+        cfg = tmp_path / "l.cfg"
+        cfg.write_text("kind=elliptope\nn=4\nrank=2\nseed=7\n")
+        dom = load_domain(cfg)
+        assert (dom.n, dom.config.rank, dom.config.seed) == (4, 2, 7)
+
+    def test_aliases_take_the_keys_of_their_kind(self, tmp_path):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("kind=disk\ncenter=1,0\nradius=2\n")
+        assert isinstance(load_domain(cfg), BallDomain)
+        cfg.write_text("kind=ellipse\nshape=4 0; 0 1\n")
+        assert isinstance(load_domain(cfg), EllipsoidDomain)
+
+    @pytest.mark.parametrize("text, kind, key", [
+        ("kind=elliptope\nn=3\nrestarts=5\n", "elliptope", "restarts"),
+        ("kind=ball\ncenter=1,0\nradious=2\nradius=2\n", "ball", "radious"),
+        ("shape=1 0; 0 1\nkind=disk\ncenter=1,0\nradius=2\n", "disk", "shape"),
+    ])
+    def test_unknown_key_rejected_naming_it(self, tmp_path, text, kind, key):
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text(text)
+        with pytest.raises(DomainError,
+                           match=f"u.cfg: kind '{kind}' takes no key '{key}'$"):
+            load_domain(cfg)
+
+    def test_rejects_a_file_not_in_utf8(self, tmp_path):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_bytes(b"kind=ball\ncenter=1,0\nradius=2 # \xe9\n")
+        with pytest.raises(DomainError, match="b.cfg: not UTF-8 text"):
+            load_domain(cfg)
+
     def test_errors(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("kind=torus\n")

@@ -141,6 +141,16 @@ class TestOracle:
         res = elliptope_oracle(c, OracleConfig(restarts=0), warm_start=v0)
         assert np.array_equal(res.gram[0], v0[0])
 
+    def test_warm_start_runs_alone(self):
+        rng = np.random.default_rng(8)
+        c = rng.standard_normal((6, 6))
+        c = 0.5 * (c + c.T)
+        v0 = gram_factor(c @ c.T + np.eye(6))
+        res = elliptope_oracle(c, OracleConfig(restarts=5), warm_start=v0)
+        assert len(res.restart_objectives) == 1
+        assert len(res.candidate_grams) == 1
+        assert res.best_index == 0
+
     def test_restart_bookkeeping(self):
         c = -J3
         res = elliptope_oracle(c, OracleConfig(restarts=3, seed=7))
@@ -396,6 +406,12 @@ class TestReportsAndIO:
         with pytest.raises(ElliptopeError, match="word.txt: row 2 "):
             read_matrix_text(path)
 
+    def test_rejects_a_file_not_in_utf8(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"\xff\xfe1\n1\n")
+        with pytest.raises(ElliptopeError, match="x.txt: not UTF-8 text"):
+            read_matrix_text(path)
+
     def test_rejects_ragged_file(self, tmp_path):
         path = tmp_path / "ragged.txt"
         path.write_text("2\n1 0\n0\n")
@@ -418,6 +434,19 @@ class TestDomainAdapter:
         traj = iterate(dom, np.eye(3))
         assert traj.status == "converged"
         assert np.array_equal(traj.final, np.eye(3))
+
+    def test_zero_functional_uses_the_seeded_start(self):
+        # every point maximizes the zero functional; the map returns the
+        # point of restart 0, as a cold call would, the same on every call
+        cfg = OracleConfig(seed=3)
+        dom = ElliptopeDomain(5, cfg)
+        t = dom.maximize(np.zeros((5, 5)))
+        assert np.array_equal(t, dom.maximize(np.zeros((5, 5))))
+        assert is_in_elliptope(t)
+        cold = elliptope_oracle(np.zeros((5, 5)), cfg)
+        assert np.max(np.abs(t - cold.matrix)) <= 1e-15
+        other = ElliptopeDomain(5, OracleConfig(seed=4)).maximize(np.zeros((5, 5)))
+        assert not np.allclose(t, other)
 
     def test_sample_near_stays_feasible_and_close(self):
         rng = np.random.default_rng(5)

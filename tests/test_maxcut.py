@@ -9,7 +9,9 @@ from iterlinopt import (
     WeightedGraph,
     brute_force_maxcut,
     cut_value,
+    gram_factor,
     gw_hyperplane_round,
+    l3_census,
     l4_family,
     load_graph,
     maxcut_pipeline,
@@ -18,6 +20,7 @@ from iterlinopt import (
     round_by_iteration,
     solve_relaxation,
 )
+from iterlinopt.maxcut import FALLBACK_SAMPLES
 
 
 def complete_graph(n, w=1.0):
@@ -32,6 +35,12 @@ K3 = complete_graph(3)
 
 
 class TestGraphIO:
+    def test_file_not_in_utf8_rejected(self, tmp_path):
+        p = tmp_path / "bin.txt"
+        p.write_bytes(b"\xff\xfe0 1\n")
+        with pytest.raises(GraphFormatError, match="bin.txt: not UTF-8 text"):
+            load_graph(p)
+
     def test_triangle(self, tmp_path):
         p = tmp_path / "k3.txt"
         p.write_text("0 1 1.0\n1 2 1.0\n0 2 1.0\n")
@@ -278,6 +287,20 @@ class TestRounding:
     def test_family_member_start(self):
         report = round_by_iteration(l4_family(0.3), OracleConfig(seed=0))
         assert report.terminal_status == "vertex"
+
+
+    def test_fallback_hyperplanes_take_the_config_seed(self):
+        # a face point of the 3-d catalog is a non-vertex fixed point: with
+        # no escapes allowed, the partition comes from hyperplane rounding
+        face = [p.matrix for p in l3_census() if p.family == "face"][0]
+        for seed in (0, 11):
+            with pytest.warns(UserWarning, match="hyperplane fallback"):
+                report = round_by_iteration(face, OracleConfig(seed=seed),
+                                            graph=K3, escape_retries=0)
+            assert report.partition_source == "hyperplane_fallback"
+            signs, _ = gw_hyperplane_round(gram_factor(face), K3,
+                                           FALLBACK_SAMPLES, seed)
+            assert np.array_equal(report.partition, signs)
 
 
 class TestPipeline:

@@ -12,6 +12,7 @@ from iterlinopt import (
     PolytopeDomain,
     elliptope_oracle,
     fixed_point_certificate,
+    gram_to_matrix,
     irreducible_components,
     l3_census,
     l4_family,
@@ -88,6 +89,19 @@ def test_elliptope_oracle_beats_random_members():
         for _ in range(40):
             y = dom.sample(rng)
             assert float(np.vdot(c, y)) <= res.objective + 1e-9
+
+
+def test_warm_started_map_matches_cold_restarts():
+    # the map runs from X's own full-width factor alone; at that width the
+    # ascent has no spurious local maxima, so five cold restarts do no better
+    rng = np.random.default_rng(41)
+    for k in range(36):
+        n = 2 + k % 11
+        x = gram_to_matrix(random_gram(n, int(rng.integers(1, n + 1)), rng))
+        tx = ElliptopeDomain(n).maximize(x)
+        cold = elliptope_oracle(x, OracleConfig(restarts=5, seed=k))
+        obj = float(np.vdot(x, tx))
+        assert obj >= cold.objective - 1e-12 * max(1.0, abs(obj))
 
 
 def _verified_fixed_points():
