@@ -105,6 +105,18 @@ def _parse_start_vector(text):
         raise CliError(EXIT_PARSE, f"could not parse start point {text!r}")
 
 
+def _read_point(domain, text):
+    """A start or point for ``domain``: a matrix file of its order for the
+    elliptope, coordinates or a coordinate file for the other domains."""
+    if not isinstance(domain, ElliptopeDomain):
+        return _parse_start_vector(text)
+    x = read_matrix_text(text)
+    if x.shape[0] != domain.n:
+        raise CliError(EXIT_INVALID, f"{text}: matrix is {x.shape[0]}x"
+                                     f"{x.shape[0]}, the domain has n = {domain.n}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -114,16 +126,11 @@ def cmd_iterate(args) -> int:
         if args.n is None:
             raise CliError(EXIT_PARSE, "elliptope domain needs --n")
         domain = ElliptopeDomain(args.n, _oracle_config(args))
-        # any symmetric matrix is a legal start: an exterior start acts as
-        # the cost of a one-shot linear maximization
-        x0 = read_matrix_text(args.start)
-        if x0.shape[0] != args.n:
-            raise CliError(EXIT_INVALID,
-                           f"{args.start}: matrix is {x0.shape[0]}x{x0.shape[0]}, "
-                           f"--n is {args.n}")
     else:
         domain = load_domain(args.domain)
-        x0 = _parse_start_vector(args.start)
+    # any symmetric matrix is a legal elliptope start: an exterior start
+    # acts as the cost of a one-shot linear maximization
+    x0 = _read_point(domain, args.start)
     cfg = IterationConfig(tol=args.tol, max_iter=args.max_iter,
                           validate_start=args.validate_start)
     traj = iterate(domain, x0, cfg)
@@ -248,7 +255,7 @@ def cmd_classify(args) -> int:
     if not args.domain or not args.point:
         raise CliError(EXIT_PARSE, "classify needs --matrix, or --domain with --point")
     domain = load_domain(args.domain)
-    x = _parse_start_vector(args.point)
+    x = _read_point(domain, args.point)
     fx = domain.maximize(x)
     residual = float(np.linalg.norm(np.ravel(fx - x)))
     if residual > 10.0 * args.tol:
@@ -384,8 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attractive/repelling diagnosis of a fixed point")
     p.add_argument("--matrix", help="matrix text file (elliptope fixed point)")
     p.add_argument("--domain", help="domain config file (with --point)")
-    p.add_argument("--point", help="fixed point coordinates like '3,0'")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--point", help="fixed point coordinates like '3,0', a "
+                                   "coordinate file, or a matrix file for "
+                                   "an elliptope domain")
+    p.add_argument("--eps", type=_positive, default=0.1)
     p.add_argument("--samples", type=_int_at_least(0), default=32,
                    help="perturbation samples; 0 skips the empirical run")
     p.set_defaults(func=cmd_classify)

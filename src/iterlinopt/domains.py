@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 # Default tolerances; every operation that uses them takes an override.
 FEAS_TOL = 1e-10
@@ -227,7 +226,10 @@ class PolytopeDomain(ConvexDomain):
         return self.vertices[int(np.argmax(scores))].copy()
 
     def contains(self, x, tol=1e-9):
-        # membership is feasibility of the convex-combination LP
+        # membership is feasibility of the convex-combination LP; scipy is
+        # imported here, its only use, to keep it off the package import
+        from scipy.optimize import linprog
+
         x = _point(x, self.dim)
         m = len(self.vertices)
         a_eq = np.vstack([self.vertices.T, np.ones((1, m))])

@@ -171,31 +171,59 @@ def _row_norms(a):
     return np.sqrt(np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0])
 
 
+def _color_classes(c_off):
+    """Greedy colouring of the nonzero pattern of c_off, in index order.
+
+    Returns (perm, bounds): class k is perm[bounds[k]:bounds[k + 1]], its
+    indices ascending, so rows listed in the order perm form one contiguous
+    slice per class. Two indices of one class have a zero cost entry
+    between them. A dense cost gives n singleton classes in index order.
+    """
+    n = c_off.shape[0]
+    adj = c_off != 0.0
+    colour = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        taken = np.zeros(i + 1, dtype=bool)
+        taken[colour[:i][adj[i, :i]]] = True
+        colour[i] = taken.argmin()  # the lowest colour no earlier neighbour has
+    perm = np.argsort(colour, kind="stable")
+    return perm, np.concatenate(([0], np.cumsum(np.bincount(colour))))
+
+
 def _ascend(c, c_off, v0, cfg):
     """Cyclic row updates v_i <- g_i / |g_i| with g_i = sum_{j != i} c_ij v_j,
     for a batch of same-width starts advanced together.
 
-    v0 has shape (n, R, r): run k starts from the factor v0[:, k]. Each
-    update maximizes the row's linear subproblem exactly, so every run's
-    objective c . V V^T never decreases from sweep to sweep. A run stops
-    once its largest row move in a sweep falls below SWEEP_TOL; it is then
-    frozen and dropped from the batch, so batching changes no run beyond
-    rounding. Returns one (factor, sweeps, objectives, status) tuple
-    per run, status being "step_tol" or "max_sweeps".
+    v0 has shape (n, R, r): run k starts from the factor v0[:, k]. The rows
+    are swept in the order of ``_color_classes``, one colour class at a
+    time: rows of one class share no cost entry, so updating them together
+    is exactly the cyclic sweep in that order. Each update maximizes the
+    row's linear subproblem exactly, so every run's objective c . V V^T
+    never decreases from sweep to sweep. A run stops once its largest row
+    move in a sweep falls below SWEEP_TOL; it is then frozen and dropped
+    from the batch, so batching changes no run beyond rounding. Returns one
+    (factor, sweeps, objectives, status) tuple per run, status being
+    "step_tol" or "max_sweeps".
     """
     n, runs, r = v0.shape
+    perm, bounds = _color_classes(c_off)
+    c, c_off = c[np.ix_(perm, perm)], c_off[np.ix_(perm, perm)]
+    classes = list(zip(bounds[:-1], bounds[1:]))
     final = np.empty_like(v0)
     objs = [[] for _ in range(runs)]  # one entry per sweep a run took
     status = ["max_sweeps"] * runs
     active = np.arange(runs)
-    v = v0.copy()
+    v = v0[perm]
     for _ in range(cfg.max_sweeps):
         start = v.copy()
         flat = v.reshape(n, -1)
-        for i in range(n):
-            g = (c_off[i] @ flat).reshape(-1, r)
-            ng = _row_norms(g)[:, None]
-            np.divide(g, ng, out=v[i], where=ng >= GRAD_TOL)
+        for a, b in classes:
+            # a singleton keeps the 1-d product, so that a dense cost (all
+            # singletons) gives bitwise the results of a row-by-row sweep
+            g = c_off[a] @ flat if b - a == 1 else c_off[a:b] @ flat
+            g = g.reshape(b - a, -1, r)
+            ng = _row_norms(g)[..., None]
+            np.divide(g, ng, out=v[a:b], where=ng >= GRAD_TOL)
         # every row moves once per sweep, so the largest row step equals
         # the largest single update of the sweep
         step = _row_norms(v - start).max(axis=0)
@@ -214,7 +242,7 @@ def _ascend(c, c_off, v0, cfg):
             if not active.size:
                 break
     final[:, active] = v
-    final = np.ascontiguousarray(final.transpose(1, 0, 2))
+    final = np.ascontiguousarray(final[np.argsort(perm)].transpose(1, 0, 2))
     return [(final[k], len(objs[k]), objs[k], status[k]) for k in range(runs)]
 
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import iterlinopt
 from iterlinopt import l3_census, l4_family, write_matrix_text
 from iterlinopt.cli import main
 
@@ -19,6 +23,21 @@ def disk_cfg(tmp_path):
 def ellipse_cfg(tmp_path):
     p = tmp_path / "ellipse.cfg"
     p.write_text("kind=ellipsoid\nshape=4 0; 0 1\n")
+    return str(p)
+
+
+@pytest.fixture
+def elliptope_cfg(tmp_path):
+    p = tmp_path / "elliptope.cfg"
+    p.write_text("kind=elliptope\nn=3\nseed=2\n")
+    return str(p)
+
+
+@pytest.fixture
+def face_point(tmp_path):
+    """An L3 face point, a fixed point of order 3, as a matrix file."""
+    p = tmp_path / "face.txt"
+    write_matrix_text([q for q in l3_census() if q.family == "face"][0].matrix, p)
     return str(p)
 
 
@@ -73,6 +92,24 @@ class TestIterate:
         assert main(argv + ["--validate-start"]) == 2
         assert capsys.readouterr().out == ""
         assert main(argv) == 0  # an exterior start is legal without the flag
+
+    def test_elliptope_domain_file_takes_a_matrix_start(
+            self, elliptope_cfg, face_point, capsys):
+        code = main(["iterate", "--domain", elliptope_cfg, "--start", face_point])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "final matrix:" in out
+        assert "verdict: fixed" in out
+
+    def test_elliptope_domain_file_start_of_another_order_exits_2(
+            self, elliptope_cfg, tmp_path, capsys):
+        start = tmp_path / "x0.txt"
+        write_matrix_text(np.eye(2), start)
+        code = main(["iterate", "--domain", elliptope_cfg, "--start", str(start)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "the domain has n = 3" in captured.err
 
 
 class TestVerify:
@@ -194,6 +231,25 @@ class TestClassify:
     def test_non_fixed_point_exits_2(self, disk_cfg):
         assert main(["classify", "--domain", disk_cfg, "--point", "0,2"]) == 2
 
+    def test_elliptope_domain_file_takes_a_matrix_point(
+            self, elliptope_cfg, face_point, capsys):
+        code = main(["classify", "--domain", elliptope_cfg, "--point",
+                     face_point, "--samples", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "fixed point: 1 " in out
+        assert "empirical label: repelling" in out
+
+    def test_elliptope_domain_file_point_of_another_order_exits_2(
+            self, elliptope_cfg, tmp_path, capsys):
+        point = tmp_path / "x.txt"
+        write_matrix_text(np.ones((4, 4)), point)
+        code = main(["classify", "--domain", elliptope_cfg, "--point", str(point)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "the domain has n = 3" in captured.err
+
 
 class TestMaxcut:
     def test_triangle_brute_force(self, k3_file, capsys):
@@ -300,13 +356,16 @@ class TestMaxcut:
     (["maxcut", "--graph", "FILE", "--escape-alpha", "1.5"], "0 1\n", 2),
     (["maxcut", "--graph", "FILE", "--escape-alpha", "-0.25"], "0 1\n", 2),
     (["maxcut", "--graph", "FILE", "--escape-retries", "-1"], "0 1\n", 2),
+    (["classify", "--matrix", "FILE", "--eps", "0"], "", 2),
+    (["classify", "--matrix", "FILE", "--eps", "-1"], "", 2),
 ], ids=["nan-weight", "no-edges", "rank-0", "restarts-negative", "restarts-0", "graph-cap",
         "elliptope-n-0", "census-cap", "verify-seed", "census-seed",
         "iterate-restarts", "classify-restarts", "domain-restarts-key",
         "domain-misspelt-key", "iterate-max-iter-0", "iterate-tol-0",
         "classify-max-iter-0", "classify-tol-0", "classify-samples-negative",
         "baseline-samples-negative", "baseline-samples-0", "escape-alpha-above-1",
-        "escape-alpha-negative", "escape-retries-negative"])
+        "escape-alpha-negative", "escape-retries-negative", "classify-eps-0",
+        "classify-eps-negative"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
     f = tmp_path / "input.txt"
     f.write_text(content)
@@ -329,6 +388,17 @@ def test_file_not_in_utf8_gives_one_error_line(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {f}: not UTF-8 text")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_package_import_leaves_scipy_out():
+    # scipy serves only polytope membership, so a fresh interpreter that
+    # imports the package and its CLI must not load it
+    src = os.path.dirname(os.path.dirname(iterlinopt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, iterlinopt, iterlinopt.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestReproducibility:

@@ -18,7 +18,15 @@ from iterlinopt import (
     l4_family,
     sign_kernel_fixed_point,
 )
-from iterlinopt.elliptope import _ascend, default_rank_budget, random_gram
+from iterlinopt.elliptope import (
+    GRAD_TOL,
+    SWEEP_TOL,
+    _ascend,
+    _color_classes,
+    _row_norms,
+    default_rank_budget,
+    random_gram,
+)
 
 
 def _ball_case(rng):
@@ -168,3 +176,147 @@ def test_batched_rows_freeze_per_run():
     for run, one in zip(runs, alone):
         assert run[1] == one[1]
         assert np.max(np.abs(run[0] - one[0])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the colour-class sweep of the ascent kernel
+# ---------------------------------------------------------------------------
+
+def _cost(n, edges):
+    """The max-cut relaxation cost -W of a weighted edge list."""
+    c = np.zeros((n, n))
+    for u, v, w in edges:
+        c[u, v] = c[v, u] = -w
+    return c
+
+
+def _path(n):
+    return _cost(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def _torus(rows, cols, rng=None):
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            u = i * cols + j
+            for v in (i * cols + (j + 1) % cols, ((i + 1) % rows) * cols + j):
+                w = 1.0 if rng is None else float(rng.choice((-1.0, 1.0)))
+                edges.append((u, v, w))
+    return _cost(rows * cols, edges)
+
+
+def _gnp(n, p, rng):
+    return _cost(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+def _classes(c_off):
+    """The colour classes as index lists, after checking that they
+    partition the indices and share no cost entry within a class."""
+    n = c_off.shape[0]
+    perm, bounds = _color_classes(c_off)
+    assert sorted(perm) == list(range(n))
+    classes = [list(perm[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert all(classes) and sum(map(len, classes)) == n
+    for cls in classes:
+        assert cls == sorted(cls)
+        assert not np.any(c_off[np.ix_(cls, cls)])
+    return classes
+
+
+def _cyclic_reference(c, c_off, v0, cfg):
+    """The plain cyclic sweep: one 1-d product per row, rows in index order.
+    Same results and layout as _ascend, which must reproduce it in the
+    order of its colour classes."""
+    n, runs, r = v0.shape
+    final = np.empty_like(v0)
+    objs = [[] for _ in range(runs)]
+    status = ["max_sweeps"] * runs
+    active = np.arange(runs)
+    v = v0.copy()
+    for _ in range(cfg.max_sweeps):
+        start = v.copy()
+        flat = v.reshape(n, -1)
+        for i in range(n):
+            g = (c_off[i] @ flat).reshape(-1, r)
+            ng = _row_norms(g)[:, None]
+            np.divide(g, ng, out=v[i], where=ng >= GRAD_TOL)
+        step = _row_norms(v - start).max(axis=0)
+        obj = ((c @ flat).reshape(v.shape) * v).transpose(1, 0, 2).reshape(
+            len(active), -1).sum(axis=1)
+        for k, o in zip(active, obj):
+            objs[k].append(float(o))
+        done = step < SWEEP_TOL
+        if done.any():
+            final[:, active[done]] = v[:, done]
+            for k in active[done]:
+                status[k] = "step_tol"
+            active, v = active[~done], v[:, ~done].copy()
+            if not active.size:
+                break
+    final[:, active] = v
+    final = np.ascontiguousarray(final.transpose(1, 0, 2))
+    return [(final[k], len(objs[k]), objs[k], status[k]) for k in range(runs)]
+
+
+def _starts(n, runs, seed):
+    return np.stack([random_gram(n, default_rank_budget(n),
+                                 np.random.default_rng(seed + k))
+                     for k in range(runs)], axis=1)
+
+
+def test_colour_classes_of_bipartite_and_complete_patterns():
+    assert _classes(_path(20)) == [list(range(0, 20, 2)), list(range(1, 20, 2))]
+    torus = _classes(_torus(6, 10))
+    assert len(torus) == 2
+    assert torus[0] == [u for u in range(60) if (u // 10 + u % 10) % 2 == 0]
+    k5 = -np.ones((5, 5))
+    np.fill_diagonal(k5, 0.0)
+    assert _classes(k5) == [[i] for i in range(5)]
+
+
+def test_colour_classes_take_isolated_vertices():
+    c = _cost(4, [(0, 1, 1.0), (1, 3, 2.0)])  # vertex 2 has no edge
+    assert _classes(c) == [[0, 2, 3], [1]]
+    assert _classes(np.zeros((3, 3))) == [[0, 1, 2]]
+
+
+def test_colour_classes_are_valid_on_random_patterns():
+    rng = np.random.default_rng(13)
+    for k in range(40):
+        n = int(rng.integers(1, 30))
+        _classes(_gnp(n, float(rng.uniform(0.05, 0.9)), rng))
+
+
+@pytest.mark.parametrize("cost", [
+    lambda rng: _path(20),
+    lambda rng: _torus(4, 6, rng),
+    lambda rng: _gnp(20, 0.3, rng),
+], ids=["path", "torus-pm", "gnp"])
+def test_colour_class_sweep_matches_cyclic_reference(cost):
+    c = cost(np.random.default_rng(17))
+    n = c.shape[0]
+    cfg = OracleConfig()
+    starts = _starts(n, 3, 5)
+    runs = _ascend(c, c, starts, cfg)
+    perm, bounds = _color_classes(c)
+    assert len(bounds) - 1 < n  # a sparse pattern: some class holds two rows
+    pc = c[np.ix_(perm, perm)]
+    ref = _cyclic_reference(pc, pc, starts[perm], cfg)
+    for (v, sweeps, objs, status), (w, ref_sweeps, _, ref_status) in zip(runs, ref):
+        assert (sweeps, status) == (ref_sweeps, ref_status)
+        assert np.max(np.abs(v[perm] - w)) <= 1e-12
+        assert np.all(np.diff(objs) >= -1e-12 * max(1.0, abs(objs[-1])))
+
+
+def test_dense_cost_sweeps_bitwise_as_the_reference():
+    rng = np.random.default_rng(23)
+    c = rng.standard_normal((12, 12))
+    c = 0.5 * (c + c.T)
+    c_off = c - np.diag(np.diag(c))
+    starts = _starts(12, 4, 1)
+    cfg = OracleConfig()
+    for (v, sweeps, objs, status), (w, *rest) in zip(
+            _ascend(c, c_off, starts, cfg), _cyclic_reference(c, c_off, starts, cfg)):
+        assert np.array_equal(v, w)
+        assert [sweeps, objs, status] == rest
