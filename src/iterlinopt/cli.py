@@ -337,14 +337,14 @@ def _int_at_least(low):
     return _checked(int, lambda v: v >= low, f"at least {low}")
 
 
-_positive = _checked(float, lambda v: v > 0.0, "positive")
+_positive = _checked(float, lambda v: 0.0 < v < np.inf, "positive and finite")
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
     # flags shared by several subcommands, each declared once
     oracle = argparse.ArgumentParser(add_help=False)
-    oracle.add_argument("--seed", type=int, default=0,
+    oracle.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="base seed for every random choice (default 0)")
     oracle.add_argument("--rank", type=_int_at_least(1),
                         help="oracle rank budget (default about sqrt(2n) + 1)")
@@ -376,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the algebraic fixed-point certificate")
     p.add_argument("--matrix", required=True, help="matrix text file")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=_positive, default=1e-8,
                    help="certificate tolerance per unit dimension")
-    p.add_argument("--diag-tol", type=float, default=1e-12)
+    p.add_argument("--diag-tol", type=_positive, default=1e-12)
     p.add_argument("--json", help="also write the report as JSON")
     p.set_defaults(func=cmd_verify)
 

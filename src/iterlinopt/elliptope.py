@@ -11,7 +11,7 @@ works in: the oracle does coordinate ascent directly on the Gram rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,7 +161,8 @@ class OracleResult:
     sweeps: int
     sweep_objectives: list  # objective after each sweep of the winning run
     candidate_grams: list = field(default_factory=list)  # every run's factor
-    status: str = "step_tol"  # how the winning run stopped: step_tol | max_sweeps
+    # how the winning run stopped: step_tol | max_sweeps | certified_vertex
+    status: str = "step_tol"
 
 
 def _row_norms(a):
@@ -254,15 +255,80 @@ def _stationarity(c_off, v) -> float:
     return float(np.max(np.linalg.norm(resid, axis=1)))
 
 
+def _tie_tol(obj) -> float:
+    """Objective gaps below this count as ties: numerical resolution."""
+    return 1e-12 * max(1.0, abs(obj))
+
+
+def _certified_vertex(c, v, obj):
+    """(s, s^T C s) when the vertex s s^T rounded from the factor v scores
+    strictly better than obj and maximizes C . X over the whole body, else
+    None. s is the sign of v's top left singular vector. Optimality is the
+    normal-cone condition Diag(s * Cs) - C >= 0. The strictly-better test
+    comes first and keeps a run that already sits at a maximizer, a
+    non-vertex fixed point say, from being moved to a vertex that only
+    ties it.
+    """
+    u = np.linalg.svd(v, full_matrices=False)[0][:, 0]
+    s = np.where(u >= 0.0, 1.0, -1.0)
+    vertex_obj = float(s @ c @ s)
+    if (vertex_obj > obj + _tie_tol(obj)
+            and normal_cone_membership(np.outer(s, s), c)):
+        return s, vertex_obj
+    return None
+
+
+def _ascend_certified(c, c_off, v0, cfg):
+    """``_ascend`` over cfg.max_sweeps, driven in doubling budgets.
+
+    After sweeps 1, 2, 4, 8, ... every run still moving is rounded to its
+    vertex and tested by ``_certified_vertex``; a certified run stops there
+    with the factor s (x) e_1, the vertex objective appended to its sweep
+    objectives and status "certified_vertex". The test costs one SVD per
+    doubling, O(log sweeps) per run. A run never certified ends as it
+    would in one ``_ascend`` call: a sweep depends only on the factor it
+    starts from.
+    """
+    runs = v0.shape[1]
+    results = [None] * runs
+    objs = [[] for _ in range(runs)]
+    active, v, done = list(range(runs)), v0, 0
+    while active:
+        budget = min(max(done, 1), cfg.max_sweeps - done)
+        segment = _ascend(c, c_off, v, replace(cfg, max_sweeps=budget))
+        done += budget
+        checkpoint = done > 0 and not done & (done - 1)  # a power of two
+        moving = []
+        for k, (f, _, o, status) in zip(active, segment):
+            objs[k] += o
+            cert = (_certified_vertex(c, f, objs[k][-1])
+                    if status == "max_sweeps" and checkpoint else None)
+            if cert is not None:
+                vertex = np.zeros_like(f)
+                vertex[:, 0] = cert[0]
+                results[k] = (vertex, len(objs[k]), objs[k] + [cert[1]],
+                              "certified_vertex")
+            elif status == "step_tol" or done >= cfg.max_sweeps:
+                results[k] = (f, len(objs[k]), objs[k], status)
+            else:
+                moving.append((k, f))
+        active = [k for k, _ in moving]
+        if moving:
+            v = np.stack([f for _, f in moving], axis=1)
+    return results
+
+
 def elliptope_oracle(c, config: OracleConfig | None = None,
                      warm_start=None) -> OracleResult:
     """Approximately maximize C . X over unit-diagonal PSD matrices.
 
     Runs coordinate ascent on Gram rows from the warm start alone, or
     without one from ``restarts`` seeded random factors, keeping the run
-    with the best objective, ties to the lowest candidate index. The
-    stationarity residual at the winner measures how far the output is from
-    satisfying the eigenmatrix condition exactly; it is reported, never hidden.
+    with the best objective, ties to the lowest candidate index. A run
+    stops on a small step, on cfg.max_sweeps, or as soon as its rounded
+    vertex is certified optimal (``_ascend_certified``). The stationarity
+    residual at the winner measures how far the output is from satisfying
+    the eigenmatrix condition exactly; it is reported, never hidden.
     """
     cfg = config or OracleConfig()
     c = check_symmetric(c, name="cost matrix")
@@ -284,7 +350,7 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
              for k in range(cfg.restarts)], axis=1)
     else:
         raise ElliptopeError("restarts=0 requires a warm start")
-    results = _ascend(c, c_off, starts, cfg)
+    results = _ascend_certified(c, c_off, starts, cfg)
 
     objectives = [objs[-1] if objs else float(np.sum((c @ v) * v))
                   for v, _, objs, _ in results]
@@ -292,7 +358,7 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     # to the lowest candidate index; otherwise float noise could bounce the
     # output across a face of equally good maximizers
     max_obj = max(objectives)
-    tie_tol = 1e-12 * max(1.0, abs(max_obj))
+    tie_tol = _tie_tol(max_obj)
     best = next(i for i, o in enumerate(objectives) if o >= max_obj - tie_tol)
     v, sweeps, objs, status = results[best]
     x = gram_to_matrix(v, row_tol=1e-9)

@@ -328,6 +328,9 @@ class TestMaxcut:
         assert payload["cut_value"] == 2.0
 
 
+FACE_POINT = "3\n1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n"  # an L3 face point
+
+
 @pytest.mark.parametrize("argv, content, code", [
     (["maxcut", "--graph", "FILE"], "0 1 nan\n", 1),
     (["maxcut", "--graph", "FILE"], "# no edges\n", 1),
@@ -358,6 +361,15 @@ class TestMaxcut:
     (["maxcut", "--graph", "FILE", "--escape-retries", "-1"], "0 1\n", 2),
     (["classify", "--matrix", "FILE", "--eps", "0"], "", 2),
     (["classify", "--matrix", "FILE", "--eps", "-1"], "", 2),
+    (["verify", "--matrix", "FILE", "--tol", "-1"], FACE_POINT, 2),
+    (["verify", "--matrix", "FILE", "--tol", "nan"], FACE_POINT, 2),
+    (["verify", "--matrix", "FILE", "--tol", "inf"], "2\n1 0.5\n0.5 1\n", 2),
+    (["verify", "--matrix", "FILE", "--diag-tol", "-1"], FACE_POINT, 2),
+    (["verify", "--matrix", "FILE", "--diag-tol", "nan"], FACE_POINT, 2),
+    (["maxcut", "--graph", "FILE", "--seed", "-1"], "0 1\n1 2\n0 2\n", 2),
+    (["iterate", "--domain", "elliptope", "--n", "3", "--start", "FILE",
+      "--seed", "-1"], FACE_POINT, 2),
+    (["classify", "--matrix", "FILE", "--seed", "-1"], FACE_POINT, 2),
 ], ids=["nan-weight", "no-edges", "rank-0", "restarts-negative", "restarts-0", "graph-cap",
         "elliptope-n-0", "census-cap", "verify-seed", "census-seed",
         "iterate-restarts", "classify-restarts", "domain-restarts-key",
@@ -365,7 +377,9 @@ class TestMaxcut:
         "classify-max-iter-0", "classify-tol-0", "classify-samples-negative",
         "baseline-samples-negative", "baseline-samples-0", "escape-alpha-above-1",
         "escape-alpha-negative", "escape-retries-negative", "classify-eps-0",
-        "classify-eps-negative"])
+        "classify-eps-negative", "verify-tol-negative", "verify-tol-nan", "verify-tol-inf",
+        "verify-diag-tol-negative", "verify-diag-tol-nan", "maxcut-seed-negative",
+        "iterate-seed-negative", "classify-seed-negative"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
     f = tmp_path / "input.txt"
     f.write_text(content)

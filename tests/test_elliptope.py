@@ -176,6 +176,17 @@ class TestOracle:
         assert res.status == "step_tol"
         assert res.sweeps < OracleConfig().max_sweeps
 
+    def test_a_maximizer_that_ties_its_vertex_is_kept(self):
+        # after one sweep the run sits at GREEN, a maximizer of this cost
+        # that is no vertex; its rounded vertex (1, 1, 1) is optimal too but
+        # not strictly better, so the run goes on and stops on its step
+        c = np.zeros((3, 3))
+        c[0, 1] = c[1, 0] = 1.0
+        v0 = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
+        res = elliptope_oracle(c, warm_start=v0)
+        assert res.status == "step_tol"
+        assert np.max(np.abs(res.matrix - GREEN)) <= 1e-15
+
     def test_no_candidates_rejected(self):
         with pytest.raises(ElliptopeError):
             elliptope_oracle(J3, OracleConfig(restarts=0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iterlinopt import (
+    ElliptopeDomain,
     GraphFormatError,
     OracleConfig,
     WeightedGraph,
@@ -20,7 +21,8 @@ from iterlinopt import (
     round_by_iteration,
     solve_relaxation,
 )
-from iterlinopt.maxcut import FALLBACK_SAMPLES
+from iterlinopt import elliptope
+from iterlinopt.maxcut import FALLBACK_SAMPLES, ROUND_SWEEPS
 
 
 def complete_graph(n, w=1.0):
@@ -301,6 +303,51 @@ class TestRounding:
             signs, _ = gw_hyperplane_round(gram_factor(face), K3,
                                            FALLBACK_SAMPLES, seed)
             assert np.array_equal(report.partition, signs)
+
+
+class TestBudgetedRounding:
+    @pytest.mark.parametrize("graph", [
+        lambda rng: complete_graph(19),
+        lambda rng: complete_graph(27),
+        lambda rng: WeightedGraph(20, [(u, v, 1.0) for u in range(20)
+                                       for v in range(u + 1, 20) if rng.random() < 0.3]),
+        lambda rng: signed_torus(4, 5, rng),
+    ], ids=["K19", "K27", "gnp20", "signed-torus"])
+    def test_each_step_is_an_ascent_step(self, graph, monkeypatch):
+        # <X, Y> >= <X, X> for every step X -> Y, so |Y - X|^2 is bounded by
+        # the norm gain, although some steps stop at ROUND_SWEEPS sweeps
+        g = graph(np.random.default_rng(2))
+        steps, sweeps = [], []
+        maximize, oracle = ElliptopeDomain.maximize, elliptope.elliptope_oracle
+
+        def recording_maximize(self, x):
+            y = maximize(self, x)
+            steps.append((np.array(x), y))
+            return y
+
+        def recording_oracle(c, config=None, warm_start=None):
+            res = oracle(c, config, warm_start)
+            sweeps.append(res.sweeps)
+            return res
+
+        monkeypatch.setattr(ElliptopeDomain, "maximize", recording_maximize)
+        monkeypatch.setattr(elliptope, "elliptope_oracle", recording_oracle)
+        res = solve_relaxation(g, OracleConfig(seed=0))
+        report = round_by_iteration(res.matrix, OracleConfig(seed=0), graph=g)
+        assert report.terminal_status == "vertex"
+        assert max(sweeps) == ROUND_SWEEPS
+        for x, y in steps:
+            xx, xy, yy = (float(np.vdot(a, b)) for a, b in ((x, x), (x, y), (y, y)))
+            assert xy >= xx - 1e-12
+            assert float(np.vdot(y - x, y - x)) <= yy - xx + 1e-9
+
+    def test_exact_map_cuts_on_complete_graphs(self):
+        # the cuts of rounding with the exact map; a budget of 1 to 8 sweeps
+        # per step loses at least one of them
+        for n, seed, cut in ((19, 0, 90), (27, 0, 182), (32, 0, 256),
+                             (38, 0, 360), (39, 1, 378)):
+            report = maxcut_pipeline(complete_graph(n), OracleConfig(seed=seed))
+            assert report.cut_value == cut
 
 
 class TestPipeline:

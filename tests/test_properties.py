@@ -1,5 +1,7 @@
 """Heavier cross-module property sweeps, vectorized where the counts are big."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from iterlinopt import (
     fixed_point_certificate,
     gram_to_matrix,
     irreducible_components,
+    is_vertex,
     l3_census,
     l4_family,
     sign_kernel_fixed_point,
@@ -22,6 +25,7 @@ from iterlinopt.elliptope import (
     GRAD_TOL,
     SWEEP_TOL,
     _ascend,
+    _ascend_certified,
     _color_classes,
     _row_norms,
     default_rank_budget,
@@ -320,3 +324,77 @@ def test_dense_cost_sweeps_bitwise_as_the_reference():
             _ascend(c, c_off, starts, cfg), _cyclic_reference(c, c_off, starts, cfg)):
         assert np.array_equal(v, w)
         assert [sweeps, objs, status] == rest
+
+
+# ---------------------------------------------------------------------------
+# the normal-cone stop of the oracle
+# ---------------------------------------------------------------------------
+
+def _alternating(n):
+    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+
+def _complete(n):
+    return _cost(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
+
+
+@pytest.mark.parametrize("cost, signs", [
+    (_path(20), _alternating(20)),
+    (_path(60), _alternating(60)),
+    (_torus(6, 10), np.array([(-1.0) ** (u // 10 + u % 10) for u in range(60)])),
+], ids=["P20", "P60", "torus6x10"])
+def test_vertex_relaxations_stop_certified(cost, signs):
+    # bipartite graphs: the relaxation's optimum is the alternating vertex,
+    # which the doubling checks certify long before the step test would stop
+    res = elliptope_oracle(cost)
+    assert res.status == "certified_vertex"
+    assert res.sweeps <= 128
+    assert np.array_equal(res.matrix, np.outer(signs, signs))
+    assert res.objective == float(signs @ cost @ signs)
+    assert res.sweep_objectives[-1] == res.objective
+    gram = res.candidate_grams[res.best_index]
+    assert gram.shape == (cost.shape[0], default_rank_budget(cost.shape[0]))
+    assert np.array_equal(np.abs(gram[:, 0]), np.ones(cost.shape[0]))
+    assert not np.any(gram[:, 1:])
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_non_tight_relaxations_are_never_certified(n):
+    # K5 and K7: the relaxation beats every cut, so no vertex is optimal
+    c = _complete(n)
+    best_vertex = max(float(s @ c @ s) for s in map(np.array, itertools.product(
+        (1.0, -1.0), repeat=n)))
+    for seed in range(4):
+        res = elliptope_oracle(c, OracleConfig(seed=seed))
+        assert res.status != "certified_vertex"
+        assert not is_vertex(res.matrix)
+        assert res.objective > best_vertex + 1e-6
+
+
+@pytest.mark.parametrize("max_sweeps", [5000, 10, 3])
+def test_uncertified_runs_end_as_one_ascent_call(max_sweeps):
+    # the doubling budgets change nothing for a run that is never certified
+    c = _complete(7)
+    cfg = OracleConfig(max_sweeps=max_sweeps)
+    starts = _starts(7, 3, 2)
+    runs = _ascend_certified(c, c, starts, cfg)
+    assert "certified_vertex" not in [run[3] for run in runs]
+    for (v, *rest), (w, *ref) in zip(runs, _ascend(c, c, starts, cfg)):
+        assert np.array_equal(v, w)
+        assert rest == ref
+
+
+def test_certified_runs_leave_the_others_unchanged():
+    # a warm start already at its vertex is not beaten strictly by it, and
+    # ends on the step test; one that starts off the vertex is certified
+    c = _path(6)
+    s = _alternating(6)
+    off = _starts(6, 1, 4)[:, 0]
+    at_vertex = np.zeros_like(off)
+    at_vertex[:, 0] = s
+    runs = _ascend_certified(c, c, np.stack([at_vertex, off], axis=1),
+                             OracleConfig())
+    assert runs[0][3] == "step_tol"
+    assert runs[1][3] == "certified_vertex"
+    assert np.array_equal(np.outer(runs[1][0][:, 0], runs[1][0][:, 0]),
+                          np.outer(s, s))
