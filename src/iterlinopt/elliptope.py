@@ -11,7 +11,7 @@ works in: the oracle does coordinate ascent directly on the Gram rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,6 +191,15 @@ def _color_classes(c_off):
     return perm, np.concatenate(([0], np.cumsum(np.bincount(colour))))
 
 
+def _ordered(c, c_off):
+    """(perm, classes, c, c_off) for the sweeps: the colour classes of
+    ``_color_classes`` as (start, stop) slices, and both costs permuted so
+    that each class is contiguous. Computed once per oracle call."""
+    perm, bounds = _color_classes(c_off)
+    ix = np.ix_(perm, perm)
+    return perm, list(zip(bounds[:-1], bounds[1:])), c[ix], c_off[ix]
+
+
 def _ascend(c, c_off, v0, cfg):
     """Cyclic row updates v_i <- g_i / |g_i| with g_i = sum_{j != i} c_ij v_j,
     for a batch of same-width starts advanced together.
@@ -206,16 +215,21 @@ def _ascend(c, c_off, v0, cfg):
     (factor, sweeps, objectives, status) tuple per run, status being
     "step_tol" or "max_sweeps".
     """
+    return _sweep(_ordered(c, c_off), v0, cfg.max_sweeps)
+
+
+def _sweep(ordered, v0, max_sweeps):
+    """The sweeps of ``_ascend``, at most max_sweeps, on a cost already
+    coloured and permuted by ``_ordered``. Starts and factors are in index
+    order."""
+    perm, classes, c, c_off = ordered
     n, runs, r = v0.shape
-    perm, bounds = _color_classes(c_off)
-    c, c_off = c[np.ix_(perm, perm)], c_off[np.ix_(perm, perm)]
-    classes = list(zip(bounds[:-1], bounds[1:]))
     final = np.empty_like(v0)
     objs = [[] for _ in range(runs)]  # one entry per sweep a run took
     status = ["max_sweeps"] * runs
     active = np.arange(runs)
     v = v0[perm]
-    for _ in range(cfg.max_sweeps):
+    for _ in range(max_sweeps):
         start = v.copy()
         flat = v.reshape(n, -1)
         for a, b in classes:
@@ -279,7 +293,8 @@ def _certified_vertex(c, v, obj):
 
 
 def _ascend_certified(c, c_off, v0, cfg):
-    """``_ascend`` over cfg.max_sweeps, driven in doubling budgets.
+    """``_ascend`` over cfg.max_sweeps, driven in doubling budgets on one
+    colouring of the cost.
 
     After sweeps 1, 2, 4, 8, ... every run still moving is rounded to its
     vertex and tested by ``_certified_vertex``; a certified run stops there
@@ -292,10 +307,11 @@ def _ascend_certified(c, c_off, v0, cfg):
     runs = v0.shape[1]
     results = [None] * runs
     objs = [[] for _ in range(runs)]
+    ordered = _ordered(c, c_off)
     active, v, done = list(range(runs)), v0, 0
     while active:
         budget = min(max(done, 1), cfg.max_sweeps - done)
-        segment = _ascend(c, c_off, v, replace(cfg, max_sweeps=budget))
+        segment = _sweep(ordered, v, budget)
         done += budget
         checkpoint = done > 0 and not done & (done - 1)  # a power of two
         moving = []

@@ -140,6 +140,21 @@ def cut_value(g: WeightedGraph, signs) -> float:
     return float(sum(w for u, v, w in g.edges if s[u] != s[v]))
 
 
+def _signs(bits, count):
+    """The 2^bits sign vectors of a counter, row i flipping entry k when bit
+    k of i is set, each padded on the left by ``count - bits`` entries +1."""
+    s = np.ones((1 << bits, count))
+    s[:, count - bits:] = 1.0 - 2.0 * ((np.arange(1 << bits)[:, None]
+                                        >> np.arange(bits)) & 1)
+    return s
+
+
+def _quad_rows(s, w_upper):
+    """s_k^T W_upper s_k for every row s_k of s: the sum of w_uv s_u s_v
+    over the edges, so that the cut of s_k is (total weight - this) / 2."""
+    return np.sum((s @ w_upper) * s, axis=1)
+
+
 def brute_force_maxcut(g: WeightedGraph):
     """Exhaustive optimum over all sign vectors with s_0 = +1 (desk-scale
     oracle). Ties go to the earliest vector in enumeration order, bit k of
@@ -148,50 +163,40 @@ def brute_force_maxcut(g: WeightedGraph):
         raise ValueError(f"brute force is capped at n = {BRUTE_FORCE_CAP}")
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    # The 2^low counters of one chunk share their high bits. Block A holds
-    # vertex 0 and the low bits, block B the high bits; W_upper has no BA
-    # block, so s^T W_upper s = s_A^T W_AA s_A + s_A^T (W_AB s_B)
-    # + s_B^T W_BB s_B (the sum of w_uv s_u s_v over the edges). The first
-    # term is computed once, and a chunk costs one product with W_AB s_B.
-    low = min(16, g.n - 1)
+    # Block A holds vertex 0 and the low half of the counter's bits, block
+    # B the high half. W_upper has no BA block, so for the vector with high
+    # bits j and low bits i, s^T W_upper s = q_A[i] + q_B[j]
+    # + s_B[j]^T W_AB^T s_A[i]: the whole 2^|B| x 2^|A| table is one
+    # product plus two broadcast adds. Its row-major flattening is counter
+    # order, so argmax keeps the first of tied cuts.
+    low = g.n // 2
     a = low + 1
-    w_upper = np.zeros((g.n, g.n))
-    for u, v, wt in g.edges:
-        w_upper[u, v] = wt
-    bits = np.arange(1 << low)[:, None] >> np.arange(low)
-    s_a = np.ones((1 << low, a))
-    s_a[:, 1:] = 1.0 - 2.0 * (bits & 1)
-    q_aa = np.sum((s_a @ w_upper[:a, :a]) * s_a, axis=1)
-    best_val = -np.inf
-    best_signs = None
-    for high in range(1 << (g.n - a)):
-        s_b = 1.0 - 2.0 * ((high >> np.arange(g.n - a)) & 1)
-        quad = q_aa + s_a @ (w_upper[:a, a:] @ s_b) + s_b @ w_upper[a:, a:] @ s_b
-        cuts = 0.5 * (g.total_weight - quad)
-        k = int(np.argmax(cuts))
-        if cuts[k] > best_val:
-            best_val = float(cuts[k])
-            best_signs = np.concatenate((s_a[k], s_b)).astype(int)
-    return best_signs, best_val
+    w_upper = np.triu(g.weight_matrix())
+    s_a = _signs(low, a)
+    s_b = _signs(g.n - a, g.n - a)
+    quad = s_b @ (w_upper[:a, a:].T @ s_a.T)
+    quad += _quad_rows(s_a, w_upper[:a, :a])
+    quad += _quad_rows(s_b, w_upper[a:, a:])[:, None]
+    cuts = np.subtract(g.total_weight, quad, out=quad)
+    cuts *= 0.5
+    j, i = divmod(int(np.argmax(cuts)), 1 << low)
+    return np.concatenate((s_a[i], s_b[j])).astype(int), float(cuts[j, i])
 
 
 def gw_hyperplane_round(v, g: WeightedGraph, samples=64, seed=0):
     """Random-hyperplane rounding of a Gram factor: sign of each row against
     a random direction, zero dot products broken to +1. Returns the best of
-    ``samples`` draws (first winner on ties)."""
+    ``samples`` draws (first winner on ties), with its cut summed over the
+    edges by ``cut_value``."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     v = np.asarray(v, dtype=float)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((int(samples), v.shape[1]))
-    prods = v @ dirs.T
-    all_signs = np.where(prods >= 0.0, 1, -1)
-    best_val = -np.inf
-    best_signs = None
-    for k in range(all_signs.shape[1]):
-        val = cut_value(g, all_signs[:, k])
-        if val > best_val:
-            best_val = val
-            best_signs = all_signs[:, k].astype(int)
-    return best_signs, float(best_val)
+    all_signs = np.where(v @ dirs.T >= 0.0, 1, -1).T  # one row per sample
+    quad = _quad_rows(all_signs.astype(float), np.triu(g.weight_matrix()))
+    best = all_signs[int(np.argmax(0.5 * (g.total_weight - quad)))].astype(int)
+    return best, cut_value(g, best)
 
 
 def solve_relaxation(g: WeightedGraph, config: OracleConfig | None = None) -> OracleResult:

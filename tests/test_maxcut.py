@@ -258,6 +258,17 @@ class TestHyperplaneRounding:
         _, val = gw_hyperplane_round(v, K3, samples=8, seed=0)
         assert val == 0.0
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            gw_hyperplane_round(np.eye(3), K3, samples=samples)
+
+    def test_pipeline_rejects_negative_baseline_samples(self):
+        # 0 means no baseline; a negative count is an error, not a baseline
+        assert maxcut_pipeline(K3, baseline_samples=0).baseline_cut is None
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            maxcut_pipeline(K3, baseline_samples=-1)
+
 
 class TestRounding:
     def test_vertex_input_returns_immediately(self):

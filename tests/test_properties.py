@@ -12,14 +12,21 @@ from iterlinopt import (
     EllipsoidDomain,
     OracleConfig,
     PolytopeDomain,
+    WeightedGraph,
+    brute_force_maxcut,
+    cut_value,
+    elliptope,
     elliptope_oracle,
     fixed_point_certificate,
     gram_to_matrix,
+    gw_hyperplane_round,
     irreducible_components,
     is_vertex,
     l3_census,
     l4_family,
+    round_by_iteration,
     sign_kernel_fixed_point,
+    solve_relaxation,
 )
 from iterlinopt.elliptope import (
     GRAD_TOL,
@@ -31,6 +38,7 @@ from iterlinopt.elliptope import (
     default_rank_budget,
     random_gram,
 )
+from iterlinopt.maxcut import ROUND_SWEEPS
 
 
 def _ball_case(rng):
@@ -398,3 +406,147 @@ def test_certified_runs_leave_the_others_unchanged():
     assert runs[1][3] == "certified_vertex"
     assert np.array_equal(np.outer(runs[1][0][:, 0], runs[1][0][:, 0]),
                           np.outer(s, s))
+
+
+def test_one_colouring_per_oracle_call(monkeypatch):
+    # the doubling budgets of one call share one colouring of the cost
+    colourings, sweeps = [], []
+    colour, oracle = elliptope._color_classes, elliptope.elliptope_oracle
+
+    def counting_colour(c_off):
+        colourings.append(c_off.shape[0])
+        return colour(c_off)
+
+    def recording_oracle(c, config=None, warm_start=None):
+        res = oracle(c, config, warm_start)
+        sweeps.append(res.sweeps)
+        return res
+
+    monkeypatch.setattr(elliptope, "_color_classes", counting_colour)
+    res = elliptope_oracle(_path(60))
+    assert res.sweeps >= 32 and colourings == [60]
+    # budgeted rounding steps of K19: some run all ROUND_SWEEPS sweeps
+    g = _graph(_complete(19))
+    x = solve_relaxation(g, OracleConfig(seed=0)).matrix
+    monkeypatch.setattr(elliptope, "elliptope_oracle", recording_oracle)
+    colourings.clear()
+    round_by_iteration(x, OracleConfig(seed=0), graph=g)
+    assert max(sweeps) == ROUND_SWEEPS
+    assert colourings == [19] * len(sweeps)
+
+
+# ---------------------------------------------------------------------------
+# the batched cut scorers of maxcut
+# ---------------------------------------------------------------------------
+
+def _graph(c):
+    """The weighted graph of a max-cut relaxation cost -W."""
+    n = c.shape[0]
+    return WeightedGraph(n, [(u, v, -float(c[u, v])) for u in range(n)
+                             for v in range(u + 1, n) if c[u, v] != 0.0])
+
+
+def _chunked_reference(g):
+    """The chunked brute force: block A holds vertex 0 and the low 16 bits
+    of the counter, and every value of the high bits is one chunk scored by
+    one product; the first strictly better chunk optimum is kept."""
+    low = min(16, g.n - 1)
+    a = low + 1
+    w_upper = np.zeros((g.n, g.n))
+    for u, v, wt in g.edges:
+        w_upper[u, v] = wt
+    bits = np.arange(1 << low)[:, None] >> np.arange(low)
+    s_a = np.ones((1 << low, a))
+    s_a[:, 1:] = 1.0 - 2.0 * (bits & 1)
+    q_aa = np.sum((s_a @ w_upper[:a, :a]) * s_a, axis=1)
+    best_val = -np.inf
+    best_signs = None
+    for high in range(1 << (g.n - a)):
+        s_b = 1.0 - 2.0 * ((high >> np.arange(g.n - a)) & 1)
+        quad = q_aa + s_a @ (w_upper[:a, a:] @ s_b) + s_b @ w_upper[a:, a:] @ s_b
+        cuts = 0.5 * (g.total_weight - quad)
+        k = int(np.argmax(cuts))
+        if cuts[k] > best_val:
+            best_val = float(cuts[k])
+            best_signs = np.concatenate((s_a[k], s_b)).astype(int)
+    return best_signs, best_val
+
+
+def _split_ties(n):
+    """A matching across the brute-force split, vertex k + 1 of block A to
+    vertex a + k of block B: a vector ties every one that flips a matched
+    pair, so the first optimum in counter order is not the first in the
+    transposed order."""
+    a = n // 2 + 1
+    return _cost(n, [(k + 1, a + k, 1.0) for k in range(n - a)])
+
+
+_TORI = ((3, 3), (3, 4), (3, 5), (4, 4), (3, 6), (4, 5), (3, 7))
+
+
+@pytest.mark.parametrize("family", [
+    lambda rng: [_complete(n) for n in range(1, 23)],
+    lambda rng: [_path(n) for n in range(1, 23)],
+    lambda rng: [_torus(r, c) for r, c in _TORI],
+    lambda rng: [_torus(r, c, rng) for r, c in _TORI],
+    lambda rng: [_gnp(n, 0.3, rng) for n in range(1, 23)],
+    lambda rng: [_split_ties(n) for n in range(3, 23)],
+], ids=["complete", "path", "torus", "torus-pm", "gnp", "split-ties"])
+def test_brute_force_table_matches_chunked_reference(family):
+    # integer weights: every sum is exact, so values agree bitwise and the
+    # first-wins rule picks the same vector out of every tie
+    for c in family(np.random.default_rng(31)):
+        g = _graph(c)
+        signs, val = brute_force_maxcut(g)
+        ref_signs, ref_val = _chunked_reference(g)
+        assert np.array_equal(signs, ref_signs), g.n
+        assert val == ref_val
+        assert val == cut_value(g, signs)
+
+
+def test_brute_force_table_with_real_weights():
+    # only the summation order differs from the reference
+    rng = np.random.default_rng(37)
+    for n in range(1, 23):
+        g = WeightedGraph(n, [(u, v, float(rng.standard_normal()))
+                              for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < 0.5])
+        signs, val = brute_force_maxcut(g)
+        ref_signs, ref_val = _chunked_reference(g)
+        assert np.array_equal(signs, ref_signs), n
+        assert abs(val - ref_val) <= 1e-12
+
+
+def _per_sample_reference(v, g, samples, seed):
+    """The hyperplanes scored one at a time by cut_value, the first of
+    equal cuts kept."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((samples, v.shape[1]))
+    all_signs = np.where(v @ dirs.T >= 0.0, 1, -1)
+    best_val, best_signs = -np.inf, None
+    for k in range(samples):
+        val = cut_value(g, all_signs[:, k])
+        if val > best_val:
+            best_val, best_signs = val, all_signs[:, k].astype(int)
+    return best_signs, float(best_val)
+
+
+@pytest.mark.parametrize("graph", [
+    *[lambda rng, n=n: _graph(_complete(n)) for n in range(4, 9)],
+    lambda rng: _graph(_torus(4, 5, rng)),
+    lambda rng: _graph(_gnp(20, 0.3, rng)),
+    lambda rng: WeightedGraph(12, [(u, v, float(rng.standard_normal()))
+                                   for u in range(12) for v in range(u + 1, 12)
+                                   if rng.random() < 0.6]),
+], ids=["K4", "K5", "K6", "K7", "K8", "torus-pm", "gnp20", "real-weights"])
+def test_hyperplanes_scored_in_one_product_match_per_sample_loop(graph):
+    rng = np.random.default_rng(43)
+    g = graph(rng)
+    factors = [solve_relaxation(g, OracleConfig(seed=0)).gram,
+               random_gram(g.n, 3, rng)]
+    for v in factors:
+        for seed, samples in ((0, 64), (1, 64), (2, 7), (3, 1)):
+            signs, val = gw_hyperplane_round(v, g, samples, seed)
+            ref_signs, ref_val = _per_sample_reference(v, g, samples, seed)
+            assert np.array_equal(signs, ref_signs)
+            assert val == ref_val
