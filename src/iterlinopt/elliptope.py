@@ -89,18 +89,11 @@ def gram_to_matrix(v, row_tol=1e-12) -> np.ndarray:
     return x
 
 
-def gram_factor(m, rank=None) -> np.ndarray:
-    """Unit-row factor V with V V^T = m, columns by decreasing eigenvalue.
-
-    With ``rank`` set the factor is truncated to that many columns, which
-    reproduces m only when rank(m) <= rank.
-    """
+def gram_factor(m) -> np.ndarray:
+    """Unit-row factor V with V V^T = m, columns by decreasing eigenvalue."""
     a = check_symmetric(m)
     w, q = np.linalg.eigh(a)
-    w = np.clip(w[::-1], 0.0, None)
-    q = q[:, ::-1]
-    r = a.shape[0] if rank is None else min(int(rank), a.shape[0])
-    v = q[:, :r] * np.sqrt(w[:r])
+    v = q[:, ::-1] * np.sqrt(np.clip(w[::-1], 0.0, None))
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms == 0.0):
         raise ElliptopeError("matrix has a zero Gram row (zero diagonal?)")
@@ -148,6 +141,8 @@ class OracleConfig:
             raise ValueError("rank budget must be at least 1")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be at least 1")
 
 
 @dataclass
@@ -191,51 +186,44 @@ def _color_classes(c_off):
     return perm, np.concatenate(([0], np.cumsum(np.bincount(colour))))
 
 
-def _ordered(c, c_off):
-    """(perm, classes, c, c_off) for the sweeps: the colour classes of
-    ``_color_classes`` as (start, stop) slices, and both costs permuted so
-    that each class is contiguous. Computed once per oracle call."""
-    perm, bounds = _color_classes(c_off)
-    ix = np.ix_(perm, perm)
-    return perm, list(zip(bounds[:-1], bounds[1:])), c[ix], c_off[ix]
-
-
 def _ascend(c, c_off, v0, cfg):
     """Cyclic row updates v_i <- g_i / |g_i| with g_i = sum_{j != i} c_ij v_j,
     for a batch of same-width starts advanced together.
 
-    v0 has shape (n, R, r): run k starts from the factor v0[:, k]. The rows
-    are swept in the order of ``_color_classes``, one colour class at a
-    time: rows of one class share no cost entry, so updating them together
-    is exactly the cyclic sweep in that order. Each update maximizes the
-    row's linear subproblem exactly, so every run's objective c . V V^T
-    never decreases from sweep to sweep. A run stops once its largest row
-    move in a sweep falls below SWEEP_TOL; it is then frozen and dropped
-    from the batch, so batching changes no run beyond rounding. Returns one
-    (factor, sweeps, objectives, status) tuple per run, status being
-    "step_tol" or "max_sweeps".
+    v0 has shape (n, R, r): run k starts from the factor v0[:, k]. The cost
+    is coloured by ``_color_classes`` and permuted once, and the rows are
+    swept one colour class at a time: rows of one class share no cost
+    entry, so updating them together is exactly the cyclic sweep in that
+    order. Each update maximizes the row's linear subproblem exactly, so
+    every run's objective c . V V^T never decreases from sweep to sweep.
+
+    A run stops once its largest row move in a sweep falls below SWEEP_TOL,
+    after cfg.max_sweeps sweeps, or when ``_certified_vertex`` certifies
+    its rounded vertex s; that test runs on every run still moving after
+    sweeps 1, 2, 4, 8, ..., O(log sweeps) SVDs per run. A certified run
+    ends with the factor s (x) e_1 and the vertex objective appended to its
+    sweep objectives. A stopped run is dropped from the batch, so batching
+    changes no run beyond rounding. Returns one (factor, sweeps,
+    objectives, status) tuple per run, status being "step_tol",
+    "max_sweeps" or "certified_vertex".
     """
-    return _sweep(_ordered(c, c_off), v0, cfg.max_sweeps)
-
-
-def _sweep(ordered, v0, max_sweeps):
-    """The sweeps of ``_ascend``, at most max_sweeps, on a cost already
-    coloured and permuted by ``_ordered``. Starts and factors are in index
-    order."""
-    perm, classes, c, c_off = ordered
+    perm, bounds = _color_classes(c_off)
+    inv = np.argsort(perm)
+    classes = list(zip(bounds[:-1], bounds[1:]))
+    pc, pc_off = c[np.ix_(perm, perm)], c_off[np.ix_(perm, perm)]
     n, runs, r = v0.shape
     final = np.empty_like(v0)
     objs = [[] for _ in range(runs)]  # one entry per sweep a run took
     status = ["max_sweeps"] * runs
     active = np.arange(runs)
     v = v0[perm]
-    for _ in range(max_sweeps):
+    for sweep in range(1, cfg.max_sweeps + 1):
         start = v.copy()
         flat = v.reshape(n, -1)
         for a, b in classes:
             # a singleton keeps the 1-d product, so that a dense cost (all
             # singletons) gives bitwise the results of a row-by-row sweep
-            g = c_off[a] @ flat if b - a == 1 else c_off[a:b] @ flat
+            g = pc_off[a] @ flat if b - a == 1 else pc_off[a:b] @ flat
             g = g.reshape(b - a, -1, r)
             ng = _row_norms(g)[..., None]
             np.divide(g, ng, out=v[a:b], where=ng >= GRAD_TOL)
@@ -243,22 +231,34 @@ def _sweep(ordered, v0, max_sweeps):
         # the largest single update of the sweep
         step = _row_norms(v - start).max(axis=0)
         # each run's objective summed over its own contiguous (n, r) block
-        obj = ((c @ flat).reshape(v.shape) * v).transpose(1, 0, 2).reshape(
+        obj = ((pc @ flat).reshape(v.shape) * v).transpose(1, 0, 2).reshape(
             len(active), -1).sum(axis=1)
-        for k, o in zip(active, obj):
-            objs[k].append(float(o))
         done = step < SWEEP_TOL
+        checkpoint = not sweep & (sweep - 1)  # a power of two
+        for j, k in enumerate(active):
+            objs[k].append(float(obj[j]))
+            if done[j]:
+                status[k] = "step_tol"
+            elif checkpoint:
+                # in index order: a permuted SVD can flip a sign of s
+                cert = _certified_vertex(c, v[inv, j], objs[k][-1])
+                if cert is not None:
+                    v[:, j] = 0.0
+                    v[:, j, 0] = cert[0][perm]
+                    objs[k].append(cert[1])
+                    status[k] = "certified_vertex"
+                    done[j] = True
         if done.any():
             final[:, active[done]] = v[:, done]
-            for k in active[done]:
-                status[k] = "step_tol"
             # a copy, so that the rows stay contiguous and flat stays a view
             active, v = active[~done], v[:, ~done].copy()
             if not active.size:
                 break
     final[:, active] = v
-    final = np.ascontiguousarray(final[np.argsort(perm)].transpose(1, 0, 2))
-    return [(final[k], len(objs[k]), objs[k], status[k]) for k in range(runs)]
+    final = np.ascontiguousarray(final[inv].transpose(1, 0, 2))
+    # a certified run's last objective is its vertex's, not a sweep's
+    return [(final[k], len(objs[k]) - (status[k] == "certified_vertex"),
+             objs[k], status[k]) for k in range(runs)]
 
 
 def _stationarity(c_off, v) -> float:
@@ -274,64 +274,28 @@ def _tie_tol(obj) -> float:
     return 1e-12 * max(1.0, abs(obj))
 
 
-def _certified_vertex(c, v, obj):
-    """(s, s^T C s) when the vertex s s^T rounded from the factor v scores
-    strictly better than obj and maximizes C . X over the whole body, else
-    None. s is the sign of v's top left singular vector. Optimality is the
-    normal-cone condition Diag(s * Cs) - C >= 0. The strictly-better test
-    comes first and keeps a run that already sits at a maximizer, a
-    non-vertex fixed point say, from being moved to a vertex that only
-    ties it.
-    """
+def _rounded_vertex(c, v):
+    """(s, s^T C s) for the vertex s s^T rounded from the factor v: s is
+    the sign of v's top left singular vector, the top eigenvector of
+    V V^T."""
     u = np.linalg.svd(v, full_matrices=False)[0][:, 0]
     s = np.where(u >= 0.0, 1.0, -1.0)
-    vertex_obj = float(s @ c @ s)
+    return s, float(s @ c @ s)
+
+
+def _certified_vertex(c, v, obj):
+    """``_rounded_vertex(c, v)`` when its vertex scores strictly better
+    than obj and maximizes C . X over the whole body, else None.
+    Optimality is the normal-cone condition Diag(s * Cs) - C >= 0. The
+    strictly-better test comes first and keeps a run that already sits at
+    a maximizer, a non-vertex fixed point say, from being moved to a
+    vertex that only ties it.
+    """
+    s, vertex_obj = _rounded_vertex(c, v)
     if (vertex_obj > obj + _tie_tol(obj)
             and normal_cone_membership(np.outer(s, s), c)):
         return s, vertex_obj
     return None
-
-
-def _ascend_certified(c, c_off, v0, cfg):
-    """``_ascend`` over cfg.max_sweeps, driven in doubling budgets on one
-    colouring of the cost.
-
-    After sweeps 1, 2, 4, 8, ... every run still moving is rounded to its
-    vertex and tested by ``_certified_vertex``; a certified run stops there
-    with the factor s (x) e_1, the vertex objective appended to its sweep
-    objectives and status "certified_vertex". The test costs one SVD per
-    doubling, O(log sweeps) per run. A run never certified ends as it
-    would in one ``_ascend`` call: a sweep depends only on the factor it
-    starts from.
-    """
-    runs = v0.shape[1]
-    results = [None] * runs
-    objs = [[] for _ in range(runs)]
-    ordered = _ordered(c, c_off)
-    active, v, done = list(range(runs)), v0, 0
-    while active:
-        budget = min(max(done, 1), cfg.max_sweeps - done)
-        segment = _sweep(ordered, v, budget)
-        done += budget
-        checkpoint = done > 0 and not done & (done - 1)  # a power of two
-        moving = []
-        for k, (f, _, o, status) in zip(active, segment):
-            objs[k] += o
-            cert = (_certified_vertex(c, f, objs[k][-1])
-                    if status == "max_sweeps" and checkpoint else None)
-            if cert is not None:
-                vertex = np.zeros_like(f)
-                vertex[:, 0] = cert[0]
-                results[k] = (vertex, len(objs[k]), objs[k] + [cert[1]],
-                              "certified_vertex")
-            elif status == "step_tol" or done >= cfg.max_sweeps:
-                results[k] = (f, len(objs[k]), objs[k], status)
-            else:
-                moving.append((k, f))
-        active = [k for k, _ in moving]
-        if moving:
-            v = np.stack([f for _, f in moving], axis=1)
-    return results
 
 
 def elliptope_oracle(c, config: OracleConfig | None = None,
@@ -342,7 +306,7 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     without one from ``restarts`` seeded random factors, keeping the run
     with the best objective, ties to the lowest candidate index. A run
     stops on a small step, on cfg.max_sweeps, or as soon as its rounded
-    vertex is certified optimal (``_ascend_certified``). The stationarity
+    vertex is certified optimal (``_ascend``). The stationarity
     residual at the winner measures how far the output is from satisfying
     the eigenmatrix condition exactly; it is reported, never hidden.
     """
@@ -366,10 +330,9 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
              for k in range(cfg.restarts)], axis=1)
     else:
         raise ElliptopeError("restarts=0 requires a warm start")
-    results = _ascend_certified(c, c_off, starts, cfg)
+    results = _ascend(c, c_off, starts, cfg)
 
-    objectives = [objs[-1] if objs else float(np.sum((c @ v) * v))
-                  for v, _, objs, _ in results]
+    objectives = [objs[-1] for _, _, objs, _ in results]
     # objective gaps below numerical resolution count as ties, and ties go
     # to the lowest candidate index; otherwise float noise could bounce the
     # output across a face of equally good maximizers
@@ -383,13 +346,10 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     # sublinearly; the exactly rounded vertex is feasible, satisfies the
     # stationarity conditions exactly, and replaces the output whenever it
     # scores strictly better.
-    s = np.where(np.linalg.eigh(x)[1][:, -1] >= 0.0, 1.0, -1.0)
-    vertex = np.outer(s, s)
-    vertex_obj = float(np.vdot(c, vertex))
+    s, vertex_obj = _rounded_vertex(c, v)
     if vertex_obj > obj + tie_tol:
-        x, obj = vertex, vertex_obj
-        v = s[:, None].copy()
-        objs = objs + [vertex_obj]
+        v, obj, objs = s[:, None], vertex_obj, objs + [vertex_obj]
+        x = gram_to_matrix(v)
     return OracleResult(
         matrix=x,
         gram=v,
@@ -420,8 +380,16 @@ class ElliptopeDomain(ConvexDomain):
         self.config = config or OracleConfig()
         self.dim = self.n * self.n
 
+    def _order(self, x):
+        """x as an array, rejecting a square matrix of another order."""
+        a = np.asarray(x, dtype=float)
+        if a.ndim == 2 and a.shape[0] == a.shape[1] != self.n:
+            raise ElliptopeError(
+                f"order mismatch: expected {self.n}, got {a.shape[0]}")
+        return a
+
     def maximize(self, x):
-        x = check_symmetric(x)
+        x = check_symmetric(self._order(x))
         try:
             start = gram_factor(x)
         except ElliptopeError:  # a zero row: start from restart 0's factor
@@ -431,7 +399,7 @@ class ElliptopeDomain(ConvexDomain):
         return elliptope_oracle(x, self.config, warm_start=start).matrix
 
     def contains(self, x, tol=PSD_TOL):
-        return is_in_elliptope(x, diag_tol=1e-8, psd_tol=tol)
+        return is_in_elliptope(self._order(x), diag_tol=1e-8, psd_tol=tol)
 
     def sample(self, rng):
         r = self.config.rank or default_rank_budget(self.n)

@@ -475,6 +475,20 @@ class TestDomainAdapter:
                                           [1.0, 1.0, 1.0],
                                           [-1.0, 1.0, 1.0]]))
 
+    def test_maximize_rejects_another_order(self):
+        with pytest.raises(ElliptopeError, match="expected 3, got 4"):
+            ElliptopeDomain(3).maximize(np.eye(4))
+
+    def test_contains_rejects_another_order(self):
+        with pytest.raises(ElliptopeError, match="expected 3, got 4"):
+            ElliptopeDomain(3).contains(np.eye(4))
+
+    @pytest.mark.parametrize("bad", [{"rank": 0}, {"restarts": -1},
+                                     {"max_sweeps": 0}])
+    def test_config_bounds(self, bad):
+        with pytest.raises(ValueError):
+            OracleConfig(**bad)
+
     def test_rank_budget_default(self):
         assert default_rank_budget(2) == 2
         assert default_rank_budget(10) == 6

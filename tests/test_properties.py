@@ -32,7 +32,7 @@ from iterlinopt.elliptope import (
     GRAD_TOL,
     SWEEP_TOL,
     _ascend,
-    _ascend_certified,
+    _certified_vertex,
     _color_classes,
     _row_norms,
     default_rank_budget,
@@ -237,16 +237,17 @@ def _classes(c_off):
 
 
 def _cyclic_reference(c, c_off, v0, cfg):
-    """The plain cyclic sweep: one 1-d product per row, rows in index order.
-    Same results and layout as _ascend, which must reproduce it in the
-    order of its colour classes."""
+    """The plain cyclic sweep: one 1-d product per row, rows in index order,
+    with the vertex check after sweeps 1, 2, 4, .... Same results and
+    layout as _ascend, which must reproduce it in the order of its colour
+    classes."""
     n, runs, r = v0.shape
     final = np.empty_like(v0)
     objs = [[] for _ in range(runs)]
     status = ["max_sweeps"] * runs
     active = np.arange(runs)
     v = v0.copy()
-    for _ in range(cfg.max_sweeps):
+    for sweep in range(1, cfg.max_sweeps + 1):
         start = v.copy()
         flat = v.reshape(n, -1)
         for i in range(n):
@@ -256,19 +257,28 @@ def _cyclic_reference(c, c_off, v0, cfg):
         step = _row_norms(v - start).max(axis=0)
         obj = ((c @ flat).reshape(v.shape) * v).transpose(1, 0, 2).reshape(
             len(active), -1).sum(axis=1)
-        for k, o in zip(active, obj):
-            objs[k].append(float(o))
         done = step < SWEEP_TOL
+        for j, k in enumerate(active):
+            objs[k].append(float(obj[j]))
+            if done[j]:
+                status[k] = "step_tol"
+            elif not sweep & (sweep - 1):
+                cert = _certified_vertex(c, v[:, j], objs[k][-1])
+                if cert is not None:
+                    v[:, j] = 0.0
+                    v[:, j, 0] = cert[0]
+                    objs[k].append(cert[1])
+                    status[k] = "certified_vertex"
+                    done[j] = True
         if done.any():
             final[:, active[done]] = v[:, done]
-            for k in active[done]:
-                status[k] = "step_tol"
             active, v = active[~done], v[:, ~done].copy()
             if not active.size:
                 break
     final[:, active] = v
     final = np.ascontiguousarray(final.transpose(1, 0, 2))
-    return [(final[k], len(objs[k]), objs[k], status[k]) for k in range(runs)]
+    return [(final[k], len(objs[k]) - (status[k] == "certified_vertex"),
+             objs[k], status[k]) for k in range(runs)]
 
 
 def _starts(n, runs, seed):
@@ -353,10 +363,12 @@ def _complete(n):
 ], ids=["P20", "P60", "torus6x10"])
 def test_vertex_relaxations_stop_certified(cost, signs):
     # bipartite graphs: the relaxation's optimum is the alternating vertex,
-    # which the doubling checks certify long before the step test would stop
+    # which the checks after sweeps 1, 2, 4, ... certify long before the
+    # step test would stop
     res = elliptope_oracle(cost)
     assert res.status == "certified_vertex"
     assert res.sweeps <= 128
+    assert not res.sweeps & (res.sweeps - 1)  # checked after sweeps 1, 2, 4, ...
     assert np.array_equal(res.matrix, np.outer(signs, signs))
     assert res.objective == float(signs @ cost @ signs)
     assert res.sweep_objectives[-1] == res.objective
@@ -381,13 +393,14 @@ def test_non_tight_relaxations_are_never_certified(n):
 
 @pytest.mark.parametrize("max_sweeps", [5000, 10, 3])
 def test_uncertified_runs_end_as_one_ascent_call(max_sweeps):
-    # the doubling budgets change nothing for a run that is never certified
+    # K7 is never certified: capped or not, the kernel with its vertex
+    # checks ends bitwise as the plain cyclic sweep
     c = _complete(7)
     cfg = OracleConfig(max_sweeps=max_sweeps)
     starts = _starts(7, 3, 2)
-    runs = _ascend_certified(c, c, starts, cfg)
+    runs = _ascend(c, c, starts, cfg)
     assert "certified_vertex" not in [run[3] for run in runs]
-    for (v, *rest), (w, *ref) in zip(runs, _ascend(c, c, starts, cfg)):
+    for (v, *rest), (w, *ref) in zip(runs, _cyclic_reference(c, c, starts, cfg)):
         assert np.array_equal(v, w)
         assert rest == ref
 
@@ -400,8 +413,7 @@ def test_certified_runs_leave_the_others_unchanged():
     off = _starts(6, 1, 4)[:, 0]
     at_vertex = np.zeros_like(off)
     at_vertex[:, 0] = s
-    runs = _ascend_certified(c, c, np.stack([at_vertex, off], axis=1),
-                             OracleConfig())
+    runs = _ascend(c, c, np.stack([at_vertex, off], axis=1), OracleConfig())
     assert runs[0][3] == "step_tol"
     assert runs[1][3] == "certified_vertex"
     assert np.array_equal(np.outer(runs[1][0][:, 0], runs[1][0][:, 0]),
@@ -409,7 +421,7 @@ def test_certified_runs_leave_the_others_unchanged():
 
 
 def test_one_colouring_per_oracle_call(monkeypatch):
-    # the doubling budgets of one call share one colouring of the cost
+    # every sweep and vertex check of one call shares one colouring of the cost
     colourings, sweeps = [], []
     colour, oracle = elliptope._color_classes, elliptope.elliptope_oracle
 
