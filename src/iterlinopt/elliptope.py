@@ -11,6 +11,7 @@ works in: the oracle does coordinate ascent directly on the Gram rows.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ CERT_TOL = 1e-8  # fixed-point verdict allows CERT_TOL * n of Frobenius defect
 ZERO_TOL = 1e-9  # support-graph zero threshold
 SWEEP_TOL = 1e-13  # an ascent run stops once no row moves this far in a sweep
 GRAD_TOL = 1e-14  # rows with gradient below this stay frozen
+NORMAL_CONE_TOL = 1e-8  # slack of the normal-cone test: M X = 0, M >= 0
 
 
 class ElliptopeError(ValueError):
@@ -161,10 +163,10 @@ class OracleResult:
 
 
 def _row_norms(a):
-    """Euclidean norms along the last axis. matmul takes each one with the
+    """Euclidean norms along the last axis. vecdot takes each one with the
     BLAS dot that np.linalg.norm uses on a single row, so the rounding of a
     norm does not depend on how many runs share the batch."""
-    return np.sqrt(np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0])
+    return np.sqrt(np.vecdot(a, a))
 
 
 def _color_classes(c_off):
@@ -177,6 +179,8 @@ def _color_classes(c_off):
     """
     n = c_off.shape[0]
     adj = c_off != 0.0
+    if np.count_nonzero(adj) - np.count_nonzero(adj.diagonal()) == n * (n - 1):
+        return np.arange(n), np.arange(n + 1)  # complete: the loop's result
     colour = np.empty(n, dtype=np.intp)
     for i in range(n):
         taken = np.zeros(i + 1, dtype=bool)
@@ -209,8 +213,11 @@ def _ascend(c, c_off, v0, cfg):
     """
     perm, bounds = _color_classes(c_off)
     inv = np.argsort(perm)
-    classes = list(zip(bounds[:-1], bounds[1:]))
     pc, pc_off = c[np.ix_(perm, perm)], c_off[np.ix_(perm, perm)]
+    # a singleton keeps the 1-d product, so that a dense cost (all
+    # singletons) gives bitwise the results of a row-by-row sweep
+    blocks = [(a, b, pc_off[a] if b - a == 1 else pc_off[a:b])
+              for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     n, runs, r = v0.shape
     final = np.empty_like(v0)
     objs = [[] for _ in range(runs)]  # one entry per sweep a run took
@@ -220,35 +227,44 @@ def _ascend(c, c_off, v0, cfg):
     for sweep in range(1, cfg.max_sweeps + 1):
         start = v.copy()
         flat = v.reshape(n, -1)
-        for a, b in classes:
-            # a singleton keeps the 1-d product, so that a dense cost (all
-            # singletons) gives bitwise the results of a row-by-row sweep
-            g = pc_off[a] @ flat if b - a == 1 else pc_off[a:b] @ flat
+        single = len(active) == 1
+        for a, b, blk in blocks:
+            g = blk @ flat
+            if single and b - a == 1:
+                # one row of one run: g @ g is the BLAS dot _row_norms
+                # takes, so the row gets the batched update's bits without
+                # building stacked arrays
+                ng = math.sqrt(g @ g)
+                if ng >= GRAD_TOL:
+                    np.divide(g, ng, out=flat[a])
+                continue
             g = g.reshape(b - a, -1, r)
             ng = _row_norms(g)[..., None]
             np.divide(g, ng, out=v[a:b], where=ng >= GRAD_TOL)
         # every row moves once per sweep, so the largest row step equals
-        # the largest single update of the sweep
-        step = _row_norms(v - start).max(axis=0)
+        # the largest single update of the sweep; sqrt is monotone, so it
+        # is taken once per run, after the max
+        d = v - start
+        done = (np.sqrt(np.vecdot(d, d).max(axis=0)) < SWEEP_TOL).tolist()
         # each run's objective summed over its own contiguous (n, r) block
         obj = ((pc @ flat).reshape(v.shape) * v).transpose(1, 0, 2).reshape(
-            len(active), -1).sum(axis=1)
-        done = step < SWEEP_TOL
+            len(active), -1).sum(axis=1).tolist()
         checkpoint = not sweep & (sweep - 1)  # a power of two
-        for j, k in enumerate(active):
-            objs[k].append(float(obj[j]))
+        for j, k in enumerate(active.tolist()):
+            objs[k].append(obj[j])
             if done[j]:
                 status[k] = "step_tol"
             elif checkpoint:
                 # in index order: a permuted SVD can flip a sign of s
-                cert = _certified_vertex(c, v[inv, j], objs[k][-1])
+                cert = _certified_vertex(c, v[inv, j], obj[j])
                 if cert is not None:
                     v[:, j] = 0.0
                     v[:, j, 0] = cert[0][perm]
                     objs[k].append(cert[1])
                     status[k] = "certified_vertex"
                     done[j] = True
-        if done.any():
+        if any(done):
+            done = np.array(done)
             final[:, active[done]] = v[:, done]
             # a copy, so that the rows stay contiguous and flat stays a view
             active, v = active[~done], v[:, ~done].copy()
@@ -286,14 +302,17 @@ def _rounded_vertex(c, v):
 def _certified_vertex(c, v, obj):
     """``_rounded_vertex(c, v)`` when its vertex scores strictly better
     than obj and maximizes C . X over the whole body, else None.
-    Optimality is the normal-cone condition Diag(s * Cs) - C >= 0. The
+    Optimality is the normal-cone condition of ``normal_cone_membership``
+    at X = s s^T: C = D - M with D = Diag(s * Cs) and M >= 0. That D gives
+    D s = s * Cs * s = Cs exactly, also in floating point, so M X = 0 holds
+    by construction, and s s^T is feasible: one eigvalsh of M decides. The
     strictly-better test comes first and keeps a run that already sits at
     a maximizer, a non-vertex fixed point say, from being moved to a
     vertex that only ties it.
     """
     s, vertex_obj = _rounded_vertex(c, v)
-    if (vertex_obj > obj + _tie_tol(obj)
-            and normal_cone_membership(np.outer(s, s), c)):
+    if (vertex_obj > obj + _tie_tol(obj) and np.linalg.eigvalsh(
+            np.diag(s * (c @ s)) - c)[0] >= -NORMAL_CONE_TOL):
         return s, vertex_obj
     return None
 
@@ -345,11 +364,12 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     # Polish: when the optimal face is a vertex the ascent creeps toward it
     # sublinearly; the exactly rounded vertex is feasible, satisfies the
     # stationarity conditions exactly, and replaces the output whenever it
-    # scores strictly better.
-    s, vertex_obj = _rounded_vertex(c, v)
-    if vertex_obj > obj + tie_tol:
-        v, obj, objs = s[:, None], vertex_obj, objs + [vertex_obj]
-        x = gram_to_matrix(v)
+    # scores strictly better. A certified run already ends at that vertex.
+    if status != "certified_vertex":
+        s, vertex_obj = _rounded_vertex(c, v)
+        if vertex_obj > obj + tie_tol:
+            v, obj, objs = s[:, None], vertex_obj, objs + [vertex_obj]
+            x = gram_to_matrix(v)
     return OracleResult(
         matrix=x,
         gram=v,
@@ -506,7 +526,7 @@ def gamma_of_irreducible(m, tol=CERT_TOL) -> float:
     return gamma
 
 
-def normal_cone_membership(x, y, tol=1e-8) -> bool:
+def normal_cone_membership(x, y, tol=NORMAL_CONE_TOL) -> bool:
     """Whether y lies in the normal cone at x.
 
     Membership means y = D - M with D diagonal, M positive semidefinite

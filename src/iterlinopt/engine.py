@@ -111,9 +111,10 @@ def iterate(domain, x0, config: IterationConfig | None = None) -> Trajectory:
     for _ in range(cfg.max_iter):
         xn = domain.maximize(x)
         step = float(np.linalg.norm(np.ravel(xn - x)))
-        gain = float(np.vdot(xn, xn)) - norms_sq[-1]
+        norm_sq = float(np.vdot(xn, xn))
+        gain = norm_sq - norms_sq[-1]
         step_norms.append(step)
-        norms_sq.append(float(np.vdot(xn, xn)))
+        norms_sq.append(norm_sq)
         if cfg.record_trace:
             points.append(np.array(xn, copy=True))
         x = xn

@@ -24,6 +24,7 @@ from iterlinopt import (
     is_vertex,
     l3_census,
     l4_family,
+    normal_cone_membership,
     round_by_iteration,
     sign_kernel_fixed_point,
     solve_relaxation,
@@ -342,6 +343,75 @@ def test_dense_cost_sweeps_bitwise_as_the_reference():
             _ascend(c, c_off, starts, cfg), _cyclic_reference(c, c_off, starts, cfg)):
         assert np.array_equal(v, w)
         assert [sweeps, objs, status] == rest
+
+
+def test_single_run_rows_sweep_bitwise_as_the_reference():
+    # a lone run of a dense cost takes the scalar row update: one run at
+    # width n, and one whose row 0 starts with a zero gradient
+    rng = np.random.default_rng(29)
+    dense = rng.standard_normal((12, 12))
+    dense = 0.5 * (dense + dense.T)
+    k3 = _complete(3)  # never certified: no vertex is optimal
+    e = np.eye(3)
+    frozen = np.array([e[2], e[0], -e[0]])[:, None]  # g_0 = -(v_1 + v_2) = 0
+    for c, c_off, starts, cfg in [
+            (dense, dense - np.diag(np.diag(dense)),
+             random_gram(12, 12, rng)[:, None], OracleConfig()),
+            (k3, k3, frozen, OracleConfig(max_sweeps=1)),
+            (k3, k3, frozen, OracleConfig())]:
+        runs = _ascend(c, c_off, starts, cfg)
+        for (v, *rest), (w, *ref) in zip(runs, _cyclic_reference(
+                c, c_off, starts, cfg)):
+            assert np.array_equal(v, w)
+            assert rest == ref
+    first_sweep = _ascend(k3, k3, frozen, OracleConfig(max_sweeps=1))[0][0]
+    assert np.array_equal(first_sweep[0], e[2])
+
+
+@pytest.mark.parametrize("r", [1, 8, 40])
+def test_row_norms_are_batch_invariant_linalg_norms(r):
+    # the invariant behind "batching changes no run": a row's norm has the
+    # same bits in any stack as alone, and as np.linalg.norm gives them
+    rng = np.random.default_rng(r)
+    a = rng.standard_normal((6, 5, r)) * 10.0 ** np.arange(-2, 4)[:, None, None]
+    norms = _row_norms(a)
+    assert norms.shape == (6, 5)
+    for i, j in np.ndindex(6, 5):
+        assert norms[i, j] == np.linalg.norm(a[i, j])
+        assert _row_norms(a[i, j]) == norms[i, j]
+        assert np.array_equal(_row_norms(a[i:, j:j + 1]), norms[i:, j:j + 1])
+
+
+def _certifies(c, s):
+    """Whether ``_certified_vertex`` certifies s s^T for a run whose factor
+    is s and whose objective is one below the vertex's, so that only the
+    optimality test decides."""
+    return _certified_vertex(c, s[:, None], float(s @ c @ s) - 1.0) is not None
+
+
+def test_vertex_test_agrees_with_normal_cone_membership():
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for n in range(2, 13):
+        for _ in range(6):
+            s = rng.choice((-1.0, 1.0), n)
+            a = rng.standard_normal((n, n))
+            # a random cost, and one built with s s^T in its normal cone:
+            # C = Diag(y) - M with M >= 0 and M s = 0
+            b = (np.eye(n) - np.outer(s, s) / n) @ rng.standard_normal((n, n))
+            for c in (a + a.T, np.diag(rng.standard_normal(n)) - b @ b.T):
+                expected = normal_cone_membership(np.outer(s, s), c)
+                assert _certifies(c, s) == expected
+                verdicts.append(expected)
+    assert set(verdicts) == {True, False}
+    torus = np.array([(-1.0) ** (u // 10 + u % 10) for u in range(60)])
+    for c, s in ((_path(20), _alternating(20)), (_torus(6, 10), torus)):
+        assert _certifies(c, s) and normal_cone_membership(np.outer(s, s), c)
+    for n in (5, 7):
+        c = _complete(n)
+        s = np.where(np.arange(n) < n // 2, 1.0, -1.0)  # a best cut
+        assert not _certifies(c, s)
+        assert not normal_cone_membership(np.outer(s, s), c)
 
 
 # ---------------------------------------------------------------------------
