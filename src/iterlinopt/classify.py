@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptope import (
+    DIAG_TOL,
+    ROW_TOL,
     ElliptopeDomain,
     ElliptopeError,
     OracleConfig,
@@ -24,7 +26,10 @@ from .elliptope import (
     is_vertex,
     validate_elliptope,
 )
-from .engine import IterationConfig, iterate
+from .engine import FIXED_FACTOR, IterationConfig, iterate
+
+SIGN_TOL = 1e-9  # an entry this close to +-1 counts as that sign
+ESCAPE_ALPHAS = tuple(k / 10.0 for k in range(1, 11))  # escape witness grid
 
 
 @dataclass
@@ -55,28 +60,25 @@ class ClassificationResult:
 
 
 def classify_empirical(domain, x, eps, samples=32, seed=0, tol=1e-10,
-                       max_iter=10_000, return_tol=None) -> ClassificationResult:
+                       max_iter=10_000) -> ClassificationResult:
     """Sample feasible starts within eps of a fixed point and iterate each.
 
-    A sample counts as returned when its endpoint lands within return_tol
-    (default 10 * tol) of x, as escaped when some iterate leaves the eps
-    ball. The label is attractive only when every sample returns, repelling
-    only when every sample escapes, neither when nothing returns and
-    nothing escapes (connected sets of fixed points behave this way), and
-    indeterminate on mixed evidence. Per-sample seeds derive from
-    (seed, sample index), so the verdict does not depend on scheduling.
-    At least one sample is required: no evidence supports no label.
+    x must lie within FIXED_FACTOR * tol of its image. A sample counts as
+    returned when its endpoint lands that close to x, as escaped when some
+    iterate leaves the eps ball. The label is attractive only when every
+    sample returns, repelling only when every sample escapes, neither when
+    nothing returns and nothing escapes (connected sets of fixed points
+    behave this way), and indeterminate on mixed evidence. Per-sample seeds
+    derive from (seed, sample index), so the verdict does not depend on
+    scheduling. No evidence supports no label: samples must be positive.
     """
     if samples < 1:
         raise ValueError("classification needs at least one sample")
     x = np.asarray(x, dtype=float)
     fx = domain.maximize(x)
-    if float(np.linalg.norm(np.ravel(fx - x))) > 10.0 * tol:
+    if float(np.linalg.norm(np.ravel(fx - x))) > FIXED_FACTOR * tol:
         raise ValueError("x is not a fixed point of the domain")
-    if return_tol is None:
-        return_tol = 10.0 * tol
-    cfg = IterationConfig(tol=tol, max_iter=max_iter, record_trace=True,
-                          validate_start=False)
+    cfg = IterationConfig(tol=tol, max_iter=max_iter, record_trace=True)
     returned = 0
     escaped = 0
     for k in range(samples):
@@ -84,7 +86,7 @@ def classify_empirical(domain, x, eps, samples=32, seed=0, tol=1e-10,
         y0 = domain.sample_near(x, eps, rng)
         traj = iterate(domain, y0, cfg)
         dists = [float(np.linalg.norm(np.ravel(p - x))) for p in traj.points]
-        if dists[-1] <= return_tol:
+        if dists[-1] <= FIXED_FACTOR * tol:
             returned += 1
         elif max(dists) > eps:
             escaped += 1
@@ -99,7 +101,7 @@ def classify_empirical(domain, x, eps, samples=32, seed=0, tol=1e-10,
     return ClassificationResult(label, eps, samples, returned, escaped)
 
 
-def escape_pair(x, tol=1e-9):
+def escape_pair(x):
     """Lexicographically first ordered pair (i, j) with x_ij away from +-1
     and row i no heavier (in sum of squares) than row j."""
     a = np.asarray(x, dtype=float)
@@ -107,9 +109,7 @@ def escape_pair(x, tol=1e-9):
     n = a.shape[0]
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            if abs(a[i, j]) >= 1.0 - tol:
+            if i == j or abs(a[i, j]) >= 1.0 - SIGN_TOL:
                 continue
             if d[i] <= d[j] + 1e-12:
                 return i, j
@@ -137,11 +137,10 @@ def escape_curve(x, alpha, pair=None) -> np.ndarray:
         raise ElliptopeError("degenerate escape direction")
     v = v.copy()
     v[i] = w / z
-    return gram_to_matrix(v, row_tol=1e-9)
+    return gram_to_matrix(v, row_tol=ROW_TOL)
 
 
-def vertex_basin_check(x, m, config: OracleConfig | None = None,
-                       tol=1e-9) -> bool:
+def vertex_basin_check(x, m, config: OracleConfig | None = None) -> bool:
     """Check one-step convergence to a vertex from a sign-compatible start.
 
     Any feasible matrix within unit Frobenius distance of a vertex shares
@@ -150,15 +149,14 @@ def vertex_basin_check(x, m, config: OracleConfig | None = None,
     """
     if not is_vertex(x):
         raise ValueError("x must be a vertex (rank-one sign matrix)")
-    mm = validate_elliptope(m, diag_tol=1e-8)
+    mm = validate_elliptope(m, diag_tol=DIAG_TOL)
     if float(np.linalg.norm(mm - x)) >= 1.0:
         raise ValueError("m must lie within unit Frobenius distance of the vertex")
     tx = ElliptopeDomain(mm.shape[0], config).maximize(mm)
-    return bool(np.max(np.abs(tx - np.asarray(x, dtype=float))) <= tol)
+    return bool(np.max(np.abs(tx - np.asarray(x, dtype=float))) <= SIGN_TOL)
 
 
-def classify_elliptope_fixed_point(x, cert_tol=1e-8,
-                                   alphas=None) -> ClassificationResult:
+def classify_elliptope_fixed_point(x) -> ClassificationResult:
     """Exact dichotomy on the unit-diagonal PSD body.
 
     Vertices are attractive. Any other fixed point gets the label
@@ -168,15 +166,13 @@ def classify_elliptope_fixed_point(x, cert_tol=1e-8,
     than non-attractiveness is claimed for non-vertices.
     """
     a = check_symmetric(x)
-    cert = fixed_point_certificate(a, cert_tol)
+    cert = fixed_point_certificate(a)
     if not cert.is_fixed:
         raise ValueError("input is not a fixed point within tolerance")
     if is_vertex(a):
         return ClassificationResult("attractive", 0.0, 0, 0, 0)
-    if alphas is None:
-        alphas = [k / 10.0 for k in range(1, 11)]
     i, j = escape_pair(a)
     norms = [float(np.vdot(xa, xa))
-             for xa in (escape_curve(a, al, (i, j)) for al in alphas)]
-    witness = EscapeWitness(i, j, list(alphas), norms)
+             for xa in (escape_curve(a, al, (i, j)) for al in ESCAPE_ALPHAS)]
+    witness = EscapeWitness(i, j, list(ESCAPE_ALPHAS), norms)
     return ClassificationResult("not_attractive", 0.0, 0, 0, 0, witness)

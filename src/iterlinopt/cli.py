@@ -25,6 +25,7 @@ from .domains import (
     BallDomain,
     DomainError,
     EllipsoidDomain,
+    _parse_vector,
     curvature_classify_2d,
     load_domain,
     read_lines,
@@ -41,7 +42,7 @@ from .elliptope import (
     read_matrix_text,
     sign_kernel_census,
 )
-from .engine import InfeasibleStartError, IterationConfig, iterate
+from .engine import FIXED_FACTOR, InfeasibleStartError, IterationConfig, iterate
 from .maxcut import (
     BRUTE_FORCE_CAP,
     GRAPH_CAP,
@@ -100,7 +101,7 @@ def _parse_start_vector(text):
     if os.path.isfile(text):
         text = "".join(read_lines(text, lambda m: CliError(EXIT_PARSE, m)))
     try:
-        return np.array([float(tok) for tok in text.replace(",", " ").split()])
+        return _parse_vector(text)
     except ValueError:
         raise CliError(EXIT_PARSE, f"could not parse start point {text!r}")
 
@@ -237,7 +238,8 @@ def _classify_empirical(args, domain, x):
 def cmd_classify(args) -> int:
     if args.matrix:
         x = read_matrix_text(args.matrix)
-        if not is_in_elliptope(x, diag_tol=1e-8):
+        domain = ElliptopeDomain(x.shape[0], _oracle_config(args))
+        if not domain.contains(x):
             raise CliError(EXIT_INVALID,
                            f"{args.matrix}: matrix is not in the feasible body")
         cert = fixed_point_certificate(x)
@@ -249,8 +251,7 @@ def cmd_classify(args) -> int:
         print(f"theorem label: {theorem.label}")
         _print_witness(theorem.witness)
         if args.samples > 0:
-            _classify_empirical(
-                args, ElliptopeDomain(x.shape[0], _oracle_config(args)), x)
+            _classify_empirical(args, domain, x)
         return EXIT_OK
     if not args.domain or not args.point:
         raise CliError(EXIT_PARSE, "classify needs --matrix, or --domain with --point")
@@ -258,7 +259,7 @@ def cmd_classify(args) -> int:
     x = _read_point(domain, args.point)
     fx = domain.maximize(x)
     residual = float(np.linalg.norm(np.ravel(fx - x)))
-    if residual > 10.0 * args.tol:
+    if residual > FIXED_FACTOR * args.tol:
         raise CliError(EXIT_INVALID,
                        f"point is not a fixed point (residual {_fmt(residual)})")
     print(f"fixed point: {_fmt_vec(x)}")

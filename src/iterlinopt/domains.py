@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerances; every operation that uses them takes an override.
-FEAS_TOL = 1e-10
-CLASS_MARGIN = 1e-8
+FEAS_TOL = 1e-10  # default slack of contains, which takes an override
+CLASS_MARGIN = 1e-8  # curvature this close to 1/|x| classifies nothing
+SYM_TOL = 1e-12  # largest asymmetry of an input matrix
+PD_TOL = 1e-12  # shape matrix: smallest eigenvalue above PD_TOL * largest
+DEDUP_TOL = 1e-12  # polytope vertices this close are duplicates
+SAMPLE_TRIES = 10_000  # rejection draws of sample_near
 
 
 class DomainError(ValueError):
@@ -63,10 +66,10 @@ class ConvexDomain:
         """Random feasible point (coverage sampling, not exactly uniform)."""
         raise NotImplementedError
 
-    def sample_near(self, x, eps, rng, max_tries=10000):
+    def sample_near(self, x, eps, rng):
         """Random feasible point within distance eps of x, by rejection."""
         x = np.asarray(x, dtype=float)
-        for _ in range(max_tries):
+        for _ in range(SAMPLE_TRIES):
             u = rng.standard_normal(x.size)
             nu = np.linalg.norm(u)
             if nu == 0.0:
@@ -146,17 +149,17 @@ def ball_fixed_points(dom: BallDomain) -> BallFixedPoints:
 class EllipsoidDomain(ConvexDomain):
     """{y : y^T A^{-1} y <= 1} for a symmetric positive definite matrix A."""
 
-    def __init__(self, shape, tol=1e-12):
+    def __init__(self, shape):
         a = np.asarray(shape, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError("shape matrix must be square")
         if not np.all(np.isfinite(a)):
             raise DomainError("shape matrix has non-finite entries")
-        if np.max(np.abs(a - a.T)) > 1e-12:
+        if np.max(np.abs(a - a.T)) > SYM_TOL:
             raise DomainError("shape matrix must be symmetric")
         self.shape_matrix = 0.5 * (a + a.T)
         w, q = np.linalg.eigh(self.shape_matrix)
-        if w[0] <= tol * max(1.0, w[-1]):
+        if w[0] <= PD_TOL * max(1.0, w[-1]):
             raise DomainError("shape matrix must be positive definite")
         self._eigvals = w
         self._eigvecs = q
@@ -207,7 +210,7 @@ class PolytopeDomain(ConvexDomain):
     iteration runs deterministic.
     """
 
-    def __init__(self, vertices, dedup_tol=1e-12):
+    def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] == 0:
             raise DomainError("polytope needs a nonempty (m, d) vertex array")
@@ -215,7 +218,7 @@ class PolytopeDomain(ConvexDomain):
             raise DomainError("vertices have non-finite entries")
         for i in range(len(v)):
             for j in range(i + 1, len(v)):
-                if np.linalg.norm(v[i] - v[j]) <= dedup_tol:
+                if np.linalg.norm(v[i] - v[j]) <= DEDUP_TOL:
                     raise DomainError(f"duplicate vertices {i} and {j}")
         self.vertices = v
         self.dim = v.shape[1]
@@ -309,11 +312,11 @@ class ConeDomain(ConvexDomain):
                 + rad * (np.cos(ang) * self._plane1 + np.sin(ang) * self._plane2))
 
 
-def curvature_classify_2d(k, x, margin=CLASS_MARGIN) -> str:
+def curvature_classify_2d(k, x) -> str:
     """Classify a smooth 2-d boundary fixed point by curvature.
 
     Boundary curvature above 1/|x| pulls nearby iterates back in, below it
-    pushes them away; within ``margin`` of the threshold the test is
+    pushes them away; within CLASS_MARGIN of the threshold the test is
     inconclusive and "indeterminate" is returned.
     """
     x = _point(x)
@@ -321,9 +324,9 @@ def curvature_classify_2d(k, x, margin=CLASS_MARGIN) -> str:
     if nx == 0.0:
         raise DomainError("curvature test needs a nonzero fixed point")
     thr = 1.0 / nx
-    if k > thr + margin:
+    if k > thr + CLASS_MARGIN:
         return "attractive"
-    if k < thr - margin:
+    if k < thr - CLASS_MARGIN:
         return "repelling"
     return "indeterminate"
 

@@ -16,15 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import ConvexDomain, read_lines
+from .domains import SYM_TOL, ConvexDomain, read_lines
 
-SYM_TOL = 1e-12
 PSD_TOL = 1e-9
+DIAG_TOL = 1e-8  # diagonal slack of every feasibility check but verify's
+ROW_TOL = 1e-9  # unit-row slack of a Gram factor that came out of arithmetic
+RANK_TOL = 1e-6  # eigenvalues above this count toward the rank
 CERT_TOL = 1e-8  # fixed-point verdict allows CERT_TOL * n of Frobenius defect
 ZERO_TOL = 1e-9  # support-graph zero threshold
 SWEEP_TOL = 1e-13  # an ascent run stops once no row moves this far in a sweep
 GRAD_TOL = 1e-14  # rows with gradient below this stay frozen
 NORMAL_CONE_TOL = 1e-8  # slack of the normal-cone test: M X = 0, M >= 0
+SHRINK_TRIES = 60  # halvings of the perturbation in sample_near
 
 
 class ElliptopeError(ValueError):
@@ -35,22 +38,21 @@ class ElliptopeError(ValueError):
 # validation and Gram representation
 # ---------------------------------------------------------------------------
 
-def check_symmetric(m, tol=SYM_TOL, name="matrix") -> np.ndarray:
-    """Return a symmetrized copy, rejecting asymmetry beyond tol."""
+def check_symmetric(m, name="matrix") -> np.ndarray:
+    """Return a symmetrized copy, rejecting asymmetry beyond SYM_TOL."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ElliptopeError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ElliptopeError(f"{name} has non-finite entries")
-    if a.size and np.max(np.abs(a - a.T)) > tol:
-        raise ElliptopeError(f"{name} is not symmetric within {tol}")
+    if a.size and np.max(np.abs(a - a.T)) > SYM_TOL:
+        raise ElliptopeError(f"{name} is not symmetric within {SYM_TOL}")
     return 0.5 * (a + a.T)
 
 
-def validate_elliptope(m, diag_tol=1e-12, psd_tol=PSD_TOL,
-                       sym_tol=SYM_TOL) -> np.ndarray:
+def validate_elliptope(m, diag_tol=1e-12, psd_tol=PSD_TOL) -> np.ndarray:
     """Raise unless m is a unit-diagonal PSD matrix within tolerances."""
-    a = check_symmetric(m, sym_tol)
+    a = check_symmetric(m)
     dev = float(np.max(np.abs(np.diag(a) - 1.0)))
     if dev > diag_tol:
         raise ElliptopeError(f"diagonal deviates from 1 by {dev:.3g}")
@@ -62,30 +64,25 @@ def validate_elliptope(m, diag_tol=1e-12, psd_tol=PSD_TOL,
     return a
 
 
-def is_in_elliptope(m, diag_tol=1e-12, psd_tol=PSD_TOL, sym_tol=SYM_TOL) -> bool:
+def is_in_elliptope(m, diag_tol=1e-12, psd_tol=PSD_TOL) -> bool:
     try:
-        validate_elliptope(m, diag_tol, psd_tol, sym_tol)
+        validate_elliptope(m, diag_tol, psd_tol)
     except ElliptopeError:
         return False
     return True
 
 
-def normalize_gram_rows(v, tol=1e-12) -> np.ndarray:
-    """Check rows are unit vectors within tol, then renormalize exactly."""
+def gram_to_matrix(v, row_tol=1e-12) -> np.ndarray:
+    """V V^T of rows unit within row_tol, renormalized; diagonal exactly 1."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
         raise ElliptopeError("Gram factor must be a 2-d array")
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms == 0.0):
         raise ElliptopeError("Gram factor has a zero row")
-    if np.max(np.abs(norms - 1.0)) > tol:
-        raise ElliptopeError(f"Gram rows must be unit vectors within {tol}")
-    return v / norms[:, None]
-
-
-def gram_to_matrix(v, row_tol=1e-12) -> np.ndarray:
-    """Gram matrix V V^T of unit rows; the diagonal is set to exactly 1."""
-    v = normalize_gram_rows(v, row_tol)
+    if np.max(np.abs(norms - 1.0)) > row_tol:
+        raise ElliptopeError(f"Gram rows must be unit vectors within {row_tol}")
+    v = v / norms[:, None]
     x = v @ v.T
     np.fill_diagonal(x, 1.0)
     return x
@@ -108,10 +105,10 @@ def random_gram(n, rank, rng) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def matrix_rank_psd(m, tol=1e-6) -> int:
-    """Eigenvalue count above tol. Fixed points have spectra in {0, gamma}
+def matrix_rank_psd(m) -> int:
+    """Eigenvalue count above RANK_TOL. Fixed points have spectra in {0, gamma}
     with gamma >= 1, so any threshold well below 1 gives the exact rank."""
-    return int(np.sum(np.linalg.eigvalsh(check_symmetric(m)) > tol))
+    return int(np.sum(np.linalg.eigvalsh(check_symmetric(m)) > RANK_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +142,8 @@ class OracleConfig:
             raise ValueError("restarts must be nonnegative")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
+        if self.seed < 0:  # numpy seeds must be nonnegative
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -359,7 +358,7 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     tie_tol = _tie_tol(max_obj)
     best = next(i for i, o in enumerate(objectives) if o >= max_obj - tie_tol)
     v, sweeps, objs, status = results[best]
-    x = gram_to_matrix(v, row_tol=1e-9)
+    x = gram_to_matrix(v, row_tol=ROW_TOL)
     obj = float(np.vdot(c, x))
     # Polish: when the optimal face is a vertex the ascent creeps toward it
     # sublinearly; the exactly rounded vertex is feasible, satisfies the
@@ -419,23 +418,23 @@ class ElliptopeDomain(ConvexDomain):
         return elliptope_oracle(x, self.config, warm_start=start).matrix
 
     def contains(self, x, tol=PSD_TOL):
-        return is_in_elliptope(self._order(x), diag_tol=1e-8, psd_tol=tol)
+        return is_in_elliptope(self._order(x), diag_tol=DIAG_TOL, psd_tol=tol)
 
     def sample(self, rng):
         r = self.config.rank or default_rank_budget(self.n)
         return gram_to_matrix(random_gram(self.n, r, rng))
 
-    def sample_near(self, x, eps, rng, max_tries=60):
+    def sample_near(self, x, eps, rng):
         """Perturb the Gram rows and renormalize, shrinking the perturbation
         until the result lands strictly inside the eps ball. Stays feasible
         by construction, unlike entrywise rejection sampling."""
         v = gram_factor(check_symmetric(x))
         g = rng.standard_normal(v.shape)
         scale = eps / (2.0 * np.sqrt(v.shape[0]))
-        for _ in range(max_tries):
+        for _ in range(SHRINK_TRIES):
             w = v + scale * g
             w = w / np.linalg.norm(w, axis=1)[:, None]
-            y = gram_to_matrix(w, row_tol=1e-9)
+            y = gram_to_matrix(w, row_tol=ROW_TOL)
             dist = float(np.linalg.norm(y - x))
             if 0.0 < dist < eps:
                 return y
@@ -472,7 +471,7 @@ def fixed_point_certificate(m, tol=CERT_TOL) -> DiagonalCertificate:
     return DiagonalCertificate(d, residual, residual <= tol * a.shape[0], tol)
 
 
-def irreducible_components(m, zero_tol=ZERO_TOL) -> list:
+def irreducible_components(m) -> list:
     """Connected components of the nonzero-pattern graph, diagonal ignored.
 
     Each component indexes an irreducible principal block; a fixed point
@@ -481,7 +480,7 @@ def irreducible_components(m, zero_tol=ZERO_TOL) -> list:
     """
     a = check_symmetric(m)
     n = a.shape[0]
-    adj = np.abs(a) > zero_tol
+    adj = np.abs(a) > ZERO_TOL
     np.fill_diagonal(adj, False)
     seen = np.zeros(n, dtype=bool)
     comps = []
@@ -502,7 +501,7 @@ def irreducible_components(m, zero_tol=ZERO_TOL) -> list:
     return comps
 
 
-def gamma_of_irreducible(m, tol=CERT_TOL) -> float:
+def gamma_of_irreducible(m) -> float:
     """Common diagonal value of an irreducible fixed point.
 
     For an irreducible fixed point the certificate diagonal is constant,
@@ -510,15 +509,15 @@ def gamma_of_irreducible(m, tol=CERT_TOL) -> float:
     input was reducible or not fixed, and is rejected.
     """
     a = check_symmetric(m)
-    cert = fixed_point_certificate(a, tol)
+    cert = fixed_point_certificate(a)
     if not cert.is_fixed:
         raise ElliptopeError("not a fixed point within tolerance")
     d = cert.d
-    if float(np.max(np.abs(d - d[0]))) > tol * a.shape[0]:
+    if float(np.max(np.abs(d - d[0]))) > CERT_TOL * a.shape[0]:
         raise ElliptopeError(
             "certificate diagonal is not constant (reducible or not fixed)")
     gamma = float(d[0])
-    if gamma < 1.0 - tol:
+    if gamma < 1.0 - CERT_TOL:
         raise ElliptopeError(f"diagonal value {gamma} below 1")
     s = matrix_rank_psd(a)
     if abs(gamma * s - a.shape[0]) > 1e-6 * a.shape[0]:
@@ -526,31 +525,27 @@ def gamma_of_irreducible(m, tol=CERT_TOL) -> float:
     return gamma
 
 
-def normal_cone_membership(x, y, tol=NORMAL_CONE_TOL) -> bool:
+def normal_cone_membership(x, y) -> bool:
     """Whether y lies in the normal cone at x.
 
     Membership means y = D - M with D diagonal, M positive semidefinite
     and M X = 0. D is forced to diag(Y X), so the test reduces to checking
     the recovered M.
     """
-    a = validate_elliptope(x, diag_tol=1e-8)
+    a = validate_elliptope(x, diag_tol=DIAG_TOL)
     b = check_symmetric(y)
-    d = np.diag(b @ a).copy()
-    m = np.diag(d) - b
-    if float(np.linalg.norm(m @ a)) > tol:
+    m = np.diag(np.diag(b @ a)) - b
+    if float(np.linalg.norm(m @ a)) > NORMAL_CONE_TOL:
         return False
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(m)[0] >= -NORMAL_CONE_TOL)
 
 
-def is_vertex(m, tol=1e-6) -> bool:
+def is_vertex(m) -> bool:
     """Rank-one sign matrix test: all entries at +-1 and a rank of one."""
     a = check_symmetric(m)
-    if float(np.max(np.abs(np.abs(a) - 1.0))) > tol:
+    if float(np.max(np.abs(np.abs(a) - 1.0))) > RANK_TOL:
         return False
-    if a.shape[0] == 1:
-        return True
-    w = np.linalg.eigvalsh(a)
-    return bool(w[-2] <= tol)
+    return a.shape[0] == 1 or bool(np.linalg.eigvalsh(a)[-2] <= RANK_TOL)
 
 
 def vertex_signs(m) -> np.ndarray:
@@ -677,7 +672,7 @@ class FixedPointReport:
     label: str  # attractive | not_attractive | not_fixed
 
 
-def analyze_fixed_point(m, tol=CERT_TOL, zero_tol=ZERO_TOL) -> FixedPointReport:
+def analyze_fixed_point(m, tol=CERT_TOL) -> FixedPointReport:
     """Certificate, rank, block structure and the attractiveness verdict.
 
     Vertices are the attractive fixed points; every other fixed point
@@ -686,7 +681,7 @@ def analyze_fixed_point(m, tol=CERT_TOL, zero_tol=ZERO_TOL) -> FixedPointReport:
     """
     a = check_symmetric(m)
     cert = fixed_point_certificate(a, tol)
-    comps = irreducible_components(a, zero_tol)
+    comps = irreducible_components(a)
     gammas = []
     for comp in comps:
         block_d = cert.d[comp]
@@ -729,7 +724,7 @@ def read_matrix_text(path) -> np.ndarray:
         if len(vals) != n:
             raise ElliptopeError(f"{path}: row {k} has {len(vals)} entries, expected {n}")
         rows.append(vals)
-    return check_symmetric(np.array(rows), SYM_TOL, name=f"{path}")
+    return check_symmetric(np.array(rows), name=f"{path}")
 
 
 def write_matrix_text(m, path):

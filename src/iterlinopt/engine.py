@@ -19,6 +19,9 @@ import numpy as np
 # STALL_GAIN_TOL (a creep along a connected set of fixed points).
 STALL_WINDOW = 100
 STALL_GAIN_TOL = 1e-14
+FIXED_FACTOR = 10.0  # x within FIXED_FACTOR * tol of T(x) counts as fixed
+NORM_SLACK = 1e-12  # check_monotone: slack of non-decreasing squared norms
+STEP_SLACK = 1e-9  # check_monotone: slack of squared step <= norm gain
 
 
 class InfeasibleStartError(ValueError):
@@ -139,12 +142,11 @@ class MonotoneReport:
     worst_step_excess: float
 
 
-def check_monotone(traj: Trajectory, norm_slack=1e-12,
-                   step_slack=1e-9) -> MonotoneReport:
+def check_monotone(traj: Trajectory) -> MonotoneReport:
     """Verify the two inequalities every valid run must satisfy.
 
-    Squared norms must be non-decreasing (within norm_slack) and each
-    squared step must not exceed the norm gain (within step_slack). The
+    Squared norms must be non-decreasing (within NORM_SLACK) and each
+    squared step must not exceed the norm gain (within STEP_SLACK). The
     report carries the first violating transition, if any.
     """
     a, s = traj.norms_sq, traj.step_norms
@@ -158,7 +160,7 @@ def check_monotone(traj: Trajectory, norm_slack=1e-12,
         excess = s[i] ** 2 - (a[i + 1] - a[i])
         worst_drop = max(worst_drop, drop)
         worst_excess = max(worst_excess, excess)
-        if (drop > norm_slack or excess > step_slack) and first is None:
+        if (drop > NORM_SLACK or excess > STEP_SLACK) and first is None:
             first = i
     return MonotoneReport(first is None, first, worst_drop, worst_excess)
 

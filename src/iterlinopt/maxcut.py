@@ -20,6 +20,8 @@ import numpy as np
 from .classify import escape_curve
 from .domains import read_lines
 from .elliptope import (
+    DIAG_TOL,
+    ROW_TOL,
     ElliptopeDomain,
     OracleConfig,
     OracleResult,
@@ -245,7 +247,7 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
     The squared norm never decreases across accepted iterates.
     """
     cfg = config or OracleConfig()
-    x = validate_elliptope(np.asarray(x0, dtype=float), diag_tol=1e-8)
+    x = validate_elliptope(np.asarray(x0, dtype=float), diag_tol=DIAG_TOL)
     domain = ElliptopeDomain(
         x.shape[0], replace(cfg, max_sweeps=min(cfg.max_sweeps, ROUND_SWEEPS)))
     norms = [float(np.vdot(x, x))]
@@ -316,7 +318,7 @@ def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
     tie_tol = 1e-9 * max(1.0, abs(res.objective))
     for obj, gram in zip(res.restart_objectives, res.candidate_grams):
         if obj >= res.objective - tie_tol:
-            x = gram_to_matrix(gram, row_tol=1e-9)
+            x = gram_to_matrix(gram, row_tol=ROW_TOL)
             if all(float(np.max(np.abs(x - s))) > 1e-12 for s in starts):
                 starts.append(x)
     report = None

@@ -124,7 +124,7 @@ def suite_monotone(seed):
                 dom = ElliptopeDomain(n, OracleConfig(restarts=0))
             x0 = dom.sample(rng)
             traj = iterate(dom, x0, ell_cfg if kind == "elliptope" else cfg)
-            mono = check_monotone(traj, norm_slack=1e-12, step_slack=1e-9)
+            mono = check_monotone(traj)
             assert mono.passed, f"{kind} run {k} violates monotonicity"
             if kind in ("ball", "ellipsoid"):
                 assert traj.status == "converged", f"{kind} run {k} did not converge"
@@ -282,8 +282,7 @@ def suite_vertex_attractiveness(seed):
         target = 0.1 + 0.8 * rng.random()
         m = _member_near_vertex(signs, rng, target)
         assert np.linalg.norm(m - x) < 1.0
-        ok = vertex_basin_check(x, m, OracleConfig(seed=int(rng.integers(2**31))),
-                                tol=1e-9)
+        ok = vertex_basin_check(x, m, OracleConfig(seed=int(rng.integers(2**31))))
         assert ok, f"trial {t}: one-step convergence to the vertex failed"
         lines.append(f"trial {t} n {n} dist {np.linalg.norm(m - x):.17g}")
     # converse: every non-vertex catalog point admits a strictly

@@ -111,6 +111,18 @@ class TestIterate:
         assert captured.out == ""
         assert "the domain has n = 3" in captured.err
 
+    def test_negative_domain_seed_exits_1(self, tmp_path, capsys):
+        # from a zero-row start the map draws its factor from the file's seed
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("kind=elliptope\nn=3\nseed=-1\n")
+        start = tmp_path / "zero.txt"
+        write_matrix_text(np.diag([0.0, 1.0, 1.0]), start)
+        code = main(["iterate", "--domain", str(cfg), "--start", str(start)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: seed must be nonnegative\n"
+
 
 class TestVerify:
     def test_family_member_fixed(self, tmp_path, capsys):

@@ -171,6 +171,23 @@ class TestOracle:
         assert res.status == "max_sweeps"
         assert res.sweeps == 3
 
+    def test_capped_run_is_polished_to_its_better_vertex(self):
+        # three sweeps leave the winning run short of a vertex; its rounded
+        # vertex scores strictly better without being optimal, so the
+        # certificate passes it by and the final polish takes it
+        rng = np.random.default_rng(26)
+        c = rng.standard_normal((6, 6))
+        c = 0.5 * (c + c.T)
+        res = elliptope_oracle(c, OracleConfig(max_sweeps=3))
+        assert res.status == "max_sweeps"
+        assert is_vertex(res.matrix)
+        assert not normal_cone_membership(res.matrix, c)
+        assert len(res.sweep_objectives) == res.sweeps + 1
+        assert res.sweep_objectives[-1] > res.sweep_objectives[-2]
+        assert res.sweep_objectives[-1] == res.objective
+        s = res.gram[:, 0]
+        assert np.array_equal(res.matrix, np.outer(s, s))
+
     def test_status_of_a_converged_run(self):
         res = elliptope_oracle(np.eye(3) - J3)  # the relaxation cost of K3
         assert res.status == "step_tol"
@@ -484,7 +501,7 @@ class TestDomainAdapter:
             ElliptopeDomain(3).contains(np.eye(4))
 
     @pytest.mark.parametrize("bad", [{"rank": 0}, {"restarts": -1},
-                                     {"max_sweeps": 0}])
+                                     {"max_sweeps": 0}, {"seed": -1}])
     def test_config_bounds(self, bad):
         with pytest.raises(ValueError):
             OracleConfig(**bad)
