@@ -90,7 +90,11 @@ def gram_to_matrix(v, row_tol=1e-12) -> np.ndarray:
 
 def gram_factor(m) -> np.ndarray:
     """Unit-row factor V with V V^T = m, columns by decreasing eigenvalue."""
-    a = check_symmetric(m)
+    return _gram_factor(check_symmetric(m))
+
+
+def _gram_factor(a) -> np.ndarray:
+    """``gram_factor`` of a matrix already checked by ``check_symmetric``."""
     w, q = np.linalg.eigh(a)
     v = q[:, ::-1] * np.sqrt(np.clip(w[::-1], 0.0, None))
     norms = np.linalg.norm(v, axis=1)
@@ -203,7 +207,8 @@ def _ascend(c, c_off, v0, cfg):
     A run stops once its largest row move in a sweep falls below SWEEP_TOL,
     after cfg.max_sweeps sweeps, or when ``_certified_vertex`` certifies
     its rounded vertex s; that test runs on every run still moving after
-    sweeps 1, 2, 4, 8, ..., O(log sweeps) SVDs per run. A certified run
+    sweeps 1, 2, 4, 8, ..., one stacked SVD of all runs per checkpoint,
+    which gives each run the bits of its own SVD. A certified run
     ends with the factor s (x) e_1 and the vertex objective appended to its
     sweep objectives. A stopped run is dropped from the batch, so batching
     changes no run beyond rounding. Returns one (factor, sweeps,
@@ -249,13 +254,15 @@ def _ascend(c, c_off, v0, cfg):
         obj = ((pc @ flat).reshape(v.shape) * v).transpose(1, 0, 2).reshape(
             len(active), -1).sum(axis=1).tolist()
         checkpoint = not sweep & (sweep - 1)  # a power of two
+        if checkpoint:
+            # in index order: a permuted SVD can flip a sign of s
+            signs = _top_signs(v[inv].transpose(1, 0, 2))
         for j, k in enumerate(active.tolist()):
             objs[k].append(obj[j])
             if done[j]:
                 status[k] = "step_tol"
             elif checkpoint:
-                # in index order: a permuted SVD can flip a sign of s
-                cert = _certified_vertex(c, v[inv, j], obj[j])
+                cert = _certify(c, signs[j], obj[j])
                 if cert is not None:
                     v[:, j] = 0.0
                     v[:, j, 0] = cert[0][perm]
@@ -289,18 +296,29 @@ def _tie_tol(obj) -> float:
     return 1e-12 * max(1.0, abs(obj))
 
 
+def _top_signs(v):
+    """The sign of v's top left singular vector, the top eigenvector of
+    V V^T, for one factor (n, r) or for each factor of a stack (R, n, r):
+    LAPACK factors a stacked matrix with the bits it gives it alone."""
+    u = np.linalg.svd(v, full_matrices=False)[0][..., 0]
+    return np.where(u >= 0.0, 1.0, -1.0)
+
+
 def _rounded_vertex(c, v):
-    """(s, s^T C s) for the vertex s s^T rounded from the factor v: s is
-    the sign of v's top left singular vector, the top eigenvector of
-    V V^T."""
-    u = np.linalg.svd(v, full_matrices=False)[0][:, 0]
-    s = np.where(u >= 0.0, 1.0, -1.0)
+    """(s, s^T C s) for the vertex s s^T rounded from the factor v."""
+    s = _top_signs(v)
     return s, float(s @ c @ s)
 
 
 def _certified_vertex(c, v, obj):
     """``_rounded_vertex(c, v)`` when its vertex scores strictly better
-    than obj and maximizes C . X over the whole body, else None.
+    than obj and maximizes C . X over the whole body, else None."""
+    return _certify(c, _top_signs(v), obj)
+
+
+def _certify(c, s, obj):
+    """(s, s^T C s) when the vertex s s^T scores strictly better than obj
+    and maximizes C . X over the whole body, else None.
     Optimality is the normal-cone condition of ``normal_cone_membership``
     at X = s s^T: C = D - M with D = Diag(s * Cs) and M >= 0. That D gives
     D s = s * Cs * s = Cs exactly, also in floating point, so M X = 0 holds
@@ -309,7 +327,7 @@ def _certified_vertex(c, v, obj):
     a maximizer, a non-vertex fixed point say, from being moved to a
     vertex that only ties it.
     """
-    s, vertex_obj = _rounded_vertex(c, v)
+    vertex_obj = float(s @ c @ s)
     if (vertex_obj > obj + _tie_tol(obj) and np.linalg.eigvalsh(
             np.diag(s * (c @ s)) - c)[0] >= -NORMAL_CONE_TOL):
         return s, vertex_obj
@@ -328,8 +346,12 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     residual at the winner measures how far the output is from satisfying
     the eigenmatrix condition exactly; it is reported, never hidden.
     """
-    cfg = config or OracleConfig()
-    c = check_symmetric(c, name="cost matrix")
+    return _oracle(check_symmetric(c, name="cost matrix"),
+                   config or OracleConfig(), warm_start)
+
+
+def _oracle(c, cfg, warm_start) -> OracleResult:
+    """``elliptope_oracle`` of a cost already checked by ``check_symmetric``."""
     n = c.shape[0]
     if n == 0:
         raise ElliptopeError("cost matrix is empty")
@@ -408,14 +430,15 @@ class ElliptopeDomain(ConvexDomain):
         return a
 
     def maximize(self, x):
+        # checked once: the factor and the oracle take the symmetrized query
         x = check_symmetric(self._order(x))
         try:
-            start = gram_factor(x)
+            start = _gram_factor(x)
         except ElliptopeError:  # a zero row: start from restart 0's factor
             n = x.shape[0]
             start = random_gram(n, self.config.rank or default_rank_budget(n),
                                 np.random.default_rng(self.config.seed))
-        return elliptope_oracle(x, self.config, warm_start=start).matrix
+        return _oracle(x, self.config, start).matrix
 
     def contains(self, x, tol=PSD_TOL):
         return is_in_elliptope(self._order(x), diag_tol=DIAG_TOL, psd_tol=tol)
@@ -428,7 +451,7 @@ class ElliptopeDomain(ConvexDomain):
         """Perturb the Gram rows and renormalize, shrinking the perturbation
         until the result lands strictly inside the eps ball. Stays feasible
         by construction, unlike entrywise rejection sampling."""
-        v = gram_factor(check_symmetric(x))
+        v = gram_factor(x)
         g = rng.standard_normal(v.shape)
         scale = eps / (2.0 * np.sqrt(v.shape[0]))
         for _ in range(SHRINK_TRIES):

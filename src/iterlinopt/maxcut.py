@@ -2,18 +2,18 @@
 deterministic rounding by norm-increasing iteration.
 
 The relaxation maximizes -W . X over the feasible body, where W is the
-symmetric weight matrix; rounding repeatedly applies the linear-maximization
-map, each step of which is itself a relaxation of the closest-vertex
-problem, until a vertex (a rank-one sign matrix encoding a partition) is
-reached. Runs that settle on a non-vertex fixed point take an explicit
-norm-increasing escape step and resume; if escapes run out, random
+symmetric weight matrix; rounding repeatedly takes an ascent step of the
+linear-maximization map, each step of which is itself a relaxation of the
+closest-vertex problem, until a vertex (a rank-one sign matrix encoding a
+partition) is reached. Runs that settle on a non-vertex fixed point take an
+explicit norm-increasing escape step and resume; if escapes run out, random
 hyperplane rounding is used as a flagged fallback.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +21,13 @@ from .classify import escape_curve
 from .domains import read_lines
 from .elliptope import (
     DIAG_TOL,
+    GRAD_TOL,
     ROW_TOL,
-    ElliptopeDomain,
     OracleConfig,
     OracleResult,
+    _rounded_vertex,
+    _row_norms,
+    _tie_tol,
     elliptope_oracle,
     fixed_point_certificate,
     gram_factor,
@@ -38,12 +41,13 @@ BRUTE_FORCE_CAP = 22
 GRAPH_CAP = 2048  # one dense float64 n x n array at this size is 32 MB
 FALLBACK_SAMPLES = 64  # hyperplanes tried when rounding falls back
 MAX_ROUNDS = 500  # map applications and escapes before rounding falls back
-# Sweeps per rounding step. A warm start from X's own factor is an ascent
-# point after any number of sweeps, which is all the norm-increasing
-# argument needs. 10 sweeps gave the exact map's cuts on the benchmark's
-# instances (seeds 1-10) and no worse cut on K4-K40; every budget from 1
-# to 8 loses a cut on K19, K27, K32, K38 or K39.
-ROUND_SWEEPS = 10
+# Power products per rounding step. Each product is an ascent step from
+# X's own factor, which is all the norm-increasing argument needs. Every
+# budget from 14 to 26 gave the cuts of rounding by 10-sweep ascent-oracle
+# steps on the benchmark's instances (seeds 1-10) and K4-K40; 10-13 lose
+# K27 (182 -> 180), 8 and 27-40 lose K36 (323 -> 320). 20 is the middle of
+# that window.
+ROUND_STEPS = 20
 
 
 class GraphFormatError(ValueError):
@@ -230,26 +234,54 @@ class RoundingReport:
     rounding_starts: int = 1  # tied relaxation candidates tried by the pipeline
 
 
+def _power_product(v, w):
+    """One generalized power step W <- rownorm(V (V^T W)), in place.
+
+    f(W) = |V^T W|_F^2 = <V V^T, W W^T> is convex in W, so the maximizer
+    of its linearization at W over unit rows, the row-normalized gradient
+    X W, scores at least f(W). A row whose product has norm below
+    GRAD_TOL stays as it is."""
+    g = v @ (v.T @ w)
+    ng = _row_norms(g)[:, None]
+    np.divide(g, ng, out=w, where=ng >= GRAD_TOL)
+
+
+def _power_step(x, v):
+    """One rounding step from X = V V^T: ROUND_STEPS power products from V,
+    then the rounded-vertex polish. Returns (W, W W^T), with
+    <X, W W^T> >= <X, X>."""
+    w = v.copy()
+    for _ in range(ROUND_STEPS):
+        _power_product(v, w)
+    y = gram_to_matrix(w, row_tol=ROW_TOL)
+    obj = float(np.vdot(x, y))
+    # the vertex polish of elliptope_oracle: s^T X s = |V^T s|^2
+    s, vertex_obj = _rounded_vertex(x, w)
+    if vertex_obj > obj + _tie_tol(obj):
+        return s[:, None], np.outer(s, s)
+    return w, y
+
+
 def round_by_iteration(x0, config: OracleConfig | None = None,
                        graph: WeightedGraph | None = None,
                        escape_alpha=0.25, escape_retries=5) -> RoundingReport:
     """Round a feasible matrix to a partition by iterating the map.
 
-    Applies the linear-maximization map until a vertex appears (the
-    partition is then read off its first row). Each application is an
-    ascent step of at most ROUND_SWEEPS sweeps from X's own factor: its
-    output Y has <X, Y> >= <X, X>, so |Y - X|^2 <= |Y|^2 - |X|^2, and the
-    vertices stay exact fixed points. A non-vertex fixed point
-    triggers a norm-increasing escape step and the run resumes, up to
-    escape_retries times; after that, or if MAX_ROUNDS pass without a
-    vertex, hyperplane rounding of the current Gram factor, seeded with the
-    config's seed, supplies the partition and the provenance is flagged.
-    The squared norm never decreases across accepted iterates.
+    Applies an ascent step of the linear-maximization map until a vertex
+    appears (the partition is then read off its first row). The step
+    carries X's unit-row factor V: ``_power_step`` maps X = V V^T to
+    Y = W W^T with <X, Y> >= <X, X>, so |Y - X|^2 <= |Y|^2 - |X|^2, and it
+    leaves X where it is exactly when X^2 = DX, so the vertices stay exact
+    fixed points. A non-vertex fixed point triggers a norm-increasing
+    escape step and the run resumes, up to escape_retries times; after
+    that, or if MAX_ROUNDS pass without a vertex, hyperplane rounding of
+    the current Gram factor, seeded with the config's seed, supplies the
+    partition and the provenance is flagged. The squared norm never
+    decreases across accepted iterates.
     """
     cfg = config or OracleConfig()
     x = validate_elliptope(np.asarray(x0, dtype=float), diag_tol=DIAG_TOL)
-    domain = ElliptopeDomain(
-        x.shape[0], replace(cfg, max_sweeps=min(cfg.max_sweeps, ROUND_SWEEPS)))
+    v = None  # X's unit-row factor, taken when a step first needs it
     norms = [float(np.vdot(x, x))]
     escapes = 0
     iterations = 0
@@ -268,12 +300,15 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
         if cert.is_fixed:
             if escapes < escape_retries:
                 x = escape_curve(x, escape_alpha)
+                v = None
                 escapes += 1
                 norms.append(float(np.vdot(x, x)))
                 continue
             status = "nonvertex_fixed_point"
             break
-        x = domain.maximize(x)
+        if v is None:
+            v = gram_factor(x)
+        v, x = _power_step(x, v)
         iterations += 1
         norms.append(float(np.vdot(x, x)))
     if partition is None:

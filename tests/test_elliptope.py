@@ -30,6 +30,7 @@ from iterlinopt import (
     validate_elliptope,
     write_matrix_text,
 )
+from iterlinopt import elliptope
 
 J3 = np.ones((3, 3))
 PUFF = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
@@ -475,6 +476,26 @@ class TestDomainAdapter:
         assert np.max(np.abs(t - cold.matrix)) <= 1e-15
         other = ElliptopeDomain(5, OracleConfig(seed=4)).maximize(np.zeros((5, 5)))
         assert not np.allclose(t, other)
+
+    def test_maximize_checks_its_query_once(self, monkeypatch):
+        # the factor and the oracle take the query that maximize symmetrized
+        calls = []
+        check = elliptope.check_symmetric
+
+        def counting_check(m, name="matrix"):
+            calls.append(name)
+            return check(m, name)
+
+        monkeypatch.setattr(elliptope, "check_symmetric", counting_check)
+        rng = np.random.default_rng(8)
+        dom = ElliptopeDomain(6)
+        for x in (dom.sample(rng), np.eye(6)):
+            calls.clear()
+            y = dom.maximize(x)
+            assert calls == ["matrix"]
+            # bit for bit the output of the checked public functions
+            assert np.array_equal(y, elliptope_oracle(
+                x, dom.config, warm_start=gram_factor(x)).matrix)
 
     def test_sample_near_stays_feasible_and_close(self):
         rng = np.random.default_rng(5)

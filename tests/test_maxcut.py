@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from iterlinopt import (
-    ElliptopeDomain,
     GraphFormatError,
     OracleConfig,
     WeightedGraph,
@@ -21,8 +20,8 @@ from iterlinopt import (
     round_by_iteration,
     solve_relaxation,
 )
-from iterlinopt import elliptope
-from iterlinopt.maxcut import FALLBACK_SAMPLES, ROUND_SWEEPS
+from iterlinopt import maxcut
+from iterlinopt.maxcut import FALLBACK_SAMPLES, ROUND_STEPS
 
 
 def complete_graph(n, w=1.0):
@@ -326,27 +325,27 @@ class TestBudgetedRounding:
     ], ids=["K19", "K27", "gnp20", "signed-torus"])
     def test_each_step_is_an_ascent_step(self, graph, monkeypatch):
         # <X, Y> >= <X, X> for every step X -> Y, so |Y - X|^2 is bounded by
-        # the norm gain, although some steps stop at ROUND_SWEEPS sweeps
+        # the norm gain, although each step stops after ROUND_STEPS products
         g = graph(np.random.default_rng(2))
-        steps, sweeps = [], []
-        maximize, oracle = ElliptopeDomain.maximize, elliptope.elliptope_oracle
+        steps, products = [], []
+        step, product = maxcut._power_step, maxcut._power_product
 
-        def recording_maximize(self, x):
-            y = maximize(self, x)
-            steps.append((np.array(x), y))
-            return y
+        def recording_step(x, v):
+            products.append(0)
+            w, y = step(x, v)
+            steps.append((x, y))
+            return w, y
 
-        def recording_oracle(c, config=None, warm_start=None):
-            res = oracle(c, config, warm_start)
-            sweeps.append(res.sweeps)
-            return res
+        def counting_product(v, w):
+            products[-1] += 1
+            product(v, w)
 
-        monkeypatch.setattr(ElliptopeDomain, "maximize", recording_maximize)
-        monkeypatch.setattr(elliptope, "elliptope_oracle", recording_oracle)
+        monkeypatch.setattr(maxcut, "_power_step", recording_step)
+        monkeypatch.setattr(maxcut, "_power_product", counting_product)
         res = solve_relaxation(g, OracleConfig(seed=0))
         report = round_by_iteration(res.matrix, OracleConfig(seed=0), graph=g)
         assert report.terminal_status == "vertex"
-        assert max(sweeps) == ROUND_SWEEPS
+        assert steps and products == [ROUND_STEPS] * len(steps)
         for x, y in steps:
             xx, xy, yy = (float(np.vdot(a, b)) for a, b in ((x, x), (x, y), (y, y)))
             assert xy >= xx - 1e-12

@@ -18,6 +18,7 @@ from iterlinopt import (
     elliptope,
     elliptope_oracle,
     fixed_point_certificate,
+    gram_factor,
     gram_to_matrix,
     gw_hyperplane_round,
     irreducible_components,
@@ -26,6 +27,7 @@ from iterlinopt import (
     l4_family,
     normal_cone_membership,
     round_by_iteration,
+    sign_kernel_census,
     sign_kernel_fixed_point,
     solve_relaxation,
 )
@@ -39,7 +41,7 @@ from iterlinopt.elliptope import (
     default_rank_budget,
     random_gram,
 )
-from iterlinopt.maxcut import ROUND_SWEEPS
+from iterlinopt.maxcut import _power_step
 
 
 def _ball_case(rng):
@@ -492,29 +494,55 @@ def test_certified_runs_leave_the_others_unchanged():
 
 def test_one_colouring_per_oracle_call(monkeypatch):
     # every sweep and vertex check of one call shares one colouring of the cost
-    colourings, sweeps = [], []
-    colour, oracle = elliptope._color_classes, elliptope.elliptope_oracle
+    colourings, calls = [], []
+    colour, oracle = elliptope._color_classes, elliptope._oracle
 
     def counting_colour(c_off):
         colourings.append(c_off.shape[0])
         return colour(c_off)
 
-    def recording_oracle(c, config=None, warm_start=None):
-        res = oracle(c, config, warm_start)
-        sweeps.append(res.sweeps)
-        return res
+    def counting_oracle(c, cfg, warm_start):
+        calls.append(c.shape[0])
+        return oracle(c, cfg, warm_start)
 
     monkeypatch.setattr(elliptope, "_color_classes", counting_colour)
     res = elliptope_oracle(_path(60))
     assert res.sweeps >= 32 and colourings == [60]
-    # budgeted rounding steps of K19: some run all ROUND_SWEEPS sweeps
+    # the rounding steps of K19 are power steps: no oracle call, no sweep
     g = _graph(_complete(19))
     x = solve_relaxation(g, OracleConfig(seed=0)).matrix
-    monkeypatch.setattr(elliptope, "elliptope_oracle", recording_oracle)
+    monkeypatch.setattr(elliptope, "_oracle", counting_oracle)
     colourings.clear()
-    round_by_iteration(x, OracleConfig(seed=0), graph=g)
-    assert max(sweeps) == ROUND_SWEEPS
-    assert colourings == [19] * len(sweeps)
+    report = round_by_iteration(x, OracleConfig(seed=0), graph=g)
+    assert report.iterations > 0
+    assert calls == [] and colourings == []
+
+
+# ---------------------------------------------------------------------------
+# the power step of the max-cut rounding
+# ---------------------------------------------------------------------------
+
+def test_power_step_stalls_exactly_on_fixed_points():
+    # X^2 = DX gives X V = D V for X's own factor V, so every product maps
+    # V to itself, and no vertex scores above <X, X> at a fixed point
+    points = ([p.matrix for p in l3_census()] + sign_kernel_census(4)
+              + [l4_family(c) for c in (-0.9, -0.4, 0.0, 0.3, 0.8)])
+    for x in points:
+        assert fixed_point_certificate(x).is_fixed
+        _, y = _power_step(x, gram_factor(x))
+        assert float(np.linalg.norm(y - x)) <= 1e-9
+
+
+def test_power_step_ascends_strictly_off_fixed_points():
+    # off X^2 = DX the first product already moves V, and the convexity of
+    # |V^T W|_F^2 makes that move a strict gain
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        n = int(rng.integers(3, 30))
+        x = gram_to_matrix(random_gram(n, int(rng.integers(2, n + 1)), rng))
+        assert not fixed_point_certificate(x).is_fixed
+        _, y = _power_step(x, gram_factor(x))
+        assert float(np.vdot(x, y)) > float(np.vdot(x, x))
 
 
 # ---------------------------------------------------------------------------
