@@ -59,6 +59,11 @@ class ClassificationResult:
         return self.samples - self.returned - self.escaped
 
 
+def fixed_point_residual(domain, x) -> float:
+    """|T(x) - x|: how far one application of the map moves x."""
+    return float(np.linalg.norm(np.ravel(domain.maximize(x) - x)))
+
+
 def classify_empirical(domain, x, eps, samples=32, seed=0, tol=1e-10,
                        max_iter=10_000) -> ClassificationResult:
     """Sample feasible starts within eps of a fixed point and iterate each.
@@ -75,9 +80,13 @@ def classify_empirical(domain, x, eps, samples=32, seed=0, tol=1e-10,
     if samples < 1:
         raise ValueError("classification needs at least one sample")
     x = np.asarray(x, dtype=float)
-    fx = domain.maximize(x)
-    if float(np.linalg.norm(np.ravel(fx - x))) > FIXED_FACTOR * tol:
+    if fixed_point_residual(domain, x) > FIXED_FACTOR * tol:
         raise ValueError("x is not a fixed point of the domain")
+    return _sample_verdict(domain, x, eps, samples, seed, tol, max_iter)
+
+
+def _sample_verdict(domain, x, eps, samples, seed, tol, max_iter):
+    """``classify_empirical`` at a point already checked to be fixed."""
     cfg = IterationConfig(tol=tol, max_iter=max_iter, record_trace=True)
     returned = 0
     escaped = 0

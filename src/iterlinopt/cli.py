@@ -20,7 +20,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import classify_elliptope_fixed_point, classify_empirical
+from .classify import (
+    _sample_verdict,
+    classify_elliptope_fixed_point,
+    classify_empirical,
+    fixed_point_residual,
+)
 from .domains import (
     BallDomain,
     DomainError,
@@ -222,10 +227,7 @@ def _print_witness(w):
         print(f"witness norms_sq: {_fmt_vec(w.norms_sq)}")
 
 
-def _classify_empirical(args, domain, x):
-    result = classify_empirical(domain, x, eps=args.eps, samples=args.samples,
-                                seed=args.seed, tol=args.tol,
-                                max_iter=args.max_iter)
+def _print_empirical(result):
     print(f"empirical label: {result.label}")
     print(f"eps: {_fmt(result.eps)}")
     print(f"samples: {result.samples}")
@@ -251,21 +253,24 @@ def cmd_classify(args) -> int:
         print(f"theorem label: {theorem.label}")
         _print_witness(theorem.witness)
         if args.samples > 0:
-            _classify_empirical(args, domain, x)
+            _print_empirical(classify_empirical(
+                domain, x, eps=args.eps, samples=args.samples, seed=args.seed,
+                tol=args.tol, max_iter=args.max_iter))
         return EXIT_OK
     if not args.domain or not args.point:
         raise CliError(EXIT_PARSE, "classify needs --matrix, or --domain with --point")
     domain = load_domain(args.domain)
     x = _read_point(domain, args.point)
-    fx = domain.maximize(x)
-    residual = float(np.linalg.norm(np.ravel(fx - x)))
+    residual = fixed_point_residual(domain, x)
     if residual > FIXED_FACTOR * args.tol:
         raise CliError(EXIT_INVALID,
                        f"point is not a fixed point (residual {_fmt(residual)})")
     print(f"fixed point: {_fmt_vec(x)}")
     print(f"fixed-point residual: {_fmt(residual)}")
     if args.samples > 0:
-        _classify_empirical(args, domain, x)
+        # the residual above is the check classify_empirical would repeat
+        _print_empirical(_sample_verdict(domain, x, args.eps, args.samples,
+                                         args.seed, args.tol, args.max_iter))
     if isinstance(domain, (BallDomain, EllipsoidDomain)) and domain.dim == 2:
         k = domain.boundary_curvature(x)
         print(f"curvature: {_fmt(k)}")

@@ -27,6 +27,7 @@ ZERO_TOL = 1e-9  # support-graph zero threshold
 SWEEP_TOL = 1e-13  # an ascent run stops once no row moves this far in a sweep
 GRAD_TOL = 1e-14  # rows with gradient below this stay frozen
 NORMAL_CONE_TOL = 1e-8  # slack of the normal-cone test: M X = 0, M >= 0
+GAP_SWEEPS = 16  # with a gap tolerance, runs are also tested this often
 SHRINK_TRIES = 60  # halvings of the perturbation in sample_near
 
 
@@ -132,12 +133,16 @@ class OracleConfig:
     Restart k draws its starting rows from a generator seeded seed + k.
     The restarts advance together as one batch, but each stops on its own
     SWEEP_TOL test, so every run ends as it would alone, up to rounding.
+    gap_tol > 0 also stops a run once its duality gap is certified below
+    gap_tol * max(1, |objective|), and has the result carry that bound;
+    0 keeps the exact map, which the fixed-point iteration relies on.
     """
 
     rank: int | None = None
     max_sweeps: int = 5000
     restarts: int = 5  # run only by calls without a warm start
     seed: int = 0
+    gap_tol: float = 0.0
 
     def __post_init__(self):
         if self.rank is not None and self.rank < 1:
@@ -148,6 +153,8 @@ class OracleConfig:
             raise ValueError("max_sweeps must be at least 1")
         if self.seed < 0:  # numpy seeds must be nonnegative
             raise ValueError("seed must be nonnegative")
+        if not 0.0 <= self.gap_tol < np.inf:
+            raise ValueError("gap_tol must be nonnegative and finite")
 
 
 @dataclass
@@ -160,8 +167,12 @@ class OracleResult:
     best_index: int  # always 0 when a warm start was supplied
     sweeps: int
     sweep_objectives: list  # objective after each sweep of the winning run
+    # a proven bound on C . X over the whole body, from the winning run's
+    # ascent factor (``_upper_bound``); None when config.gap_tol is 0
+    upper_bound: float | None
     candidate_grams: list = field(default_factory=list)  # every run's factor
-    # how the winning run stopped: step_tol | max_sweeps | certified_vertex
+    # how the winning run stopped:
+    # step_tol | max_sweeps | certified_vertex | certified_gap
     status: str = "step_tol"
 
 
@@ -210,10 +221,12 @@ def _ascend(c, c_off, v0, cfg):
     sweeps 1, 2, 4, 8, ..., one stacked SVD of all runs per checkpoint,
     which gives each run the bits of its own SVD. A certified run
     ends with the factor s (x) e_1 and the vertex objective appended to its
-    sweep objectives. A stopped run is dropped from the batch, so batching
-    changes no run beyond rounding. Returns one (factor, sweeps,
-    objectives, status) tuple per run, status being "step_tol",
-    "max_sweeps" or "certified_vertex".
+    sweep objectives. With cfg.gap_tol > 0 a run still moving also stops
+    when ``_gap_certified`` proves its duality gap below the tolerance, at
+    those checkpoints and every GAP_SWEEPS sweeps. A stopped run is dropped
+    from the batch, so batching changes no run beyond rounding. Returns one
+    (factor, sweeps, objectives, status) tuple per run, status being
+    "step_tol", "max_sweeps", "certified_vertex" or "certified_gap".
     """
     perm, bounds = _color_classes(c_off)
     inv = np.argsort(perm)
@@ -250,18 +263,24 @@ def _ascend(c, c_off, v0, cfg):
         # is taken once per run, after the max
         d = v - start
         done = (np.sqrt(np.vecdot(d, d).max(axis=0)) < SWEEP_TOL).tolist()
-        # each run's objective summed over its own contiguous (n, r) block
-        obj = ((pc @ flat).reshape(v.shape) * v).transpose(1, 0, 2).reshape(
-            len(active), -1).sum(axis=1).tolist()
+        # each run's objective summed over its own contiguous (n, r) block;
+        # its row sums are the terms y_i = <(C V)_i, v_i> of the gap test
+        terms = (pc @ flat).reshape(v.shape) * v
+        obj = terms.transpose(1, 0, 2).reshape(len(active), -1).sum(
+            axis=1).tolist()
         checkpoint = not sweep & (sweep - 1)  # a power of two
         if checkpoint:
             # in index order: a permuted SVD can flip a sign of s
             signs = _top_signs(v[inv].transpose(1, 0, 2))
+        gap_check = cfg.gap_tol and (checkpoint or not sweep % GAP_SWEEPS)
+        if gap_check:
+            y = terms.sum(axis=2)
         for j, k in enumerate(active.tolist()):
             objs[k].append(obj[j])
             if done[j]:
                 status[k] = "step_tol"
-            elif checkpoint:
+                continue
+            if checkpoint:
                 cert = _certify(c, signs[j], obj[j])
                 if cert is not None:
                     v[:, j] = 0.0
@@ -269,6 +288,10 @@ def _ascend(c, c_off, v0, cfg):
                     objs[k].append(cert[1])
                     status[k] = "certified_vertex"
                     done[j] = True
+                    continue
+            if gap_check and _gap_certified(pc, y[:, j], obj[j], cfg.gap_tol):
+                status[k] = "certified_gap"
+                done[j] = True
         if any(done):
             done = np.array(done)
             final[:, active[done]] = v[:, done]
@@ -281,6 +304,41 @@ def _ascend(c, c_off, v0, cfg):
     # a certified run's last objective is its vertex's, not a sweep's
     return [(final[k], len(objs[k]) - (status[k] == "certified_vertex"),
              objs[k], status[k]) for k in range(runs)]
+
+
+def _gap_certified(c, y, obj, tol) -> bool:
+    """Whether the duality gap of a factor with row terms y, objective
+    obj = sum(y), is proven below tol * max(1, |obj|).
+
+    For any unit-diagonal PSD X and any y, C . X = sum(y) - M . X with
+    M = Diag(y) - C, and M . X >= n lambda_min(M), so
+    UB = sum(y) - n min(0, lambda_min(M)) bounds C . X over the whole body
+    (``_upper_bound``). A Cholesky factor of M + delta I, delta =
+    tol * max(1, |obj|) / n, exists exactly when lambda_min(M) > -delta,
+    which puts UB - obj below n delta: one factorization decides, cheaper
+    than the eigenvalue itself.
+    """
+    delta = tol * max(1.0, abs(obj)) / len(y)
+    try:
+        np.linalg.cholesky(np.diag(y + delta) - c)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _upper_bound(c, v) -> float:
+    """sum(y) - n min(0, lambda_min(Diag(y) - C)) with y_i = <(C V)_i, v_i>:
+    a bound on C . X over the whole body for any unit-row factor V, and
+    within the gap tolerance of V's objective when ``_gap_certified``
+    passed on it. Any y gives a bound, so only the sum and the eigenvalue
+    round: each is allowed n eps of its scale (sum |y|, and n |M|_F for
+    n lambda_min), so that the bound holds in floating point too."""
+    y = np.vecdot(c @ v, v)
+    m = np.diag(y) - c
+    n = len(y)
+    lam = np.linalg.eigvalsh(m)[0]
+    rounding = n * np.finfo(float).eps * (np.abs(y).sum() + n * np.linalg.norm(m))
+    return float(y.sum() - n * min(0.0, lam) + rounding)
 
 
 def _stationarity(c_off, v) -> float:
@@ -341,10 +399,12 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     Runs coordinate ascent on Gram rows from the warm start alone, or
     without one from ``restarts`` seeded random factors, keeping the run
     with the best objective, ties to the lowest candidate index. A run
-    stops on a small step, on cfg.max_sweeps, or as soon as its rounded
-    vertex is certified optimal (``_ascend``). The stationarity
-    residual at the winner measures how far the output is from satisfying
-    the eigenmatrix condition exactly; it is reported, never hidden.
+    stops on a small step, on cfg.max_sweeps, as soon as its rounded
+    vertex is certified optimal, or, when cfg.gap_tol > 0, as soon as its
+    duality gap is certified below that tolerance (``_ascend``); such a
+    call also reports the proven upper bound. The stationarity residual at
+    the winner measures how far the output is from satisfying the
+    eigenmatrix condition exactly; it is reported, never hidden.
     """
     return _oracle(check_symmetric(c, name="cost matrix"),
                    config or OracleConfig(), warm_start)
@@ -380,6 +440,8 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
     tie_tol = _tie_tol(max_obj)
     best = next(i for i, o in enumerate(objectives) if o >= max_obj - tie_tol)
     v, sweeps, objs, status = results[best]
+    # from the ascent factor: the polished vertex below may bound worse
+    upper = _upper_bound(c, v) if cfg.gap_tol else None
     x = gram_to_matrix(v, row_tol=ROW_TOL)
     obj = float(np.vdot(c, x))
     # Polish: when the optimal face is a vertex the ascent creeps toward it
@@ -400,6 +462,7 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
         best_index=best,
         sweeps=sweeps,
         sweep_objectives=[float(o) for o in objs],
+        upper_bound=upper,
         candidate_grams=[r[0] for r in results],
         status=status,
     )

@@ -231,6 +231,26 @@ class TestClassify:
         assert "empirical label: repelling" in out
         assert "curvature label: repelling" in out
 
+    def test_domain_point_is_mapped_once_before_sampling(
+            self, ellipse_cfg, capsys, monkeypatch):
+        # the residual check maps the point once; the one sample's
+        # iteration makes the other 15 calls (17 in all when the empirical
+        # run checked the point again)
+        from iterlinopt.domains import EllipsoidDomain
+        calls = []
+        maximize = EllipsoidDomain.maximize
+
+        def spy(self, x):
+            calls.append(1)
+            return maximize(self, x)
+
+        monkeypatch.setattr(EllipsoidDomain, "maximize", spy)
+        code = main(["classify", "--domain", ellipse_cfg, "--point", "2,0",
+                     "--samples", "1"])
+        assert code == 0
+        assert "empirical label: attractive" in capsys.readouterr().out
+        assert len(calls) == 16
+
     def test_domain_point_with_zero_samples_skips_the_empirical_run(
             self, disk_cfg, capsys):
         code = main(["classify", "--domain", disk_cfg, "--point", "3,0",
@@ -448,4 +468,5 @@ class TestReproducibility:
         main(["maxcut", "--graph", k3_file])
         out = capsys.readouterr().out
         line = [ln for ln in out.split("\n") if ln.startswith("relaxed_cut:")][0]
-        assert line == "relaxed_cut: 2.25"
+        # the certified bound on K3's relaxation, whose value is 2.25
+        assert line == "relaxed_cut: 2.2500000019423347"

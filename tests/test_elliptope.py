@@ -210,6 +210,52 @@ class TestOracle:
             elliptope_oracle(J3, OracleConfig(restarts=0))
 
 
+def _gap_costs():
+    """Seeded random symmetric costs and max-cut costs -W of G(n, 0.4)."""
+    rng = np.random.default_rng(41)
+    for k in range(24):
+        n = int(rng.integers(3, 26))
+        if k % 2:
+            c = rng.standard_normal((n, n))
+            yield 0.5 * (c + c.T)
+        else:
+            w = np.triu(rng.random((n, n)) < 0.4, 1).astype(float)
+            yield -(w + w.T)
+
+
+class TestGapStop:
+    GAP = 1e-7
+
+    def test_the_bound_holds_and_is_certified_within_the_tolerance(self):
+        statuses = set()
+        for k, c in enumerate(_gap_costs()):
+            res = elliptope_oracle(c, OracleConfig(seed=k, gap_tol=self.GAP))
+            exact = elliptope_oracle(c, OracleConfig(seed=k))
+            assert res.upper_bound >= res.objective
+            assert res.upper_bound >= exact.objective
+            statuses.add(res.status)
+            if res.status == "certified_gap":
+                # the bound is taken from the winning run's own factor
+                obj = res.restart_objectives[res.best_index]
+                assert res.upper_bound - obj <= self.GAP * max(1.0, abs(obj))
+                assert res.sweeps < exact.sweeps
+        assert "certified_gap" in statuses
+
+    def test_the_bound_is_exact_at_a_known_optimum(self):
+        # K3's relaxation: every off-diagonal entry -1/2, value 3
+        res = elliptope_oracle(np.eye(3) - J3, OracleConfig(gap_tol=self.GAP))
+        assert 3.0 <= res.upper_bound <= 3.0 + 3.0 * self.GAP
+        v = gram_factor(PUFF)
+        assert elliptope._upper_bound(np.eye(3) - J3, v) == pytest.approx(
+            3.0, abs=1e-12)
+
+    def test_a_default_config_keeps_the_exact_stop(self):
+        for k, c in enumerate(_gap_costs()):
+            res = elliptope_oracle(c, OracleConfig(seed=k))
+            assert res.status != "certified_gap"
+            assert res.upper_bound is None
+
+
 class TestCertificate:
     def test_identity_is_fixed(self):
         cert = fixed_point_certificate(np.eye(4))
@@ -522,7 +568,8 @@ class TestDomainAdapter:
             ElliptopeDomain(3).contains(np.eye(4))
 
     @pytest.mark.parametrize("bad", [{"rank": 0}, {"restarts": -1},
-                                     {"max_sweeps": 0}, {"seed": -1}])
+                                     {"max_sweeps": 0}, {"seed": -1},
+                                     {"gap_tol": -1e-7}, {"gap_tol": np.inf}])
     def test_config_bounds(self, bad):
         with pytest.raises(ValueError):
             OracleConfig(**bad)

@@ -10,6 +10,7 @@ from iterlinopt import (
     brute_force_maxcut,
     cut_value,
     gram_factor,
+    gram_to_matrix,
     gw_hyperplane_round,
     l3_census,
     l4_family,
@@ -21,7 +22,8 @@ from iterlinopt import (
     solve_relaxation,
 )
 from iterlinopt import maxcut
-from iterlinopt.maxcut import FALLBACK_SAMPLES, ROUND_STEPS
+from iterlinopt.elliptope import ROW_TOL
+from iterlinopt.maxcut import FALLBACK_SAMPLES, GAP_TOL, ROUND_STEPS, START_DIST
 
 
 def complete_graph(n, w=1.0):
@@ -163,7 +165,8 @@ def enumerated_maxcut(g):
 
 class TestBruteForce:
     @pytest.mark.parametrize("name", ["K5", "signed-torus", "random-weights",
-                                      "n1", "n2", "n18-ties", "n18-high-bit"])
+                                      "float-weights-13", "n1", "n2",
+                                      "n18-ties", "n18-high-bit"])
     def test_matches_plain_enumeration(self, name):
         rng = np.random.default_rng(11)
         if name == "K5":
@@ -174,6 +177,10 @@ class TestBruteForce:
             g = WeightedGraph(9, [(u, v, float(rng.standard_normal()))
                                   for u in range(9) for v in range(u + 1, 9)
                                   if rng.random() < 0.6])
+        elif name == "float-weights-13":
+            g = WeightedGraph(13, [(u, v, float(rng.uniform(-1.0, 3.0)))
+                                   for u in range(13) for v in range(u + 1, 13)
+                                   if rng.random() < 0.5])
         elif name == "n1":
             g = WeightedGraph(1, [])
         elif name == "n2":
@@ -371,12 +378,47 @@ class TestPipeline:
         assert report.relaxed_cut >= report.brute_force_cut
 
     def test_complete_graphs_hit_the_optimum(self):
+        # distinct optima of the relaxation stay distinct rounding starts
+        starts = {4: 1, 5: 5, 6: 3, 7: 5, 8: 5}
         for n in (4, 5, 6, 7, 8):
             g = complete_graph(n)
             report = maxcut_pipeline(g, OracleConfig(seed=0), brute_force=True)
             assert report.brute_force_cut == n * n // 4
             assert report.cut_value == n * n // 4
             assert report.relaxed_cut >= report.brute_force_cut - 1e-9
+            assert report.rounding_starts == starts[n]
+
+    def test_copies_of_one_optimum_are_one_start(self):
+        # all five restarts stop at one relaxation optimum, each its own
+        # float-noise distance from the others
+        rng = np.random.default_rng(1)
+        n = int(rng.integers(6, 15))
+        g = WeightedGraph(n, [(u, v, 1.0) for u in range(n)
+                              for v in range(u + 1, n) if rng.random() < 0.35])
+        res = solve_relaxation(g, OracleConfig(seed=0))
+        tol = GAP_TOL * max(1.0, abs(res.objective))
+        tied = [gram_to_matrix(v, row_tol=ROW_TOL)
+                for obj, v in zip(res.restart_objectives, res.candidate_grams)
+                if obj >= res.objective - tol]
+        assert len(tied) == 5
+        dists = [np.max(np.abs(x - y)) for k, x in enumerate(tied)
+                 for y in tied[k + 1:]]
+        assert 1e-12 < min(dists) and max(dists) < START_DIST
+        assert maxcut_pipeline(g, OracleConfig(seed=0)).rounding_starts == 1
+
+    def test_relaxed_cut_is_a_bound_on_the_optimum(self):
+        # float weights of both signs: the bound holds by weak duality
+        rng = np.random.default_rng(12)
+        for k in range(12):
+            n = int(rng.integers(3, 15))
+            g = WeightedGraph(n, [(u, v, float(rng.uniform(-1.0, 2.0)))
+                                  for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < 0.5])
+            report = maxcut_pipeline(g, OracleConfig(seed=k), brute_force=True)
+            res = solve_relaxation(g, OracleConfig(seed=k))
+            assert report.relaxed_cut >= report.brute_force_cut
+            assert report.relaxed_cut == (
+                np.sum(g.weight_matrix()) + res.upper_bound) / 4.0
 
     def test_paths_are_cut_completely(self):
         for n in (3, 5, 8):
