@@ -229,15 +229,19 @@ class PolytopeDomain(ConvexDomain):
         return self.vertices[int(np.argmax(scores))].copy()
 
     def contains(self, x, tol=1e-9):
+        """Whether some convex combination V^T lambda of the vertices lies
+        within tol of x in the infinity norm: |V^T lambda - x|_inf <= tol,
+        lambda >= 0 and sum(lambda) = 1 exactly."""
         # membership is feasibility of the convex-combination LP; scipy is
         # imported here, its only use, to keep it off the package import
         from scipy.optimize import linprog
 
         x = _point(x, self.dim)
         m = len(self.vertices)
-        a_eq = np.vstack([self.vertices.T, np.ones((1, m))])
-        b_eq = np.concatenate([x, [1.0]])
-        res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq,
+        vt = self.vertices.T
+        res = linprog(np.zeros(m), A_ub=np.vstack([vt, -vt]),
+                      b_ub=np.concatenate([x + tol, tol - x]),
+                      A_eq=np.ones((1, m)), b_eq=[1.0],
                       bounds=[(0.0, None)] * m, method="highs")
         return bool(res.success)
 

@@ -28,6 +28,16 @@ SWEEP_TOL = 1e-13  # an ascent run stops once no row moves this far in a sweep
 GRAD_TOL = 1e-14  # rows with gradient below this stay frozen
 NORMAL_CONE_TOL = 1e-8  # slack of the normal-cone test: M X = 0, M >= 0
 GAP_SWEEPS = 16  # with a gap tolerance, runs are also tested this often
+# Over-relaxation of a gap-stopped ascent, from its first GAP_SWEEPS check
+# on: row i is updated to rownorm(g_i - gamma_i v_i), gamma_i = OVER_RELAX
+# times the smallest <g_i, v_i> over the runs still moving, which near the
+# optimum is successive over-relaxation with omega <= 1 / (1 - OVER_RELAX).
+# 0.2, 0.3 and 0.4 certified all 110 relaxations of the max-cut
+# benchmark's instances (seeds 1-10) in 4,950, 3,840 and 3,504 sweeps
+# (7,120 unshifted); 0.5 is omega = 2, the edge of SOR's stability
+# (Ostrowski-Reich), where 49 of them ran into the sweep cap. 0.3 is the
+# middle of the window that certified them all.
+OVER_RELAX = 0.3
 SHRINK_TRIES = 60  # halvings of the perturbation in sample_near
 
 
@@ -213,7 +223,8 @@ def _ascend(c, c_off, v0, cfg):
     swept one colour class at a time: rows of one class share no cost
     entry, so updating them together is exactly the cyclic sweep in that
     order. Each update maximizes the row's linear subproblem exactly, so
-    every run's objective c . V V^T never decreases from sweep to sweep.
+    with cfg.gap_tol = 0 every run's objective c . V V^T never decreases
+    from sweep to sweep.
 
     A run stops once its largest row move in a sweep falls below SWEEP_TOL,
     after cfg.max_sweeps sweeps, or when ``_certified_vertex`` certifies
@@ -223,10 +234,17 @@ def _ascend(c, c_off, v0, cfg):
     ends with the factor s (x) e_1 and the vertex objective appended to its
     sweep objectives. With cfg.gap_tol > 0 a run still moving also stops
     when ``_gap_certified`` proves its duality gap below the tolerance, at
-    those checkpoints and every GAP_SWEEPS sweeps. A stopped run is dropped
-    from the batch, so batching changes no run beyond rounding. Returns one
-    (factor, sweeps, objectives, status) tuple per run, status being
-    "step_tol", "max_sweeps", "certified_vertex" or "certified_gap".
+    those checkpoints and every GAP_SWEEPS sweeps. From the first check on
+    a multiple of GAP_SWEEPS, such a call over-relaxes: each check sets
+    the diagonal of the permuted cost the class products use to -gamma,
+    gamma_i = OVER_RELAX max(0, min over the runs still moving of
+    <g_i, v_i>), so that a row goes to rownorm(g_i - gamma_i v_i). That
+    moves the same fixed points, but no longer ascends sweep by sweep; the
+    stop tests decide as before. A stopped run is dropped from the batch,
+    so batching changes no run beyond rounding, except through that
+    shared shift. Returns one (factor, sweeps, objectives, status) tuple
+    per run, status being "step_tol", "max_sweeps", "certified_vertex" or
+    "certified_gap".
     """
     perm, bounds = _color_classes(c_off)
     inv = np.argsort(perm)
@@ -299,6 +317,13 @@ def _ascend(c, c_off, v0, cfg):
             active, v = active[~done], v[:, ~done].copy()
             if not active.size:
                 break
+            if gap_check:
+                y = y[:, ~done]
+        if gap_check and not sweep % GAP_SWEEPS:
+            # the class blocks are views of pc_off, so every later product
+            # gives g_i - gamma_i v_i; y_i - c_ii = <g_i, v_i> on unit rows
+            np.fill_diagonal(pc_off, -OVER_RELAX * np.maximum(
+                0.0, (y - pc.diagonal()[:, None]).min(axis=1)))
     final[:, active] = v
     final = np.ascontiguousarray(final[inv].transpose(1, 0, 2))
     # a certified run's last objective is its vertex's, not a sweep's
@@ -319,8 +344,14 @@ def _gap_certified(c, y, obj, tol) -> bool:
     than the eigenvalue itself.
     """
     delta = tol * max(1.0, abs(obj)) / len(y)
+    return _positive_definite(np.diag(y + delta) - c)
+
+
+def _positive_definite(m) -> bool:
+    """Whether the symmetric m has a Cholesky factor, which exists exactly
+    when its smallest eigenvalue is positive."""
     try:
-        np.linalg.cholesky(np.diag(y + delta) - c)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -380,14 +411,15 @@ def _certify(c, s, obj):
     Optimality is the normal-cone condition of ``normal_cone_membership``
     at X = s s^T: C = D - M with D = Diag(s * Cs) and M >= 0. That D gives
     D s = s * Cs * s = Cs exactly, also in floating point, so M X = 0 holds
-    by construction, and s s^T is feasible: one eigvalsh of M decides. The
-    strictly-better test comes first and keeps a run that already sits at
-    a maximizer, a non-vertex fixed point say, from being moved to a
+    by construction, and s s^T is feasible: one Cholesky factor of
+    M + NORMAL_CONE_TOL I decides whether lambda_min(M) > -NORMAL_CONE_TOL.
+    The strictly-better test comes first and keeps a run that already sits
+    at a maximizer, a non-vertex fixed point say, from being moved to a
     vertex that only ties it.
     """
     vertex_obj = float(s @ c @ s)
-    if (vertex_obj > obj + _tie_tol(obj) and np.linalg.eigvalsh(
-            np.diag(s * (c @ s)) - c)[0] >= -NORMAL_CONE_TOL):
+    if vertex_obj > obj + _tie_tol(obj) and _positive_definite(
+            np.diag(s * (c @ s) + NORMAL_CONE_TOL) - c):
         return s, vertex_obj
     return None
 

@@ -23,6 +23,7 @@ from .elliptope import (
     DIAG_TOL,
     GRAD_TOL,
     ROW_TOL,
+    ElliptopeError,
     OracleConfig,
     OracleResult,
     _rounded_vertex,
@@ -285,7 +286,8 @@ def _power_step(x, v):
 
 def round_by_iteration(x0, config: OracleConfig | None = None,
                        graph: WeightedGraph | None = None,
-                       escape_alpha=0.25, escape_retries=5) -> RoundingReport:
+                       escape_alpha=0.25, escape_retries=5,
+                       gram=None) -> RoundingReport:
     """Round a feasible matrix to a partition by iterating the map.
 
     Applies an ascent step of the linear-maximization map until a vertex
@@ -293,16 +295,28 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
     carries X's unit-row factor V: ``_power_step`` maps X = V V^T to
     Y = W W^T with <X, Y> >= <X, X>, so |Y - X|^2 <= |Y|^2 - |X|^2, and it
     leaves X where it is exactly when X^2 = DX, so the vertices stay exact
-    fixed points. A non-vertex fixed point triggers a norm-increasing
-    escape step and the run resumes, up to escape_retries times; after
-    that, or if MAX_ROUNDS pass without a vertex, hyperplane rounding of
-    the current Gram factor, seeded with the config's seed, supplies the
-    partition and the provenance is flagged. The squared norm never
-    decreases across accepted iterates.
+    fixed points. gram, when given, is X's unit-row factor, which the first
+    step then takes as V instead of factoring X: the power steps map V Q
+    to W Q, so a factor of any width rounds X alike, and a narrow one (the
+    relaxation's, say) makes each step cheaper. It must have one row per
+    index and reproduce x0 within ROW_TOL. A non-vertex fixed point
+    triggers a norm-increasing escape step and the run resumes, up to
+    escape_retries times; after that, or if MAX_ROUNDS pass without a
+    vertex, hyperplane rounding of the current Gram factor, seeded with the
+    config's seed, supplies the partition and the provenance is flagged.
+    The squared norm never decreases across accepted iterates.
     """
     cfg = config or OracleConfig()
     x = validate_elliptope(np.asarray(x0, dtype=float), diag_tol=DIAG_TOL)
     v = None  # X's unit-row factor, taken when a step first needs it
+    if gram is not None:
+        v = np.asarray(gram, dtype=float)
+        if v.ndim != 2 or v.shape[0] != x.shape[0]:
+            raise ElliptopeError(
+                f"gram must have {x.shape[0]} rows, got shape {v.shape}")
+        if not float(np.max(np.abs(v @ v.T - x))) <= ROW_TOL:  # NaN fails
+            raise ElliptopeError(f"gram does not reproduce x0 within {ROW_TOL}")
+        v = v / _row_norms(v)[:, None]
     norms = [float(np.vdot(x, x))]
     escapes = 0
     iterations = 0
@@ -365,27 +379,28 @@ def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
     of the optimal face the solver lands on decides which vertex the
     rounding iteration reaches. The pipeline therefore rounds from every
     relaxation candidate that ties the best objective and keeps the best
-    cut; each chain individually is the plain iterated rounding, and the
-    number of starts tried is recorded in the report. Candidates tie
-    within the relaxation's own gap tolerance GAP_TOL, and count as one
-    start when they lie within START_DIST of each other. The relaxed cut
-    is the certified bound: (sum over ordered pairs of W + UB) / 4, at
-    least the maximum cut by weak duality.
+    cut; each chain individually is the plain iterated rounding, started
+    from the candidate's own relaxation factor (the ``gram`` of
+    ``round_by_iteration``), and the number of starts tried is recorded in
+    the report. Candidates tie within the relaxation's own gap tolerance
+    GAP_TOL, and count as one start when they lie within START_DIST of each
+    other. The relaxed cut is the certified bound: (sum over ordered pairs
+    of W + UB) / 4, at least the maximum cut by weak duality.
     """
     cfg = config or OracleConfig()
     res = solve_relaxation(g, cfg)
-    starts = [res.matrix]
+    starts = [(res.matrix, res.gram)]  # each with its unit-row factor
     tie_tol = GAP_TOL * max(1.0, abs(res.objective))
     for obj, gram in zip(res.restart_objectives, res.candidate_grams):
         if obj >= res.objective - tie_tol:
             x = gram_to_matrix(gram, row_tol=ROW_TOL)
-            if all(float(np.max(np.abs(x - s))) > START_DIST for s in starts):
-                starts.append(x)
+            if all(float(np.max(np.abs(x - s))) > START_DIST for s, _ in starts):
+                starts.append((x, gram))
     report = None
-    for x0 in starts:
+    for x0, gram in starts:
         cand = round_by_iteration(x0, cfg, graph=g,
                                   escape_alpha=escape_alpha,
-                                  escape_retries=escape_retries)
+                                  escape_retries=escape_retries, gram=gram)
         if report is None or cand.cut_value > report.cut_value:
             report = cand
     report.rounding_starts = len(starts)

@@ -148,6 +148,14 @@ class TestPolytopeOracle:
         assert dom.contains([1.0, 1.0])
         assert not dom.contains([1.5, 0.0])
 
+    def test_membership_slack_is_tol_in_the_max_norm(self):
+        dom = PolytopeDomain([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        assert not dom.contains([0.5, 0.5 + 1e-6], tol=1e-9)
+        assert dom.contains([0.5, 0.5 + 1e-6], tol=1e-5)
+        # [1, 0] is the nearest point, 0.5 away in every norm
+        assert not dom.contains([1.5, 0.0], tol=0.4)
+        assert dom.contains([1.5, 0.0], tol=0.6)
+
     def test_optimality_random(self):
         rng = np.random.default_rng(11)
         for _ in range(30):

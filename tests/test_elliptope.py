@@ -255,6 +255,45 @@ class TestGapStop:
             assert res.status != "certified_gap"
             assert res.upper_bound is None
 
+    def test_over_relaxation_certifies_in_fewer_sweeps(self, monkeypatch):
+        # max-cut cost of G(100, 6/n): 96 sweeps against 208 unshifted
+        n = 100
+        rng = np.random.default_rng(1)
+        w = np.triu(rng.random((n, n)) < 6.0 / n, 1).astype(float)
+        c = -(w + w.T)
+        cfg = OracleConfig(gap_tol=self.GAP)
+        res = elliptope_oracle(c, cfg)
+        monkeypatch.setattr(elliptope, "OVER_RELAX", 0.0)
+        plain = elliptope_oracle(c, cfg)
+        assert res.status == plain.status == "certified_gap"
+        assert elliptope.GAP_SWEEPS < res.sweeps < plain.sweeps
+        obj = res.restart_objectives[res.best_index]
+        assert obj <= res.upper_bound <= obj + self.GAP * max(1.0, abs(obj))
+
+    def test_runs_without_a_shift_keep_their_bits(self, monkeypatch):
+        # the shift starts at the first check on a multiple of GAP_SWEEPS:
+        # relaxations of K20 and P20 stop before it, and gap_tol = 0 never
+        # shifts, cold or warm
+        k20 = np.eye(20) - np.ones((20, 20))
+        p20 = -(np.eye(20, k=1) + np.eye(20, k=-1))
+        rng = np.random.default_rng(5)
+        calls = [(k20, OracleConfig(gap_tol=self.GAP), None),
+                 (p20, OracleConfig(gap_tol=self.GAP), None)]
+        for k, c in enumerate(_gap_costs()):
+            warm = rng.standard_normal(c.shape) if k % 2 else None
+            calls.append((c, OracleConfig(seed=k), warm))
+
+        def fields(res):
+            return (res.matrix.tobytes(), res.gram.tobytes(), res.objective,
+                    res.stationarity_residual, res.restart_objectives,
+                    res.best_index, res.sweeps, res.sweep_objectives,
+                    res.upper_bound, res.status,
+                    [v.tobytes() for v in res.candidate_grams])
+
+        shifted = [fields(elliptope_oracle(*call)) for call in calls]
+        monkeypatch.setattr(elliptope, "OVER_RELAX", 0.0)
+        assert shifted == [fields(elliptope_oracle(*call)) for call in calls]
+
 
 class TestCertificate:
     def test_identity_is_fixed(self):

@@ -241,6 +241,19 @@ class TestRelaxation:
         res = solve_relaxation(g)
         assert abs(res.matrix[0, 1] + 1.0) < 1e-9
 
+    def test_seeded_relaxations_end_certified(self):
+        # over-relaxed sweeps certify instead of running into the sweep cap
+        rng = np.random.default_rng(8)
+        for k in range(6):
+            g = (signed_torus(4, 5, rng) if k % 2 else
+                 WeightedGraph(20, [(u, v, 1.0) for u in range(20)
+                                    for v in range(u + 1, 20)
+                                    if rng.random() < 0.3]))
+            res = solve_relaxation(g, OracleConfig(seed=k))
+            assert res.status in ("certified_gap", "certified_vertex")
+            tol = GAP_TOL * max(1.0, abs(res.objective))
+            assert res.objective <= res.upper_bound <= res.objective + tol
+
     def test_empty_graph_objective_zero(self):
         g = WeightedGraph(3, [])
         res = solve_relaxation(g)
@@ -320,6 +333,36 @@ class TestRounding:
             signs, _ = gw_hyperplane_round(gram_factor(face), K3,
                                            FALLBACK_SAMPLES, seed)
             assert np.array_equal(report.partition, signs)
+
+    def test_a_factor_of_the_start_rounds_it_alike(self):
+        # power steps map V Q to W Q: the relaxation's narrow factor and the
+        # full factor of gram_factor give the same chain
+        rng = np.random.default_rng(3)
+        graphs = [complete_graph(n) for n in range(4, 41)]
+        graphs += [WeightedGraph(20, [(u, v, 1.0) for u in range(20)
+                                      for v in range(u + 1, 20)
+                                      if rng.random() < 0.3])
+                   for _ in range(4)]
+        graphs += [signed_torus(4, 5, rng) for _ in range(4)]
+        for k, g in enumerate(graphs):
+            res = solve_relaxation(g, OracleConfig(seed=k))
+            for v in res.candidate_grams[:2]:
+                x = gram_to_matrix(v, row_tol=ROW_TOL)
+                a = round_by_iteration(x, graph=g)
+                b = round_by_iteration(x, graph=g, gram=v)
+                assert (b.cut_value, b.iterations, b.terminal_status) == (
+                    a.cut_value, a.iterations, a.terminal_status)
+                assert np.array_equal(b.partition, a.partition)
+
+    def test_a_factor_of_another_matrix_is_rejected(self):
+        x = gram_to_matrix(gram_factor(l4_family(0.3)))
+        v = gram_factor(x)
+        for bad in (v[:3], v[:, :1], np.roll(v, 1, axis=0), v[0],
+                    np.full_like(v, np.nan)):
+            with pytest.raises(ValueError, match="gram"):
+                round_by_iteration(x, gram=bad)
+        with pytest.raises(ValueError):  # x0 itself is still validated
+            round_by_iteration(2.0 * x, gram=v)
 
 
 class TestBudgetedRounding:
