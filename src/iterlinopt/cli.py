@@ -40,6 +40,7 @@ from .elliptope import (
     ElliptopeError,
     OracleConfig,
     analyze_fixed_point,
+    default_rank_budget,
     enumerate_vertices,
     fixed_point_certificate,
     is_in_elliptope,
@@ -70,7 +71,7 @@ CENSUS_CAP = 12
 MAXCUT_RECORD = ("graph", "n", "edges", "iterations", "escapes",
                  "rounding_starts", "terminal_status", "partition_source",
                  "partition", "relaxation_objective", "relaxed_cut",
-                 "oracle_residual", "restart_spread", "cut_value",
+                 "relative_gap", "restart_spread", "cut_value",
                  "baseline_cut", "brute_force_cut")
 
 
@@ -102,6 +103,13 @@ def _oracle_config(args) -> OracleConfig:
     return OracleConfig(rank=args.rank, seed=args.seed)  # maxcut adds restarts
 
 
+def _check_size(what, size):
+    """Reject an array of over GRAPH_CAP^2 entries (32 MB of float64) before
+    it is allocated."""
+    if size > GRAPH_CAP ** 2:
+        raise CliError(EXIT_INVALID, f"{what} = {size} is over the cap {GRAPH_CAP}^2")
+
+
 def _parse_start_vector(text):
     if os.path.isfile(text):
         text = "".join(read_lines(text, lambda m: CliError(EXIT_PARSE, m)))
@@ -113,9 +121,12 @@ def _parse_start_vector(text):
 
 def _read_point(domain, text):
     """A start or point for ``domain``: a matrix file of its order for the
-    elliptope, coordinates or a coordinate file for the other domains."""
+    elliptope, whose n x rank factors must fit the size cap, coordinates or
+    a coordinate file for the other domains."""
     if not isinstance(domain, ElliptopeDomain):
         return _parse_start_vector(text)
+    n = domain.n
+    _check_size("n * rank", n * (domain.config.rank or default_rank_budget(n)))
     x = read_matrix_text(text)
     if x.shape[0] != domain.n:
         raise CliError(EXIT_INVALID, f"{text}: matrix is {x.shape[0]}x"
@@ -138,6 +149,7 @@ def cmd_iterate(args) -> int:
     # acts as the cost of a one-shot linear maximization
     x0 = _read_point(domain, args.start)
     cfg = IterationConfig(tol=args.tol, max_iter=args.max_iter,
+                          record_trace=args.trace is not None,
                           validate_start=args.validate_start)
     traj = iterate(domain, x0, cfg)
     print(f"status: {traj.status}")
@@ -240,7 +252,9 @@ def _print_empirical(result):
 def cmd_classify(args) -> int:
     if args.matrix:
         x = read_matrix_text(args.matrix)
-        domain = ElliptopeDomain(x.shape[0], _oracle_config(args))
+        n = x.shape[0]
+        _check_size("n * rank", n * (args.rank or default_rank_budget(n)))
+        domain = ElliptopeDomain(n, _oracle_config(args))
         if not domain.contains(x):
             raise CliError(EXIT_INVALID,
                            f"{args.matrix}: matrix is not in the feasible body")
@@ -295,12 +309,15 @@ def cmd_maxcut(args) -> int:
         if args.brute_force and g.n > BRUTE_FORCE_CAP:
             raise CliError(EXIT_INVALID,
                            f"{path}: brute force is capped at n = {BRUTE_FORCE_CAP}")
+        # the relaxation's starts, the baseline's hyperplanes and their signs
+        rank = args.rank or default_rank_budget(g.n)
+        _check_size(f"{path}: n * restarts * rank", g.n * args.restarts * rank)
+        _check_size(f"{path}: baseline samples * max(n, rank)",
+                    args.baseline_samples * max(g.n, rank))
         report = maxcut_pipeline(
             g, OracleConfig(rank=args.rank, restarts=args.restarts, seed=args.seed),
             baseline_samples=args.baseline_samples if args.baseline == "gw" else 0,
             brute_force=args.brute_force,
-            escape_alpha=args.escape_alpha,
-            escape_retries=args.escape_retries,
         )
         given = {"graph": path, "edges": len(g.edges),
                  "partition": [int(s) for s in report.partition]}
@@ -344,7 +361,6 @@ def _int_at_least(low):
 
 
 _positive = _checked(float, lambda v: 0.0 < v < np.inf, "positive and finite")
-_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-samples", type=_int_at_least(1), default=64)
     p.add_argument("--brute-force", action="store_true",
                    help=f"also compute the exact optimum (n <= {BRUTE_FORCE_CAP})")
-    p.add_argument("--escape-alpha", type=_fraction, default=0.25)
-    p.add_argument("--escape-retries", type=_int_at_least(0), default=5)
     p.add_argument("--json", help="write report(s) as JSON to this path")
     p.add_argument("--csv", help="write one CSV row per instance to this path")
     p.set_defaults(func=cmd_maxcut)

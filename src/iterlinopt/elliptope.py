@@ -172,7 +172,6 @@ class OracleResult:
     matrix: np.ndarray
     gram: np.ndarray
     objective: float
-    stationarity_residual: float
     restart_objectives: list
     best_index: int  # always 0 when a warm start was supplied
     sweeps: int
@@ -227,13 +226,13 @@ def _ascend(c, c_off, v0, cfg):
     from sweep to sweep.
 
     A run stops once its largest row move in a sweep falls below SWEEP_TOL,
-    after cfg.max_sweeps sweeps, or when ``_certified_vertex`` certifies
-    its rounded vertex s; that test runs on every run still moving after
-    sweeps 1, 2, 4, 8, ..., one stacked SVD of all runs per checkpoint,
-    which gives each run the bits of its own SVD. A certified run
-    ends with the factor s (x) e_1 and the vertex objective appended to its
-    sweep objectives. With cfg.gap_tol > 0 a run still moving also stops
-    when ``_gap_certified`` proves its duality gap below the tolerance, at
+    after cfg.max_sweeps sweeps, or when ``_certify`` certifies its rounded
+    vertex s; that test runs on every run still moving after sweeps 1, 2,
+    4, 8, ..., one stacked SVD of all runs per checkpoint, which gives each
+    run the bits of its own SVD. A certified run ends with the factor
+    s (x) e_1 and the vertex objective appended to its sweep objectives.
+    With cfg.gap_tol > 0 a run still moving also stops when
+    ``_gap_certified`` proves its duality gap below the tolerance, at
     those checkpoints and every GAP_SWEEPS sweeps. From the first check on
     a multiple of GAP_SWEEPS, such a call over-relaxes: each check sets
     the diagonal of the permuted cost the class products use to -gamma,
@@ -372,14 +371,6 @@ def _upper_bound(c, v) -> float:
     return float(y.sum() - n * min(0.0, lam) + rounding)
 
 
-def _stationarity(c_off, v) -> float:
-    """max_i of the gradient component orthogonal to its own row."""
-    g = c_off @ v
-    proj = np.sum(g * v, axis=1)
-    resid = g - proj[:, None] * v
-    return float(np.max(np.linalg.norm(resid, axis=1)))
-
-
 def _tie_tol(obj) -> float:
     """Objective gaps below this count as ties: numerical resolution."""
     return 1e-12 * max(1.0, abs(obj))
@@ -397,12 +388,6 @@ def _rounded_vertex(c, v):
     """(s, s^T C s) for the vertex s s^T rounded from the factor v."""
     s = _top_signs(v)
     return s, float(s @ c @ s)
-
-
-def _certified_vertex(c, v, obj):
-    """``_rounded_vertex(c, v)`` when its vertex scores strictly better
-    than obj and maximizes C . X over the whole body, else None."""
-    return _certify(c, _top_signs(v), obj)
 
 
 def _certify(c, s, obj):
@@ -434,9 +419,8 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     stops on a small step, on cfg.max_sweeps, as soon as its rounded
     vertex is certified optimal, or, when cfg.gap_tol > 0, as soon as its
     duality gap is certified below that tolerance (``_ascend``); such a
-    call also reports the proven upper bound. The stationarity residual at
-    the winner measures how far the output is from satisfying the
-    eigenmatrix condition exactly; it is reported, never hidden.
+    call also reports the proven upper bound, and its distance above the
+    objective is how far the output may fall short of the maximum.
     """
     return _oracle(check_symmetric(c, name="cost matrix"),
                    config or OracleConfig(), warm_start)
@@ -489,7 +473,6 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
         matrix=x,
         gram=v,
         objective=obj,
-        stationarity_residual=_stationarity(c_off, v),
         restart_objectives=[float(o) for o in objectives],
         best_index=best,
         sweeps=sweeps,

@@ -62,6 +62,10 @@ GAP_TOL = 1e-7
 # 447 graphs (the benchmark's instances at seeds 1-30, G(40, 0.3),
 # G(30, 0.5), +-1 8x8 tori and K4-K60).
 START_DIST = 1e-3
+# A non-vertex fixed point is left along escape_curve at this alpha, at
+# most ESCAPE_RETRIES times per chain. No caller has used other values.
+ESCAPE_ALPHA = 0.25
+ESCAPE_RETRIES = 5
 
 
 class GraphFormatError(ValueError):
@@ -248,7 +252,7 @@ class RoundingReport:
     norms_sq: list
     relaxation_objective: float | None = None
     relaxed_cut: float | None = None
-    oracle_residual: float | None = None
+    relative_gap: float | None = None  # (UB - objective) / max(1, |objective|)
     restart_spread: float | None = None
     cut_value: float | None = None
     baseline_cut: float | None = None
@@ -286,7 +290,6 @@ def _power_step(x, v):
 
 def round_by_iteration(x0, config: OracleConfig | None = None,
                        graph: WeightedGraph | None = None,
-                       escape_alpha=0.25, escape_retries=5,
                        gram=None) -> RoundingReport:
     """Round a feasible matrix to a partition by iterating the map.
 
@@ -301,7 +304,7 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
     relaxation's, say) makes each step cheaper. It must have one row per
     index and reproduce x0 within ROW_TOL. A non-vertex fixed point
     triggers a norm-increasing escape step and the run resumes, up to
-    escape_retries times; after that, or if MAX_ROUNDS pass without a
+    ESCAPE_RETRIES times; after that, or if MAX_ROUNDS pass without a
     vertex, hyperplane rounding of the current Gram factor, seeded with the
     config's seed, supplies the partition and the provenance is flagged.
     The squared norm never decreases across accepted iterates.
@@ -333,8 +336,8 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
             break
         cert = fixed_point_certificate(x)
         if cert.is_fixed:
-            if escapes < escape_retries:
-                x = escape_curve(x, escape_alpha)
+            if escapes < ESCAPE_RETRIES:
+                x = escape_curve(x, ESCAPE_ALPHA)
                 v = None
                 escapes += 1
                 norms.append(float(np.vdot(x, x)))
@@ -370,8 +373,7 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
 
 
 def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
-                    baseline_samples=0, brute_force=False,
-                    escape_alpha=0.25, escape_retries=5) -> RoundingReport:
+                    baseline_samples=0, brute_force=False) -> RoundingReport:
     """Full chain: relaxation, iterated rounding, optional baselines.
 
     The relaxation optimum is not always unique (complete graphs are the
@@ -398,16 +400,15 @@ def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
                 starts.append((x, gram))
     report = None
     for x0, gram in starts:
-        cand = round_by_iteration(x0, cfg, graph=g,
-                                  escape_alpha=escape_alpha,
-                                  escape_retries=escape_retries, gram=gram)
+        cand = round_by_iteration(x0, cfg, graph=g, gram=gram)
         if report is None or cand.cut_value > report.cut_value:
             report = cand
     report.rounding_starts = len(starts)
     report.relaxation_objective = res.objective
     report.relaxed_cut = float((np.sum(g.weight_matrix())
                                 + res.upper_bound) / 4.0)
-    report.oracle_residual = res.stationarity_residual
+    report.relative_gap = ((res.upper_bound - res.objective)
+                           / max(1.0, abs(res.objective)))
     report.restart_spread = float(max(res.restart_objectives)
                                   - min(res.restart_objectives))
     if baseline_samples:

@@ -304,6 +304,15 @@ def suite_vertex_attractiveness(seed):
     return "\n".join(lines)
 
 
+def _factor_residual(c, v):
+    """The largest part of a gradient row g_i = ((C - Diag(C)) V)_i that is
+    orthogonal to v_i: zero exactly when the unit-row factor V is
+    stationary for C . V V^T."""
+    g = (c - np.diag(np.diag(c))) @ v
+    resid = g - np.sum(g * v, axis=1)[:, None] * v
+    return float(np.max(np.linalg.norm(resid, axis=1)))
+
+
 def suite_oracle_certificates(seed):
     rng = np.random.default_rng(seed)
     sizes = [5, 10, 20]
@@ -313,7 +322,7 @@ def suite_oracle_certificates(seed):
         c = rng.standard_normal((n, n))
         c = 0.5 * (c + c.T)
         res = elliptope_oracle(c, OracleConfig(seed=int(rng.integers(2**31))))
-        assert res.stationarity_residual <= 1e-6
+        assert _factor_residual(c, res.gram) <= 1e-6
         x = res.matrix
         d = np.diag(c @ x).copy()
         assert float(np.linalg.norm(c @ x - d[:, None] * x)) <= 1e-6

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import iterlinopt
-from iterlinopt import l3_census, l4_family, write_matrix_text
+from iterlinopt import cli, elliptope, l3_census, l4_family, write_matrix_text
 from iterlinopt.cli import main
 
 
@@ -71,6 +71,25 @@ class TestIterate:
         assert code == 0
         assert "final matrix:" in out
         assert "verdict: fixed" in out
+
+    def test_iterates_are_kept_only_for_a_trace(self, disk_cfg, tmp_path,
+                                                capsys, monkeypatch):
+        runs = []
+
+        def recorded(*args):
+            runs.append(iterlinopt.iterate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "iterate", recorded)
+        args = ["iterate", "--domain", disk_cfg, "--start", "0,1.9"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        trace = str(tmp_path / "out.csv")
+        assert main(args + ["--trace", trace]) == 0
+        traced = capsys.readouterr().out
+        assert traced == plain + f"trace: {trace}\n"
+        assert len(runs[0].points) == 2
+        assert len(runs[1].points) == len(runs[1].norms_sq) > 2
 
     def test_missing_file_exits_1(self, capsys):
         code = main(["iterate", "--domain", "/nonexistent/disk.cfg",
@@ -309,6 +328,12 @@ class TestMaxcut:
         p.write_text("\n".join(f"{k} {k + 1} 1.0" for k in range(29)) + "\n")
         assert main(["maxcut", "--graph", str(p), "--brute-force"]) == 2
 
+    def test_rank_one_reports_the_gap_it_could_not_close(self, k3_file, capsys):
+        # a rank-one relaxation of K3 sits at a vertex it cannot leave: its
+        # objective is 2, its proven bound 5
+        assert main(["maxcut", "--graph", k3_file, "--rank", "1"]) == 0
+        assert "relative_gap: 1.500000000000004\n" in capsys.readouterr().out
+
     def test_parse_error_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("0 0 1.0\n")
@@ -323,7 +348,7 @@ class TestMaxcut:
         order = ["graph", "n", "edges", "iterations", "escapes",
                  "rounding_starts", "terminal_status", "partition_source",
                  "partition", "relaxation_objective", "relaxed_cut",
-                 "oracle_residual", "restart_spread", "cut_value",
+                 "relative_gap", "restart_spread", "cut_value",
                  "baseline_cut", "brute_force_cut"]
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split(": ", 1)[0] for ln in lines] == order
@@ -388,9 +413,6 @@ FACE_POINT = "3\n1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n"  # an L3 face point
     (["classify", "--matrix", "FILE", "--samples", "-2"], "", 2),
     (["maxcut", "--graph", "FILE", "--baseline-samples", "-1"], "0 1\n", 2),
     (["maxcut", "--graph", "FILE", "--baseline-samples", "0"], "0 1\n", 2),
-    (["maxcut", "--graph", "FILE", "--escape-alpha", "1.5"], "0 1\n", 2),
-    (["maxcut", "--graph", "FILE", "--escape-alpha", "-0.25"], "0 1\n", 2),
-    (["maxcut", "--graph", "FILE", "--escape-retries", "-1"], "0 1\n", 2),
     (["classify", "--matrix", "FILE", "--eps", "0"], "", 2),
     (["classify", "--matrix", "FILE", "--eps", "-1"], "", 2),
     (["verify", "--matrix", "FILE", "--tol", "-1"], FACE_POINT, 2),
@@ -407,8 +429,7 @@ FACE_POINT = "3\n1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n"  # an L3 face point
         "iterate-restarts", "classify-restarts", "domain-restarts-key",
         "domain-misspelt-key", "iterate-max-iter-0", "iterate-tol-0",
         "classify-max-iter-0", "classify-tol-0", "classify-samples-negative",
-        "baseline-samples-negative", "baseline-samples-0", "escape-alpha-above-1",
-        "escape-alpha-negative", "escape-retries-negative", "classify-eps-0",
+        "baseline-samples-negative", "baseline-samples-0", "classify-eps-0",
         "classify-eps-negative", "verify-tol-negative", "verify-tol-nan", "verify-tol-inf",
         "verify-diag-tol-negative", "verify-diag-tol-nan", "maxcut-seed-negative",
         "iterate-seed-negative", "classify-seed-negative"])
@@ -434,6 +455,46 @@ def test_file_not_in_utf8_gives_one_error_line(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {f}: not UTF-8 text")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["maxcut", "--graph", "FILE", "--restarts", "1000000000"], "0 1\n1 2\n0 2\n"),
+    (["maxcut", "--graph", "FILE", "--rank", "1000000"], "0 1\n1 2\n0 2\n"),
+    (["maxcut", "--graph", "FILE", "--baseline-samples", "2000000"],
+     "0 1\n1 2\n0 2\n"),
+    (["iterate", "--domain", "elliptope", "--n", "3", "--rank", "2000000",
+      "--start", "FILE"], FACE_POINT),
+    (["classify", "--matrix", "FILE", "--rank", "2000000"], FACE_POINT),
+], ids=["maxcut-restarts", "maxcut-rank", "maxcut-baseline-samples",
+        "iterate-rank", "classify-rank"])
+def test_size_caps_reject_before_allocating(tmp_path, capsys, monkeypatch,
+                                            argv, content):
+    # n * restarts * rank, samples * max(n, rank) and the elliptope's
+    # n * rank are capped at GRAPH_CAP^2 entries; nothing may get as far
+    # as allocating them
+    def unreachable(*args, **kwargs):
+        raise AssertionError("size cap not checked first")
+
+    for owner, name in [(cli, "maxcut_pipeline"), (cli, "iterate"),
+                        (cli, "classify_empirical"), (elliptope, "random_gram"),
+                        (elliptope, "_oracle")]:
+        monkeypatch.setattr(owner, name, unreachable)
+    f = tmp_path / "input.txt"
+    f.write_text(content)
+    assert main([str(f) if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "over the cap" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_elliptope_domain_file_rank_is_capped(tmp_path, capsys, face_point):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("kind=elliptope\nn=3\nrank=2000000\n")
+    for argv in (["iterate", "--domain", str(cfg), "--start", face_point],
+                 ["classify", "--domain", str(cfg), "--point", face_point]):
+        assert main(argv) == 2
+        assert "over the cap" in capsys.readouterr().err
 
 
 def test_package_import_leaves_scipy_out():
@@ -468,5 +529,7 @@ class TestReproducibility:
         main(["maxcut", "--graph", k3_file])
         out = capsys.readouterr().out
         line = [ln for ln in out.split("\n") if ln.startswith("relaxed_cut:")][0]
-        # the certified bound on K3's relaxation, whose value is 2.25
+        # the certified bound on K3's relaxation, whose value is 2.25, and
+        # the gap of that bound over the relaxation's objective
         assert line == "relaxed_cut: 2.2500000019423347"
+        assert "\nrelative_gap: 2.5897795019602654e-09\n" in out

@@ -321,14 +321,15 @@ class TestRounding:
         assert report.terminal_status == "vertex"
 
 
-    def test_fallback_hyperplanes_take_the_config_seed(self):
+    def test_fallback_hyperplanes_take_the_config_seed(self, monkeypatch):
         # a face point of the 3-d catalog is a non-vertex fixed point: with
         # no escapes allowed, the partition comes from hyperplane rounding
         face = [p.matrix for p in l3_census() if p.family == "face"][0]
+        monkeypatch.setattr(maxcut, "ESCAPE_RETRIES", 0)
         for seed in (0, 11):
             with pytest.warns(UserWarning, match="hyperplane fallback"):
                 report = round_by_iteration(face, OracleConfig(seed=seed),
-                                            graph=K3, escape_retries=0)
+                                            graph=K3)
             assert report.partition_source == "hyperplane_fallback"
             signs, _ = gw_hyperplane_round(gram_factor(face), K3,
                                            FALLBACK_SAMPLES, seed)
@@ -462,6 +463,35 @@ class TestPipeline:
             assert report.relaxed_cut >= report.brute_force_cut
             assert report.relaxed_cut == (
                 np.sum(g.weight_matrix()) + res.upper_bound) / 4.0
+
+    def test_relative_gap_is_the_proven_gap(self, monkeypatch):
+        # (UB - objective) / max(1, |objective|) of the relaxation the
+        # pipeline ran: below GAP_TOL on a gap stop, and at rounding level
+        # on a certified vertex, whose bound is exact
+        relaxations = []
+
+        def recorded(g, config):
+            relaxations.append(solve_relaxation(g, config))
+            return relaxations[-1]
+
+        monkeypatch.setattr(maxcut, "solve_relaxation", recorded)
+        rng = np.random.default_rng(8)
+        graphs = [signed_torus(4, 5, rng) if k % 2 else
+                  WeightedGraph(20, [(u, v, 1.0) for u in range(20)
+                                     for v in range(u + 1, 20)
+                                     if rng.random() < 0.3])
+                  for k in range(6)]
+        graphs += [path_graph(n) for n in (5, 8, 20)]
+        statuses = []
+        for k, g in enumerate(graphs):
+            report = maxcut_pipeline(g, OracleConfig(seed=k))
+            res = relaxations[-1]
+            assert report.relative_gap == (
+                (res.upper_bound - res.objective) / max(1.0, abs(res.objective)))
+            bound = GAP_TOL if res.status == "certified_gap" else 1e-12
+            assert 0.0 <= report.relative_gap <= bound
+            statuses.append(res.status)
+        assert statuses == ["certified_gap"] * 6 + ["certified_vertex"] * 3
 
     def test_paths_are_cut_completely(self):
         for n in (3, 5, 8):

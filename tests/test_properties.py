@@ -35,9 +35,10 @@ from iterlinopt.elliptope import (
     GRAD_TOL,
     SWEEP_TOL,
     _ascend,
-    _certified_vertex,
+    _certify,
     _color_classes,
     _row_norms,
+    _top_signs,
     default_rank_budget,
     random_gram,
 )
@@ -266,7 +267,7 @@ def _cyclic_reference(c, c_off, v0, cfg):
             if done[j]:
                 status[k] = "step_tol"
             elif not sweep & (sweep - 1):
-                cert = _certified_vertex(c, v[:, j], objs[k][-1])
+                cert = _certify(c, _top_signs(v[:, j]), objs[k][-1])
                 if cert is not None:
                     v[:, j] = 0.0
                     v[:, j, 0] = cert[0]
@@ -385,10 +386,10 @@ def test_row_norms_are_batch_invariant_linalg_norms(r):
 
 
 def _certifies(c, s):
-    """Whether ``_certified_vertex`` certifies s s^T for a run whose factor
-    is s and whose objective is one below the vertex's, so that only the
-    optimality test decides."""
-    return _certified_vertex(c, s[:, None], float(s @ c @ s) - 1.0) is not None
+    """Whether ``_certify`` certifies s s^T for a run whose factor is s and
+    whose objective is one below the vertex's, so that only the optimality
+    test decides."""
+    return _certify(c, _top_signs(s[:, None]), float(s @ c @ s) - 1.0) is not None
 
 
 def test_vertex_test_agrees_with_normal_cone_membership():
