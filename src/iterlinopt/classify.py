@@ -79,6 +79,8 @@ def classify_empirical(domain, x, eps, samples=32, seed=0, tol=1e-10,
     """
     if samples < 1:
         raise ValueError("classification needs at least one sample")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     x = np.asarray(x, dtype=float)
     if fixed_point_residual(domain, x) > FIXED_FACTOR * tol:
         raise ValueError("x is not a fixed point of the domain")

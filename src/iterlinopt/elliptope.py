@@ -175,7 +175,6 @@ class OracleResult:
     restart_objectives: list
     best_index: int  # always 0 when a warm start was supplied
     sweeps: int
-    sweep_objectives: list  # objective after each sweep of the winning run
     # a proven bound on C . X over the whole body, from the winning run's
     # ascent factor (``_upper_bound``); None when config.gap_tol is 0
     upper_bound: float | None
@@ -230,7 +229,8 @@ def _ascend(c, c_off, v0, cfg):
     vertex s; that test runs on every run still moving after sweeps 1, 2,
     4, 8, ..., one stacked SVD of all runs per checkpoint, which gives each
     run the bits of its own SVD. A certified run ends with the factor
-    s (x) e_1 and the vertex objective appended to its sweep objectives.
+    s (x) e_1 and its vertex's objective. Only sweeps whose decisions read
+    the objective score it: checkpoints, gap checks, step stops, the last.
     With cfg.gap_tol > 0 a run still moving also stops when
     ``_gap_certified`` proves its duality gap below the tolerance, at
     those checkpoints and every GAP_SWEEPS sweeps. From the first check on
@@ -241,7 +241,7 @@ def _ascend(c, c_off, v0, cfg):
     moves the same fixed points, but no longer ascends sweep by sweep; the
     stop tests decide as before. A stopped run is dropped from the batch,
     so batching changes no run beyond rounding, except through that
-    shared shift. Returns one (factor, sweeps, objectives, status) tuple
+    shared shift. Returns one (factor, sweeps, objective, status) tuple
     per run, status being "step_tol", "max_sweeps", "certified_vertex" or
     "certified_gap".
     """
@@ -254,7 +254,7 @@ def _ascend(c, c_off, v0, cfg):
               for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     n, runs, r = v0.shape
     final = np.empty_like(v0)
-    objs = [[] for _ in range(runs)]  # one entry per sweep a run took
+    sweeps, objective = [0] * runs, [0.0] * runs  # as of a run's last score
     status = ["max_sweeps"] * runs
     active = np.arange(runs)
     v = v0[perm]
@@ -280,20 +280,23 @@ def _ascend(c, c_off, v0, cfg):
         # is taken once per run, after the max
         d = v - start
         done = (np.sqrt(np.vecdot(d, d).max(axis=0)) < SWEEP_TOL).tolist()
+        checkpoint = not sweep & (sweep - 1)  # a power of two
+        gap_check = cfg.gap_tol and (checkpoint or not sweep % GAP_SWEEPS)
+        if not (checkpoint or gap_check or any(done)
+                or sweep == cfg.max_sweeps):
+            continue  # no decision reads this sweep's objective
         # each run's objective summed over its own contiguous (n, r) block;
         # its row sums are the terms y_i = <(C V)_i, v_i> of the gap test
         terms = (pc @ flat).reshape(v.shape) * v
         obj = terms.transpose(1, 0, 2).reshape(len(active), -1).sum(
             axis=1).tolist()
-        checkpoint = not sweep & (sweep - 1)  # a power of two
         if checkpoint:
             # in index order: a permuted SVD can flip a sign of s
             signs = _top_signs(v[inv].transpose(1, 0, 2))
-        gap_check = cfg.gap_tol and (checkpoint or not sweep % GAP_SWEEPS)
         if gap_check:
             y = terms.sum(axis=2)
         for j, k in enumerate(active.tolist()):
-            objs[k].append(obj[j])
+            sweeps[k], objective[k] = sweep, obj[j]
             if done[j]:
                 status[k] = "step_tol"
                 continue
@@ -302,7 +305,7 @@ def _ascend(c, c_off, v0, cfg):
                 if cert is not None:
                     v[:, j] = 0.0
                     v[:, j, 0] = cert[0][perm]
-                    objs[k].append(cert[1])
+                    objective[k] = cert[1]
                     status[k] = "certified_vertex"
                     done[j] = True
                     continue
@@ -325,9 +328,7 @@ def _ascend(c, c_off, v0, cfg):
                 0.0, (y - pc.diagonal()[:, None]).min(axis=1)))
     final[:, active] = v
     final = np.ascontiguousarray(final[inv].transpose(1, 0, 2))
-    # a certified run's last objective is its vertex's, not a sweep's
-    return [(final[k], len(objs[k]) - (status[k] == "certified_vertex"),
-             objs[k], status[k]) for k in range(runs)]
+    return [(final[k], sweeps[k], objective[k], status[k]) for k in range(runs)]
 
 
 def _gap_certified(c, y, obj, tol) -> bool:
@@ -384,10 +385,16 @@ def _top_signs(v):
     return np.where(u >= 0.0, 1.0, -1.0)
 
 
-def _rounded_vertex(c, v):
-    """(s, s^T C s) for the vertex s s^T rounded from the factor v."""
+def _polish(c, v, x, obj, tie_tol):
+    """(v, x, obj), or (s, s s^T, s^T C s) for the vertex rounded from the
+    unit-row factor v of x when it beats obj = C . x by more than tie_tol:
+    the ascent creeps sublinearly toward an optimal vertex, and the exactly
+    rounded vertex is feasible and stationary."""
     s = _top_signs(v)
-    return s, float(s @ c @ s)
+    vertex_obj = float(s @ c @ s)
+    if vertex_obj > obj + tie_tol:
+        return s[:, None], gram_to_matrix(s[:, None]), vertex_obj
+    return v, x, obj
 
 
 def _certify(c, s, obj):
@@ -448,27 +455,20 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
         raise ElliptopeError("restarts=0 requires a warm start")
     results = _ascend(c, c_off, starts, cfg)
 
-    objectives = [objs[-1] for _, _, objs, _ in results]
+    objectives = [obj for _, _, obj, _ in results]
     # objective gaps below numerical resolution count as ties, and ties go
     # to the lowest candidate index; otherwise float noise could bounce the
     # output across a face of equally good maximizers
     max_obj = max(objectives)
     tie_tol = _tie_tol(max_obj)
     best = next(i for i, o in enumerate(objectives) if o >= max_obj - tie_tol)
-    v, sweeps, objs, status = results[best]
+    v, sweeps, _, status = results[best]
     # from the ascent factor: the polished vertex below may bound worse
     upper = _upper_bound(c, v) if cfg.gap_tol else None
     x = gram_to_matrix(v, row_tol=ROW_TOL)
     obj = float(np.vdot(c, x))
-    # Polish: when the optimal face is a vertex the ascent creeps toward it
-    # sublinearly; the exactly rounded vertex is feasible, satisfies the
-    # stationarity conditions exactly, and replaces the output whenever it
-    # scores strictly better. A certified run already ends at that vertex.
-    if status != "certified_vertex":
-        s, vertex_obj = _rounded_vertex(c, v)
-        if vertex_obj > obj + tie_tol:
-            v, obj, objs = s[:, None], vertex_obj, objs + [vertex_obj]
-            x = gram_to_matrix(v)
+    if status != "certified_vertex":  # else already at its vertex
+        v, x, obj = _polish(c, v, x, obj, tie_tol)
     return OracleResult(
         matrix=x,
         gram=v,
@@ -476,7 +476,6 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
         restart_objectives=[float(o) for o in objectives],
         best_index=best,
         sweeps=sweeps,
-        sweep_objectives=[float(o) for o in objs],
         upper_bound=upper,
         candidate_grams=[r[0] for r in results],
         status=status,

@@ -26,7 +26,7 @@ from .elliptope import (
     ElliptopeError,
     OracleConfig,
     OracleResult,
-    _rounded_vertex,
+    _polish,
     _row_norms,
     _tie_tol,
     elliptope_oracle,
@@ -282,14 +282,10 @@ def _power_step(x, v):
     y = gram_to_matrix(w, row_tol=ROW_TOL)
     obj = float(np.vdot(x, y))
     # the vertex polish of elliptope_oracle: s^T X s = |V^T s|^2
-    s, vertex_obj = _rounded_vertex(x, w)
-    if vertex_obj > obj + _tie_tol(obj):
-        return s[:, None], np.outer(s, s)
-    return w, y
+    return _polish(x, w, y, obj, _tie_tol(obj))[:2]
 
 
-def round_by_iteration(x0, config: OracleConfig | None = None,
-                       graph: WeightedGraph | None = None,
+def round_by_iteration(x0, seed=0, graph: WeightedGraph | None = None,
                        gram=None) -> RoundingReport:
     """Round a feasible matrix to a partition by iterating the map.
 
@@ -305,12 +301,14 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
     index and reproduce x0 within ROW_TOL. A non-vertex fixed point
     triggers a norm-increasing escape step and the run resumes, up to
     ESCAPE_RETRIES times; after that, or if MAX_ROUNDS pass without a
-    vertex, hyperplane rounding of the current Gram factor, seeded with the
-    config's seed, supplies the partition and the provenance is flagged.
-    The squared norm never decreases across accepted iterates.
+    vertex, hyperplane rounding of the current Gram factor, seeded with
+    seed, supplies the partition and the provenance is flagged. graph, when
+    given, must have x0's order; the report then carries the cut. The
+    squared norm never decreases across accepted iterates.
     """
-    cfg = config or OracleConfig()
     x = validate_elliptope(np.asarray(x0, dtype=float), diag_tol=DIAG_TOL)
+    if graph is not None and graph.n != x.shape[0]:
+        raise ValueError(f"graph has {graph.n} vertices, x0 {x.shape[0]} rows")
     v = None  # X's unit-row factor, taken when a step first needs it
     if gram is not None:
         v = np.asarray(gram, dtype=float)
@@ -352,7 +350,7 @@ def round_by_iteration(x0, config: OracleConfig | None = None,
     if partition is None:
         v = gram_factor(x)
         if graph is not None:
-            partition, _ = gw_hyperplane_round(v, graph, FALLBACK_SAMPLES, cfg.seed)
+            partition, _ = gw_hyperplane_round(v, graph, FALLBACK_SAMPLES, seed)
         else:
             partition = np.where(v[:, 0] >= 0.0, 1, -1).astype(int)
         source = "hyperplane_fallback"
@@ -400,7 +398,7 @@ def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
                 starts.append((x, gram))
     report = None
     for x0, gram in starts:
-        cand = round_by_iteration(x0, cfg, graph=g, gram=gram)
+        cand = round_by_iteration(x0, cfg.seed, graph=g, gram=gram)
         if report is None or cand.cut_value > report.cut_value:
             report = cand
     report.rounding_starts = len(starts)

@@ -84,6 +84,24 @@ class TestEmpirical2D:
                 classify_empirical(dom, np.array([3.0, 0.0]), eps=0.3,
                                    samples=samples)
 
+    def test_eps_must_be_positive_and_finite(self):
+        # no ball to sample in: rejected before the map runs
+        calls = []
+
+        class CountingBall(BallDomain):
+            def maximize(self, x):
+                calls.append(x)
+                return super().maximize(x)
+
+        cases = [(CountingBall([1.0, 0.0], 2.0), np.array([3.0, 0.0])),
+                 (CountingBall([1.0, 0.0], 2.0), np.array([-1.0, 0.0])),
+                 (ElliptopeDomain(3), PUFF)]
+        for dom, x in cases:
+            for eps in (0.0, -0.1, np.inf, np.nan):
+                with pytest.raises(ValueError, match="eps must be positive"):
+                    classify_empirical(dom, x, eps=eps, samples=4)
+        assert calls == []
+
 
 class TestVertexBasin:
     @staticmethod

@@ -118,14 +118,25 @@ class TestOracle:
         assert _factor_residual(c, res.gram) < 1e-10
         assert np.max(np.abs(res.matrix - PUFF)) < 1e-9
 
-    def test_sweep_objectives_never_decrease(self):
+    def test_capped_objectives_never_decrease(self):
+        # an ascent cut off after k sweeps scores its last sweep, so each
+        # run's objective rises with the cap k
         rng = np.random.default_rng(9)
         for n in (4, 8):
             c = rng.standard_normal((n, n))
             c = 0.5 * (c + c.T)
-            res = elliptope_oracle(c, OracleConfig(seed=1))
-            objs = np.array(res.sweep_objectives)
-            assert np.all(np.diff(objs) >= -1e-9)
+            c_off = c - np.diag(np.diag(c))
+            starts = np.stack([elliptope.random_gram(
+                n, default_rank_budget(n), np.random.default_rng(1 + k))
+                for k in range(5)], axis=1)
+            objs = []
+            for cap in range(1, 41):
+                runs = elliptope._ascend(c, c_off, starts,
+                                         OracleConfig(max_sweeps=cap))
+                assert all(sweeps == cap for _, sweeps, _, status in runs
+                           if status == "max_sweeps")
+                objs.append([obj for _, _, obj, _ in runs])
+            assert np.all(np.diff(objs, axis=0) >= -1e-9)
 
     def test_full_rank_budget_output_is_rank_deficient(self):
         rng = np.random.default_rng(21)
@@ -192,10 +203,9 @@ class TestOracle:
         assert res.status == "max_sweeps"
         assert is_vertex(res.matrix)
         assert not normal_cone_membership(res.matrix, c)
-        assert len(res.sweep_objectives) == res.sweeps + 1
-        assert res.sweep_objectives[-1] > res.sweep_objectives[-2]
-        assert res.sweep_objectives[-1] == res.objective
+        assert res.objective > res.restart_objectives[res.best_index]
         s = res.gram[:, 0]
+        assert res.objective == float(s @ c @ s)
         assert np.array_equal(res.matrix, np.outer(s, s))
 
     def test_status_of_a_converged_run(self):
@@ -295,7 +305,7 @@ class TestGapStop:
         def fields(res):
             return (res.matrix.tobytes(), res.gram.tobytes(), res.objective,
                     res.restart_objectives,
-                    res.best_index, res.sweeps, res.sweep_objectives,
+                    res.best_index, res.sweeps,
                     res.upper_bound, res.status,
                     [v.tobytes() for v in res.candidate_grams])
 

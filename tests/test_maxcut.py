@@ -299,25 +299,25 @@ class TestRounding:
 
     def test_triangle_relaxation_rounds_to_optimal_cut(self):
         res = solve_relaxation(K3, OracleConfig(seed=0))
-        report = round_by_iteration(res.matrix, OracleConfig(seed=0), graph=K3)
+        report = round_by_iteration(res.matrix, seed=0, graph=K3)
         assert report.terminal_status == "vertex"
         assert report.cut_value == 2.0
         assert report.escapes >= 1  # the optimum is itself a fixed point
 
     def test_identity_start_escapes_then_hits_vertex(self):
-        report = round_by_iteration(np.eye(4), OracleConfig(seed=0))
+        report = round_by_iteration(np.eye(4), seed=0)
         assert report.terminal_status == "vertex"
         assert report.escapes >= 1
         assert set(np.unique(report.partition)) <= {-1, 1}
 
     def test_norms_never_decrease(self):
         res = solve_relaxation(complete_graph(5), OracleConfig(seed=0))
-        report = round_by_iteration(res.matrix, OracleConfig(seed=0),
+        report = round_by_iteration(res.matrix, seed=0,
                                     graph=complete_graph(5))
         assert np.all(np.diff(report.norms_sq) >= -1e-9)
 
     def test_family_member_start(self):
-        report = round_by_iteration(l4_family(0.3), OracleConfig(seed=0))
+        report = round_by_iteration(l4_family(0.3), seed=0)
         assert report.terminal_status == "vertex"
 
 
@@ -328,8 +328,7 @@ class TestRounding:
         monkeypatch.setattr(maxcut, "ESCAPE_RETRIES", 0)
         for seed in (0, 11):
             with pytest.warns(UserWarning, match="hyperplane fallback"):
-                report = round_by_iteration(face, OracleConfig(seed=seed),
-                                            graph=K3)
+                report = round_by_iteration(face, seed=seed, graph=K3)
             assert report.partition_source == "hyperplane_fallback"
             signs, _ = gw_hyperplane_round(gram_factor(face), K3,
                                            FALLBACK_SAMPLES, seed)
@@ -365,6 +364,16 @@ class TestRounding:
         with pytest.raises(ValueError):  # x0 itself is still validated
             round_by_iteration(2.0 * x, gram=v)
 
+    def test_a_graph_of_another_order_is_rejected_before_rounding(self,
+                                                                 monkeypatch):
+        def no_step(x, v):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(maxcut, "_power_step", no_step)
+        path4 = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(ValueError, match="graph has 4 vertices"):
+            round_by_iteration(np.eye(3), graph=path4)
+
 
 class TestBudgetedRounding:
     @pytest.mark.parametrize("graph", [
@@ -394,7 +403,7 @@ class TestBudgetedRounding:
         monkeypatch.setattr(maxcut, "_power_step", recording_step)
         monkeypatch.setattr(maxcut, "_power_product", counting_product)
         res = solve_relaxation(g, OracleConfig(seed=0))
-        report = round_by_iteration(res.matrix, OracleConfig(seed=0), graph=g)
+        report = round_by_iteration(res.matrix, seed=0, graph=g)
         assert report.terminal_status == "vertex"
         assert steps and products == [ROUND_STEPS] * len(steps)
         for x, y in steps:

@@ -242,9 +242,10 @@ def _classes(c_off):
 
 def _cyclic_reference(c, c_off, v0, cfg):
     """The plain cyclic sweep: one 1-d product per row, rows in index order,
-    with the vertex check after sweeps 1, 2, 4, .... Same results and
-    layout as _ascend, which must reproduce it in the order of its colour
-    classes."""
+    with the vertex check after sweeps 1, 2, 4, .... Same runs as _ascend,
+    which must reproduce them in the order of its colour classes, but each
+    with the objective of every sweep it took, where _ascend keeps the
+    last."""
     n, runs, r = v0.shape
     final = np.empty_like(v0)
     objs = [[] for _ in range(runs)]
@@ -329,9 +330,11 @@ def test_colour_class_sweep_matches_cyclic_reference(cost):
     assert len(bounds) - 1 < n  # a sparse pattern: some class holds two rows
     pc = c[np.ix_(perm, perm)]
     ref = _cyclic_reference(pc, pc, starts[perm], cfg)
-    for (v, sweeps, objs, status), (w, ref_sweeps, _, ref_status) in zip(runs, ref):
+    for (v, sweeps, obj, status), (w, ref_sweeps, objs, ref_status) in zip(
+            runs, ref):
         assert (sweeps, status) == (ref_sweeps, ref_status)
         assert np.max(np.abs(v[perm] - w)) <= 1e-12
+        assert obj == pytest.approx(objs[-1], rel=1e-12)
         assert np.all(np.diff(objs) >= -1e-12 * max(1.0, abs(objs[-1])))
 
 
@@ -342,10 +345,10 @@ def test_dense_cost_sweeps_bitwise_as_the_reference():
     c_off = c - np.diag(np.diag(c))
     starts = _starts(12, 4, 1)
     cfg = OracleConfig()
-    for (v, sweeps, objs, status), (w, *rest) in zip(
+    for (v, *rest), (w, sweeps, objs, status) in zip(
             _ascend(c, c_off, starts, cfg), _cyclic_reference(c, c_off, starts, cfg)):
         assert np.array_equal(v, w)
-        assert [sweeps, objs, status] == rest
+        assert rest == [sweeps, objs[-1], status]
 
 
 def test_single_run_rows_sweep_bitwise_as_the_reference():
@@ -363,10 +366,10 @@ def test_single_run_rows_sweep_bitwise_as_the_reference():
             (k3, k3, frozen, OracleConfig(max_sweeps=1)),
             (k3, k3, frozen, OracleConfig())]:
         runs = _ascend(c, c_off, starts, cfg)
-        for (v, *rest), (w, *ref) in zip(runs, _cyclic_reference(
-                c, c_off, starts, cfg)):
+        for (v, *rest), (w, sweeps, objs, status) in zip(
+                runs, _cyclic_reference(c, c_off, starts, cfg)):
             assert np.array_equal(v, w)
-            assert rest == ref
+            assert rest == [sweeps, objs[-1], status]
     first_sweep = _ascend(k3, k3, frozen, OracleConfig(max_sweeps=1))[0][0]
     assert np.array_equal(first_sweep[0], e[2])
 
@@ -444,7 +447,7 @@ def test_vertex_relaxations_stop_certified(cost, signs):
     assert not res.sweeps & (res.sweeps - 1)  # checked after sweeps 1, 2, 4, ...
     assert np.array_equal(res.matrix, np.outer(signs, signs))
     assert res.objective == float(signs @ cost @ signs)
-    assert res.sweep_objectives[-1] == res.objective
+    assert res.restart_objectives[res.best_index] == res.objective
     gram = res.candidate_grams[res.best_index]
     assert gram.shape == (cost.shape[0], default_rank_budget(cost.shape[0]))
     assert np.array_equal(np.abs(gram[:, 0]), np.ones(cost.shape[0]))
@@ -473,9 +476,10 @@ def test_uncertified_runs_end_as_one_ascent_call(max_sweeps):
     starts = _starts(7, 3, 2)
     runs = _ascend(c, c, starts, cfg)
     assert "certified_vertex" not in [run[3] for run in runs]
-    for (v, *rest), (w, *ref) in zip(runs, _cyclic_reference(c, c, starts, cfg)):
+    for (v, *rest), (w, sweeps, objs, status) in zip(
+            runs, _cyclic_reference(c, c, starts, cfg)):
         assert np.array_equal(v, w)
-        assert rest == ref
+        assert rest == [sweeps, objs[-1], status]
 
 
 def test_certified_runs_leave_the_others_unchanged():
@@ -514,7 +518,7 @@ def test_one_colouring_per_oracle_call(monkeypatch):
     x = solve_relaxation(g, OracleConfig(seed=0)).matrix
     monkeypatch.setattr(elliptope, "_oracle", counting_oracle)
     colourings.clear()
-    report = round_by_iteration(x, OracleConfig(seed=0), graph=g)
+    report = round_by_iteration(x, seed=0, graph=g)
     assert report.iterations > 0
     assert calls == [] and colourings == []
 
