@@ -18,7 +18,6 @@ from .elliptope import (
     ROW_TOL,
     ElliptopeDomain,
     ElliptopeError,
-    OracleConfig,
     check_symmetric,
     fixed_point_certificate,
     gram_factor,
@@ -151,7 +150,7 @@ def escape_curve(x, alpha, pair=None) -> np.ndarray:
     return gram_to_matrix(v, row_tol=ROW_TOL)
 
 
-def vertex_basin_check(x, m, config: OracleConfig | None = None) -> bool:
+def vertex_basin_check(x, m) -> bool:
     """Check one-step convergence to a vertex from a sign-compatible start.
 
     Any feasible matrix within unit Frobenius distance of a vertex shares
@@ -163,7 +162,7 @@ def vertex_basin_check(x, m, config: OracleConfig | None = None) -> bool:
     mm = validate_elliptope(m, diag_tol=DIAG_TOL)
     if float(np.linalg.norm(mm - x)) >= 1.0:
         raise ValueError("m must lie within unit Frobenius distance of the vertex")
-    tx = ElliptopeDomain(mm.shape[0], config).maximize(mm)
+    tx = ElliptopeDomain(mm.shape[0]).maximize(mm)
     return bool(np.max(np.abs(tx - np.asarray(x, dtype=float))) <= SIGN_TOL)
 
 

@@ -23,7 +23,6 @@ from . import __version__
 from .classify import (
     _sample_verdict,
     classify_elliptope_fixed_point,
-    classify_empirical,
     fixed_point_residual,
 )
 from .domains import (
@@ -99,10 +98,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _oracle_config(args) -> OracleConfig:
-    return OracleConfig(rank=args.rank, seed=args.seed)  # maxcut adds restarts
-
-
 def _check_size(what, size):
     """Reject an array of over GRAPH_CAP^2 entries (32 MB of float64) before
     it is allocated."""
@@ -121,12 +116,9 @@ def _parse_start_vector(text):
 
 def _read_point(domain, text):
     """A start or point for ``domain``: a matrix file of its order for the
-    elliptope, whose n x rank factors must fit the size cap, coordinates or
-    a coordinate file for the other domains."""
+    elliptope, coordinates or a coordinate file for the other domains."""
     if not isinstance(domain, ElliptopeDomain):
         return _parse_start_vector(text)
-    n = domain.n
-    _check_size("n * rank", n * (domain.config.rank or default_rank_budget(n)))
     x = read_matrix_text(text)
     if x.shape[0] != domain.n:
         raise CliError(EXIT_INVALID, f"{text}: matrix is {x.shape[0]}x"
@@ -142,7 +134,7 @@ def cmd_iterate(args) -> int:
     if args.domain == "elliptope":
         if args.n is None:
             raise CliError(EXIT_PARSE, "elliptope domain needs --n")
-        domain = ElliptopeDomain(args.n, _oracle_config(args))
+        domain = ElliptopeDomain(args.n)
     else:
         domain = load_domain(args.domain)
     # any symmetric matrix is a legal elliptope start: an exterior start
@@ -249,12 +241,20 @@ def _print_empirical(result):
     _print_witness(result.witness)
 
 
+def _fixed_residual(domain, x, tol):
+    """How far the map moves x, which must be at most FIXED_FACTOR * tol:
+    the check ``classify_empirical`` makes, done before anything prints."""
+    residual = fixed_point_residual(domain, x)
+    if residual > FIXED_FACTOR * tol:
+        raise CliError(EXIT_INVALID,
+                       f"point is not a fixed point (residual {_fmt(residual)})")
+    return residual
+
+
 def cmd_classify(args) -> int:
     if args.matrix:
         x = read_matrix_text(args.matrix)
-        n = x.shape[0]
-        _check_size("n * rank", n * (args.rank or default_rank_budget(n)))
-        domain = ElliptopeDomain(n, _oracle_config(args))
+        domain = ElliptopeDomain(x.shape[0])
         if not domain.contains(x):
             raise CliError(EXIT_INVALID,
                            f"{args.matrix}: matrix is not in the feasible body")
@@ -263,26 +263,23 @@ def cmd_classify(args) -> int:
             raise CliError(EXIT_INVALID,
                            f"{args.matrix}: not a fixed point "
                            f"(residual {_fmt(cert.residual)})")
+        if args.samples > 0:
+            _fixed_residual(domain, x, args.tol)
         theorem = classify_elliptope_fixed_point(x)
         print(f"theorem label: {theorem.label}")
         _print_witness(theorem.witness)
         if args.samples > 0:
-            _print_empirical(classify_empirical(
-                domain, x, eps=args.eps, samples=args.samples, seed=args.seed,
-                tol=args.tol, max_iter=args.max_iter))
+            _print_empirical(_sample_verdict(domain, x, args.eps, args.samples,
+                                             args.seed, args.tol, args.max_iter))
         return EXIT_OK
     if not args.domain or not args.point:
         raise CliError(EXIT_PARSE, "classify needs --matrix, or --domain with --point")
     domain = load_domain(args.domain)
     x = _read_point(domain, args.point)
-    residual = fixed_point_residual(domain, x)
-    if residual > FIXED_FACTOR * args.tol:
-        raise CliError(EXIT_INVALID,
-                       f"point is not a fixed point (residual {_fmt(residual)})")
+    residual = _fixed_residual(domain, x, args.tol)
     print(f"fixed point: {_fmt_vec(x)}")
     print(f"fixed-point residual: {_fmt(residual)}")
     if args.samples > 0:
-        # the residual above is the check classify_empirical would repeat
         _print_empirical(_sample_verdict(domain, x, args.eps, args.samples,
                                          args.seed, args.tol, args.max_iter))
     if isinstance(domain, (BallDomain, EllipsoidDomain)) and domain.dim == 2:
@@ -365,11 +362,9 @@ _positive = _checked(float, lambda v: 0.0 < v < np.inf, "positive and finite")
 
 def build_parser() -> argparse.ArgumentParser:
     # flags shared by several subcommands, each declared once
-    oracle = argparse.ArgumentParser(add_help=False)
-    oracle.add_argument("--seed", type=_int_at_least(0), default=0,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="base seed for every random choice (default 0)")
-    oracle.add_argument("--rank", type=_int_at_least(1),
-                        help="oracle rank budget (default about sqrt(2n) + 1)")
     iteration = argparse.ArgumentParser(add_help=False)
     iteration.add_argument("--tol", type=_positive, default=1e-10)
     iteration.add_argument("--max-iter", type=_int_at_least(1), default=10_000)
@@ -382,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("iterate", parents=[oracle, iteration],
+    p = sub.add_parser("iterate", parents=[iteration],
                        help="run the iteration from a start point")
     p.add_argument("--domain", required=True,
                    help="domain config file, or the literal 'elliptope'")
@@ -409,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=range(2, CENSUS_CAP + 1), metavar=f"2..{CENSUS_CAP}")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("classify", parents=[oracle, iteration],
+    p = sub.add_parser("classify", parents=[seeded, iteration],
                        help="attractive/repelling diagnosis of a fixed point")
     p.add_argument("--matrix", help="matrix text file (elliptope fixed point)")
     p.add_argument("--domain", help="domain config file (with --point)")
@@ -421,10 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="perturbation samples; 0 skips the empirical run")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("maxcut", parents=[oracle],
+    p = sub.add_parser("maxcut", parents=[seeded],
                        help="relax, round and score a max-cut instance")
     p.add_argument("--graph", required=True, nargs="+",
                    help=f"edge-list file(s): lines 'u v [w]', n <= {GRAPH_CAP}")
+    p.add_argument("--rank", type=_int_at_least(1),
+                   help="relaxation rank budget (default about sqrt(2n) + 1)")
     p.add_argument("--restarts", type=_int_at_least(1), default=5,
                    help="seeded random starts of the relaxation")
     p.add_argument("--baseline", choices=["gw"],

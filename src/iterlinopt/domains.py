@@ -352,7 +352,7 @@ DOMAIN_KEYS = {
     "ellipse": ("shape",),
     "polytope": ("vertices",),
     "cone": ("apex", "base_center", "base_radius"),
-    "elliptope": ("n", "rank", "seed"),
+    "elliptope": ("n",),
 }
 
 
@@ -364,7 +364,7 @@ def load_domain(path):
       kind=ellipsoid   shape=<rows separated by ';'>
       kind=polytope    vertices=<points separated by ';'>
       kind=cone        apex=<vector>  base_center=<vector>  base_radius=<float>
-      kind=elliptope   n=<int>  [rank=<int>  seed=<int>]
+      kind=elliptope   n=<int>
 
     Vectors accept commas or whitespace; '#' starts a comment. A key that
     the kind does not take is rejected.
@@ -396,10 +396,8 @@ def load_domain(path):
                               _parse_vector(spec["base_center"]),
                               float(spec["base_radius"]))
         if kind == "elliptope":
-            from .elliptope import ElliptopeDomain, OracleConfig
-            cfg = OracleConfig(rank=int(spec["rank"]) if "rank" in spec else None,
-                               seed=int(spec.get("seed", 0)))
-            return ElliptopeDomain(int(spec["n"]), cfg)
+            from .elliptope import ElliptopeDomain
+            return ElliptopeDomain(int(spec["n"]))
     except KeyError as exc:
         raise DomainError(f"{path}: missing key {exc.args[0]!r} for kind {kind!r}")
     except ValueError as exc:

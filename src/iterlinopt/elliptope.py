@@ -157,8 +157,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.rank is not None and self.rank < 1:
             raise ValueError("rank budget must be at least 1")
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
+        if self.restarts < 1:  # a call without a warm start needs a run
+            raise ValueError("restarts must be at least 1")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         if self.seed < 0:  # numpy seeds must be nonnegative
@@ -447,12 +447,10 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
         if w.ndim != 2 or w.shape[0] != n:
             raise ElliptopeError("warm start must have one row per index")
         starts = (w / np.linalg.norm(w, axis=1)[:, None])[:, None, :]
-    elif cfg.restarts:
+    else:
         starts = np.stack(
             [random_gram(n, r, np.random.default_rng(cfg.seed + k))
              for k in range(cfg.restarts)], axis=1)
-    else:
-        raise ElliptopeError("restarts=0 requires a warm start")
     results = _ascend(c, c_off, starts, cfg)
 
     objectives = [obj for _, _, obj, _ in results]
@@ -491,11 +489,10 @@ class ElliptopeDomain(ConvexDomain):
     full width n the ascent has no spurious local maxima for restarts to fix.
     """
 
-    def __init__(self, n, config: OracleConfig | None = None):
+    def __init__(self, n):
         self.n = int(n)
         if self.n < 1:
             raise ElliptopeError("dimension must be at least 1")
-        self.config = config or OracleConfig()
         self.dim = self.n * self.n
 
     def _order(self, x):
@@ -511,18 +508,17 @@ class ElliptopeDomain(ConvexDomain):
         x = check_symmetric(self._order(x))
         try:
             start = _gram_factor(x)
-        except ElliptopeError:  # a zero row: start from restart 0's factor
-            n = x.shape[0]
-            start = random_gram(n, self.config.rank or default_rank_budget(n),
-                                np.random.default_rng(self.config.seed))
-        return _oracle(x, self.config, start).matrix
+        except ElliptopeError:  # zero row: restart 0 of a default cold call
+            start = random_gram(self.n, default_rank_budget(self.n),
+                                np.random.default_rng(0))
+        return _oracle(x, OracleConfig(), start).matrix
 
     def contains(self, x, tol=PSD_TOL):
         return is_in_elliptope(self._order(x), diag_tol=DIAG_TOL, psd_tol=tol)
 
     def sample(self, rng):
-        r = self.config.rank or default_rank_budget(self.n)
-        return gram_to_matrix(random_gram(self.n, r, rng))
+        return gram_to_matrix(
+            random_gram(self.n, default_rank_budget(self.n), rng))
 
     def sample_near(self, x, eps, rng):
         """Perturb the Gram rows and renormalize, shrinking the perturbation

@@ -121,7 +121,7 @@ def suite_monotone(seed):
                 dom = _random_cone(rng)
             else:
                 n = int(rng.integers(2, 11))
-                dom = ElliptopeDomain(n, OracleConfig(restarts=0))
+                dom = ElliptopeDomain(n)
             x0 = dom.sample(rng)
             traj = iterate(dom, x0, ell_cfg if kind == "elliptope" else cfg)
             mono = check_monotone(traj)
@@ -282,7 +282,7 @@ def suite_vertex_attractiveness(seed):
         target = 0.1 + 0.8 * rng.random()
         m = _member_near_vertex(signs, rng, target)
         assert np.linalg.norm(m - x) < 1.0
-        ok = vertex_basin_check(x, m, OracleConfig(seed=int(rng.integers(2**31))))
+        ok = vertex_basin_check(x, m)
         assert ok, f"trial {t}: one-step convergence to the vertex failed"
         lines.append(f"trial {t} n {n} dist {np.linalg.norm(m - x):.17g}")
     # converse: every non-vertex catalog point admits a strictly

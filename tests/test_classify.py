@@ -6,7 +6,6 @@ from iterlinopt import (
     ConeDomain,
     ElliptopeDomain,
     EllipsoidDomain,
-    OracleConfig,
     classify_elliptope_fixed_point,
     classify_empirical,
     curvature_classify_2d,
@@ -209,20 +208,18 @@ class TestElliptopeClassification:
             classify_elliptope_fixed_point(gram_to_matrix(v))
 
     def test_census_vertices_attractive_empirically(self):
-        cfg = OracleConfig(restarts=1, seed=5)
         for p in l3_census():
             if p.family != "vertex":
                 continue
-            dom = ElliptopeDomain(3, cfg)
+            dom = ElliptopeDomain(3)
             res = classify_empirical(dom, p.matrix, eps=0.25, samples=32, seed=3)
             assert res.label == "attractive"
 
     def test_census_non_vertices_never_attractive_empirically(self):
-        cfg = OracleConfig(restarts=1, seed=5)
         for p in l3_census():
             if p.family == "vertex":
                 continue
-            dom = ElliptopeDomain(3, cfg)
+            dom = ElliptopeDomain(3)
             res = classify_empirical(dom, p.matrix, eps=0.25, samples=8, seed=3,
                                      max_iter=500)
             assert res.label != "attractive"

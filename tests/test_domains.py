@@ -247,10 +247,12 @@ class TestLoadDomain:
         assert isinstance(dom, ElliptopeDomain) and dom.n == 3
 
     def test_elliptope_keys(self, tmp_path):
+        # the map takes no oracle settings, so n is the kind's only key
         cfg = tmp_path / "l.cfg"
-        cfg.write_text("kind=elliptope\nn=4\nrank=2\nseed=7\n")
-        dom = load_domain(cfg)
-        assert (dom.n, dom.config.rank, dom.config.seed) == (4, 2, 7)
+        for key in ("rank", "seed"):
+            cfg.write_text(f"kind=elliptope\nn=4\n{key}=2\n")
+            with pytest.raises(DomainError, match=f"takes no key '{key}'"):
+                load_domain(cfg)
 
     def test_aliases_take_the_keys_of_their_kind(self, tmp_path):
         cfg = tmp_path / "d.cfg"

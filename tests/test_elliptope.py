@@ -28,6 +28,7 @@ from iterlinopt import (
     read_matrix_text,
     sign_kernel_fixed_point,
     validate_elliptope,
+    vertex_basin_check,
     write_matrix_text,
 )
 from iterlinopt import elliptope
@@ -159,7 +160,7 @@ class TestOracle:
         c = np.zeros((3, 3))
         c[1, 2] = c[2, 1] = 1.0
         v0 = np.eye(3)
-        res = elliptope_oracle(c, OracleConfig(restarts=0), warm_start=v0)
+        res = elliptope_oracle(c, warm_start=v0)
         assert np.array_equal(res.gram[0], v0[0])
 
     def test_warm_start_runs_alone(self):
@@ -225,7 +226,7 @@ class TestOracle:
         assert np.max(np.abs(res.matrix - GREEN)) <= 1e-15
 
     def test_no_candidates_rejected(self):
-        with pytest.raises(ElliptopeError):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
             elliptope_oracle(J3, OracleConfig(restarts=0))
 
 
@@ -555,7 +556,7 @@ class TestReportsAndIO:
 class TestDomainAdapter:
     def test_engine_run_is_monotone_and_certified(self):
         rng = np.random.default_rng(12)
-        dom = ElliptopeDomain(5, OracleConfig(restarts=1, seed=3))
+        dom = ElliptopeDomain(5)
         x0 = dom.sample(rng)
         traj = iterate(dom, x0, IterationConfig(tol=1e-10, max_iter=500))
         assert check_monotone(traj).passed
@@ -563,23 +564,26 @@ class TestDomainAdapter:
         assert fixed_point_certificate(traj.final).is_fixed
 
     def test_iteration_from_identity_stays(self):
-        dom = ElliptopeDomain(3, OracleConfig(restarts=1, seed=0))
+        dom = ElliptopeDomain(3)
         traj = iterate(dom, np.eye(3))
         assert traj.status == "converged"
         assert np.array_equal(traj.final, np.eye(3))
 
     def test_zero_functional_uses_the_seeded_start(self):
         # every point maximizes the zero functional; the map returns the
-        # point of restart 0, as a cold call would, the same on every call
-        cfg = OracleConfig(seed=3)
-        dom = ElliptopeDomain(5, cfg)
+        # point of restart 0 of a default cold call, the same on every call
+        dom = ElliptopeDomain(5)
         t = dom.maximize(np.zeros((5, 5)))
         assert np.array_equal(t, dom.maximize(np.zeros((5, 5))))
         assert is_in_elliptope(t)
-        cold = elliptope_oracle(np.zeros((5, 5)), cfg)
+        cold = elliptope_oracle(np.zeros((5, 5)))
         assert np.max(np.abs(t - cold.matrix)) <= 1e-15
-        other = ElliptopeDomain(5, OracleConfig(seed=4)).maximize(np.zeros((5, 5)))
-        assert not np.allclose(t, other)
+
+    def test_map_takes_no_oracle_settings(self):
+        with pytest.raises(TypeError):
+            ElliptopeDomain(3, OracleConfig())
+        with pytest.raises(TypeError):
+            vertex_basin_check(J3, J3, OracleConfig())
 
     def test_maximize_checks_its_query_once(self, monkeypatch):
         # the factor and the oracle take the query that maximize symmetrized
@@ -599,7 +603,7 @@ class TestDomainAdapter:
             assert calls == ["matrix"]
             # bit for bit the output of the checked public functions
             assert np.array_equal(y, elliptope_oracle(
-                x, dom.config, warm_start=gram_factor(x)).matrix)
+                x, warm_start=gram_factor(x)).matrix)
 
     def test_sample_near_stays_feasible_and_close(self):
         rng = np.random.default_rng(5)
