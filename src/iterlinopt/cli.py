@@ -37,9 +37,7 @@ from .domains import (
 from .elliptope import (
     ElliptopeDomain,
     ElliptopeError,
-    OracleConfig,
     analyze_fixed_point,
-    default_rank_budget,
     enumerate_vertices,
     fixed_point_certificate,
     is_in_elliptope,
@@ -51,6 +49,7 @@ from .engine import FIXED_FACTOR, InfeasibleStartError, IterationConfig, iterate
 from .maxcut import (
     BRUTE_FORCE_CAP,
     GRAPH_CAP,
+    HYPERPLANES,
     GraphFormatError,
     load_graph,
     maxcut_pipeline,
@@ -96,13 +95,6 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _check_size(what, size):
-    """Reject an array of over GRAPH_CAP^2 entries (32 MB of float64) before
-    it is allocated."""
-    if size > GRAPH_CAP ** 2:
-        raise CliError(EXIT_INVALID, f"{what} = {size} is over the cap {GRAPH_CAP}^2")
 
 
 def _parse_start_vector(text):
@@ -306,14 +298,9 @@ def cmd_maxcut(args) -> int:
         if args.brute_force and g.n > BRUTE_FORCE_CAP:
             raise CliError(EXIT_INVALID,
                            f"{path}: brute force is capped at n = {BRUTE_FORCE_CAP}")
-        # the relaxation's starts, the baseline's hyperplanes and their signs
-        rank = args.rank or default_rank_budget(g.n)
-        _check_size(f"{path}: n * restarts * rank", g.n * args.restarts * rank)
-        _check_size(f"{path}: baseline samples * max(n, rank)",
-                    args.baseline_samples * max(g.n, rank))
         report = maxcut_pipeline(
-            g, OracleConfig(rank=args.rank, restarts=args.restarts, seed=args.seed),
-            baseline_samples=args.baseline_samples if args.baseline == "gw" else 0,
+            g, args.seed,
+            baseline_samples=HYPERPLANES if args.baseline == "gw" else 0,
             brute_force=args.brute_force,
         )
         given = {"graph": path, "edges": len(g.edges),
@@ -420,13 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relax, round and score a max-cut instance")
     p.add_argument("--graph", required=True, nargs="+",
                    help=f"edge-list file(s): lines 'u v [w]', n <= {GRAPH_CAP}")
-    p.add_argument("--rank", type=_int_at_least(1),
-                   help="relaxation rank budget (default about sqrt(2n) + 1)")
-    p.add_argument("--restarts", type=_int_at_least(1), default=5,
-                   help="seeded random starts of the relaxation")
     p.add_argument("--baseline", choices=["gw"],
-                   help="also run hyperplane-rounding as a baseline")
-    p.add_argument("--baseline-samples", type=_int_at_least(1), default=64)
+                   help=f"also run hyperplane rounding ({HYPERPLANES} "
+                        "hyperplanes) as a baseline")
     p.add_argument("--brute-force", action="store_true",
                    help=f"also compute the exact optimum (n <= {BRUTE_FORCE_CAP})")
     p.add_argument("--json", help="write report(s) as JSON to this path")

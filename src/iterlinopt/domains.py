@@ -91,10 +91,6 @@ class BallDomain(ConvexDomain):
             raise DomainError("radius must be positive")
         self.dim = self.center.size
 
-    @property
-    def origin_inside(self) -> bool:
-        return float(np.linalg.norm(self.center)) < self.radius
-
     def maximize(self, x):
         x = _point(x, self.dim)
         nx = np.linalg.norm(x)
@@ -112,7 +108,7 @@ class BallDomain(ConvexDomain):
         u /= np.linalg.norm(u)
         return self.center + self.radius * rng.random() ** (1.0 / self.dim) * u
 
-    def boundary_curvature(self, x=None) -> float:
+    def boundary_curvature(self, x) -> float:
         return 1.0 / self.radius
 
 

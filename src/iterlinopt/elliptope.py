@@ -39,6 +39,7 @@ GAP_SWEEPS = 16  # with a gap tolerance, runs are also tested this often
 # middle of the window that certified them all.
 OVER_RELAX = 0.3
 SHRINK_TRIES = 60  # halvings of the perturbation in sample_near
+RESTARTS = 5  # seeded random starts of a call without a warm start
 
 
 class ElliptopeError(ValueError):
@@ -131,6 +132,9 @@ def matrix_rank_psd(m) -> int:
 # ---------------------------------------------------------------------------
 
 def default_rank_budget(n) -> int:
+    """Factor width about sqrt(2n) + 1: some optimum has a factor this
+    narrow (Pataki), and at this width the factored problem has no spurious
+    second-order critical points (Boumal, Voroninski and Bandeira)."""
     return min(int(n), int(np.ceil(np.sqrt(2.0 * n))) + 1)
 
 
@@ -138,27 +142,21 @@ def default_rank_budget(n) -> int:
 class OracleConfig:
     """Knobs for the coordinate-ascent oracle.
 
-    rank is the Gram-factor width for random restarts (default roughly
-    sqrt(2n) + 1, enough for an optimal solution to exist at that rank).
-    Restart k draws its starting rows from a generator seeded seed + k.
-    The restarts advance together as one batch, but each stops on its own
-    SWEEP_TOL test, so every run ends as it would alone, up to rounding.
-    gap_tol > 0 also stops a run once its duality gap is certified below
-    gap_tol * max(1, |objective|), and has the result carry that bound;
-    0 keeps the exact map, which the fixed-point iteration relies on.
+    A call without a warm start runs RESTARTS random starts of width
+    ``default_rank_budget(n)``; start k draws its rows from a generator
+    seeded seed + k. The starts advance together as one batch, but each
+    stops on its own SWEEP_TOL test, so every run ends as it would alone,
+    up to rounding. gap_tol > 0 also stops a run once its duality gap is
+    certified below gap_tol * max(1, |objective|), and has the result carry
+    that bound; 0 keeps the exact map, which the fixed-point iteration
+    relies on.
     """
 
-    rank: int | None = None
     max_sweeps: int = 5000
-    restarts: int = 5  # run only by calls without a warm start
     seed: int = 0
     gap_tol: float = 0.0
 
     def __post_init__(self):
-        if self.rank is not None and self.rank < 1:
-            raise ValueError("rank budget must be at least 1")
-        if self.restarts < 1:  # a call without a warm start needs a run
-            raise ValueError("restarts must be at least 1")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         if self.seed < 0:  # numpy seeds must be nonnegative
@@ -421,7 +419,7 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     """Approximately maximize C . X over unit-diagonal PSD matrices.
 
     Runs coordinate ascent on Gram rows from the warm start alone, or
-    without one from ``restarts`` seeded random factors, keeping the run
+    without one from RESTARTS seeded random factors, keeping the run
     with the best objective, ties to the lowest candidate index. A run
     stops on a small step, on cfg.max_sweeps, as soon as its rounded
     vertex is certified optimal, or, when cfg.gap_tol > 0, as soon as its
@@ -438,7 +436,6 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
     n = c.shape[0]
     if n == 0:
         raise ElliptopeError("cost matrix is empty")
-    r = cfg.rank or default_rank_budget(n)
     c_off = c.copy()
     np.fill_diagonal(c_off, 0.0)
 
@@ -448,9 +445,10 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
             raise ElliptopeError("warm start must have one row per index")
         starts = (w / np.linalg.norm(w, axis=1)[:, None])[:, None, :]
     else:
+        r = default_rank_budget(n)
         starts = np.stack(
             [random_gram(n, r, np.random.default_rng(cfg.seed + k))
-             for k in range(cfg.restarts)], axis=1)
+             for k in range(RESTARTS)], axis=1)
     results = _ascend(c, c_off, starts, cfg)
 
     objectives = [obj for _, _, obj, _ in results]

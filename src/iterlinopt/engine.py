@@ -61,9 +61,6 @@ class Trajectory:
     status: str  # converged | max_iter | stalled
     residual: float  # |T(x_end) - x_end| at the final iterate
 
-    def __len__(self):
-        return len(self.norms_sq)
-
     @property
     def final(self):
         return self.points[-1]

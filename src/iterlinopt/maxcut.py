@@ -13,7 +13,7 @@ hyperplane rounding is used as a flagged fallback.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .elliptope import (
 
 BRUTE_FORCE_CAP = 22
 GRAPH_CAP = 2048  # one dense float64 n x n array at this size is 32 MB
-FALLBACK_SAMPLES = 64  # hyperplanes tried when rounding falls back
+HYPERPLANES = 64  # hyperplanes of the fallback rounding and the GW baseline
 MAX_ROUNDS = 500  # map applications and escapes before rounding falls back
 # Power products per rounding step. Each product is an ascent step from
 # X's own factor, which is all the norm-increasing argument needs. Every
@@ -212,7 +212,7 @@ def brute_force_maxcut(g: WeightedGraph):
     return signs, cut_value(g, signs)
 
 
-def gw_hyperplane_round(v, g: WeightedGraph, samples=64, seed=0):
+def gw_hyperplane_round(v, g: WeightedGraph, samples=HYPERPLANES, seed=0):
     """Random-hyperplane rounding of a Gram factor: sign of each row against
     a random direction, zero dot products broken to +1. Returns the best of
     ``samples`` draws (first winner on ties), with its cut summed over the
@@ -228,14 +228,31 @@ def gw_hyperplane_round(v, g: WeightedGraph, samples=64, seed=0):
     return best, cut_value(g, best)
 
 
-def solve_relaxation(g: WeightedGraph, config: OracleConfig | None = None) -> OracleResult:
+def _weight_exponent(g: WeightedGraph) -> int:
+    """The e with the largest |weight| in [2^e, 2^(e + 1)), or 0 when no
+    weight is nonzero."""
+    top = max((abs(w) for _, _, w in g.edges), default=0.0)
+    return int(np.frexp(top)[1]) - 1 if top else 0
+
+
+def solve_relaxation(g: WeightedGraph, seed=0) -> OracleResult:
     """Maximize the relaxed cut over the unit-diagonal PSD body, stopping
-    each run once its duality gap is proven below GAP_TOL (the config's
-    own gap_tol is replaced); the result carries the proven upper bound."""
+    each run once its duality gap is proven below GAP_TOL; the result
+    carries the proven upper bound. The oracle sees -W exactly divided by
+    2^e, e = ``_weight_exponent(g)``, so that its tolerances, the gap stop
+    and the ties alike, are relative to the largest weight; the objectives
+    and the bound are scaled back, so weights scaled by a power of two give
+    the same factors and scaled figures."""
     if g.n < 1:
         raise ValueError("graph has no vertices")
-    return elliptope_oracle(relaxation_cost(g),
-                            replace(config or OracleConfig(), gap_tol=GAP_TOL))
+    e = _weight_exponent(g)
+    res = elliptope_oracle(np.ldexp(relaxation_cost(g), -e),
+                           OracleConfig(seed=seed, gap_tol=GAP_TOL))
+    unit = 2.0 ** e
+    res.objective *= unit
+    res.upper_bound *= unit
+    res.restart_objectives = [o * unit for o in res.restart_objectives]
+    return res
 
 
 @dataclass
@@ -252,7 +269,8 @@ class RoundingReport:
     norms_sq: list
     relaxation_objective: float | None = None
     relaxed_cut: float | None = None
-    relative_gap: float | None = None  # (UB - objective) / max(1, |objective|)
+    # (UB - objective) / max(1, |objective|), both in the relaxation's unit
+    relative_gap: float | None = None
     restart_spread: float | None = None
     cut_value: float | None = None
     baseline_cut: float | None = None
@@ -350,7 +368,7 @@ def round_by_iteration(x0, seed=0, graph: WeightedGraph | None = None,
     if partition is None:
         v = gram_factor(x)
         if graph is not None:
-            partition, _ = gw_hyperplane_round(v, graph, FALLBACK_SAMPLES, seed)
+            partition, _ = gw_hyperplane_round(v, graph, seed=seed)
         else:
             partition = np.where(v[:, 0] >= 0.0, 1, -1).astype(int)
         source = "hyperplane_fallback"
@@ -370,8 +388,8 @@ def round_by_iteration(x0, seed=0, graph: WeightedGraph | None = None,
     return report
 
 
-def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
-                    baseline_samples=0, brute_force=False) -> RoundingReport:
+def maxcut_pipeline(g: WeightedGraph, seed=0, baseline_samples=0,
+                    brute_force=False) -> RoundingReport:
     """Full chain: relaxation, iterated rounding, optional baselines.
 
     The relaxation optimum is not always unique (complete graphs are the
@@ -385,12 +403,15 @@ def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
     the report. Candidates tie within the relaxation's own gap tolerance
     GAP_TOL, and count as one start when they lie within START_DIST of each
     other. The relaxed cut is the certified bound: (sum over ordered pairs
-    of W + UB) / 4, at least the maximum cut by weak duality.
+    of W + UB) / 4, at least the maximum cut by weak duality. The tie
+    tolerance and the relative gap are taken in the relaxation's unit,
+    2^``_weight_exponent(g)``, so that neither depends on the unit of the
+    weights.
     """
-    cfg = config or OracleConfig()
-    res = solve_relaxation(g, cfg)
+    res = solve_relaxation(g, seed)
+    unit = 2.0 ** _weight_exponent(g)
     starts = [(res.matrix, res.gram)]  # each with its unit-row factor
-    tie_tol = GAP_TOL * max(1.0, abs(res.objective))
+    tie_tol = GAP_TOL * max(unit, abs(res.objective))
     for obj, gram in zip(res.restart_objectives, res.candidate_grams):
         if obj >= res.objective - tie_tol:
             x = gram_to_matrix(gram, row_tol=ROW_TOL)
@@ -398,7 +419,7 @@ def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
                 starts.append((x, gram))
     report = None
     for x0, gram in starts:
-        cand = round_by_iteration(x0, cfg.seed, graph=g, gram=gram)
+        cand = round_by_iteration(x0, seed, graph=g, gram=gram)
         if report is None or cand.cut_value > report.cut_value:
             report = cand
     report.rounding_starts = len(starts)
@@ -406,11 +427,11 @@ def maxcut_pipeline(g: WeightedGraph, config: OracleConfig | None = None,
     report.relaxed_cut = float((np.sum(g.weight_matrix())
                                 + res.upper_bound) / 4.0)
     report.relative_gap = ((res.upper_bound - res.objective)
-                           / max(1.0, abs(res.objective)))
+                           / max(unit, abs(res.objective)))
     report.restart_spread = float(max(res.restart_objectives)
                                   - min(res.restart_objectives))
     if baseline_samples:
-        _, baseline = gw_hyperplane_round(res.gram, g, baseline_samples, cfg.seed)
+        _, baseline = gw_hyperplane_round(res.gram, g, baseline_samples, seed)
         report.baseline_cut = baseline
     if brute_force:
         _, optimum = brute_force_maxcut(g)

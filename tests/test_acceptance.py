@@ -361,8 +361,8 @@ def suite_maxcut(seed):
     instances += [("complete", _complete(n)) for n in range(4, 9)]
     instances += [("path", _path(n)) for n in range(3, 9)]
     for name, g in instances:
-        cfg = OracleConfig(seed=int(rng.integers(2**31)))
-        report = maxcut_pipeline(g, cfg, brute_force=True)
+        report = maxcut_pipeline(g, seed=int(rng.integers(2**31)),
+                                 brute_force=True)
         assert set(np.unique(report.partition)) <= {-1, 1}
         recount = sum(w for u, v, w in g.edges
                       if report.partition[u] != report.partition[v])
@@ -376,12 +376,11 @@ def suite_maxcut(seed):
                      f"relax {report.relaxed_cut:.17g} {report.terminal_status}")
     # the 3-vertex complete graph end to end: relaxation optimum, rounding, cut
     g3 = _complete(3)
-    res = solve_relaxation(g3, OracleConfig(seed=seed % (2**31)))
+    res = solve_relaxation(g3, seed=seed % (2**31))
     off = res.matrix[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off + 0.5)) <= 1e-6
     assert abs(relaxed_cut_value(g3, res.matrix) - 2.25) <= 1e-6
-    report = maxcut_pipeline(g3, OracleConfig(seed=seed % (2**31)),
-                             brute_force=True)
+    report = maxcut_pipeline(g3, seed=seed % (2**31), brute_force=True)
     assert report.cut_value == 2.0 and report.brute_force_cut == 2.0
     lines.append("triangle chain reproduces the derived values")
     return "\n".join(lines)

@@ -8,8 +8,20 @@ import numpy as np
 import pytest
 
 import iterlinopt
-from iterlinopt import cli, elliptope, l3_census, l4_family, write_matrix_text
+from iterlinopt import (
+    OracleConfig,
+    WeightedGraph,
+    cli,
+    elliptope_oracle,
+    l3_census,
+    l4_family,
+    maxcut,
+    relaxation_cost,
+    write_matrix_text,
+)
 from iterlinopt.cli import main
+from iterlinopt.elliptope import random_gram
+from iterlinopt.maxcut import GAP_TOL, HYPERPLANES
 
 
 @pytest.fixture
@@ -320,6 +332,21 @@ class TestMaxcut:
         assert "baseline_cut: 2" in out
         assert "terminal_status: vertex" in out
 
+    def test_baseline_draws_the_fixed_hyperplane_count(self, k3_file, capsys,
+                                                       monkeypatch):
+        calls = []
+        draw = maxcut.gw_hyperplane_round
+
+        def recorded(v, g, samples=HYPERPLANES, seed=0):
+            calls.append((samples, seed))
+            return draw(v, g, samples, seed)
+
+        monkeypatch.setattr(maxcut, "gw_hyperplane_round", recorded)
+        assert main(["maxcut", "--graph", k3_file, "--baseline", "gw",
+                     "--seed", "3"]) == 0
+        assert calls == [(HYPERPLANES, 3)]
+        assert "baseline_cut: 2\n" in capsys.readouterr().out
+
     def test_complete_eight(self, tmp_path, capsys):
         p = tmp_path / "k8.txt"
         lines = [f"{u} {v} 1.0" for u in range(8) for v in range(u + 1, 8)]
@@ -335,11 +362,16 @@ class TestMaxcut:
         p.write_text("\n".join(f"{k} {k + 1} 1.0" for k in range(29)) + "\n")
         assert main(["maxcut", "--graph", str(p), "--brute-force"]) == 2
 
-    def test_rank_one_reports_the_gap_it_could_not_close(self, k3_file, capsys):
-        # a rank-one relaxation of K3 sits at a vertex it cannot leave: its
-        # objective is 2, its proven bound 5
-        assert main(["maxcut", "--graph", k3_file, "--rank", "1"]) == 0
-        assert "relative_gap: 1.500000000000004\n" in capsys.readouterr().out
+    def test_rank_one_reports_the_gap_it_could_not_close(self):
+        # a rank-one factor of K3's relaxation sits at a vertex it cannot
+        # leave: its objective is 2, its proven bound 5, and the gap the
+        # maxcut record would print is (5 - 2) / 2
+        k3 = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+        res = elliptope_oracle(relaxation_cost(k3), OracleConfig(gap_tol=GAP_TOL),
+                               warm_start=random_gram(3, 1, np.random.default_rng(0)))
+        assert res.objective == 2.0
+        assert res.upper_bound == 5.000000000000008
+        assert (res.upper_bound - res.objective) / res.objective == 1.500000000000004
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
@@ -396,59 +428,78 @@ FACE_POINT = "3\n1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n"  # an L3 face point
 
 
 @pytest.mark.parametrize("argv, content, code", [
-    (["maxcut", "--graph", "FILE"], "0 1 nan\n", 1),
-    (["maxcut", "--graph", "FILE"], "# no edges\n", 1),
-    (["maxcut", "--graph", "FILE", "--rank", "0"], "0 1\n", 2),
-    (["maxcut", "--graph", "FILE", "--restarts", "-1"], "0 1\n", 2),
-    (["maxcut", "--graph", "FILE", "--restarts", "0"], "0 1\n", 2),
-    (["maxcut", "--graph", "FILE"], "0 2048\n", 2),  # n = 2049, one over the cap
-    (["iterate", "--domain", "elliptope", "--n", "0", "--start", "FILE"], "", 2),
-    (["census", "--n", "13"], "", 2),
-    (["verify", "--matrix", "FILE", "--seed", "1"], "", 2),
-    (["census", "--n", "3", "--seed", "1"], "", 2),
-    (["iterate", "--domain", "elliptope", "--n", "3", "--start", "FILE",
-      "--restarts", "2"], "", 2),
-    (["classify", "--matrix", "FILE", "--restarts", "2"], "", 2),
-    (["iterate", "--domain", "FILE", "--start", "0,1"],
-     "kind=ball\ncenter=1,0\nradius=2\nrestarts=5\n", 1),
-    (["iterate", "--domain", "FILE", "--start", "0,1"],
-     "kind=ball\ncenter=1,0\nradius=2\nradious=2\n", 1),
-    (["iterate", "--domain", "FILE", "--start", "0,1"],
-     "kind=elliptope\nn=3\nseed=-1\n", 1),
-    (["iterate", "--domain", "FILE", "--start", "0,1"],
-     "kind=elliptope\nn=3\nrank=2\n", 1),
-    (["iterate", "--domain", "FILE", "--start", "0,1", "--max-iter", "0"], "", 2),
-    (["iterate", "--domain", "FILE", "--start", "0,1", "--tol", "0"], "", 2),
-    (["classify", "--matrix", "FILE", "--max-iter", "0"], "", 2),
-    (["classify", "--matrix", "FILE", "--tol", "0"], "", 2),
-    (["classify", "--matrix", "FILE", "--samples", "-2"], "", 2),
-    (["maxcut", "--graph", "FILE", "--baseline-samples", "-1"], "0 1\n", 2),
-    (["maxcut", "--graph", "FILE", "--baseline-samples", "0"], "0 1\n", 2),
-    (["classify", "--matrix", "FILE", "--eps", "0"], "", 2),
-    (["classify", "--matrix", "FILE", "--eps", "-1"], "", 2),
-    (["verify", "--matrix", "FILE", "--tol", "-1"], FACE_POINT, 2),
-    (["verify", "--matrix", "FILE", "--tol", "nan"], FACE_POINT, 2),
-    (["verify", "--matrix", "FILE", "--tol", "inf"], "2\n1 0.5\n0.5 1\n", 2),
-    (["verify", "--matrix", "FILE", "--diag-tol", "-1"], FACE_POINT, 2),
-    (["verify", "--matrix", "FILE", "--diag-tol", "nan"], FACE_POINT, 2),
-    (["maxcut", "--graph", "FILE", "--seed", "-1"], "0 1\n1 2\n0 2\n", 2),
-    (["iterate", "--domain", "elliptope", "--n", "3", "--start", "FILE",
-      "--seed", "-1"], FACE_POINT, 2),
-    (["classify", "--matrix", "FILE", "--seed", "-1"], FACE_POINT, 2),
-    (["iterate", "--domain", "elliptope", "--n", "3", "--start", "FILE",
-      "--rank", "1"], FACE_POINT, 2),
-    (["classify", "--matrix", "FILE", "--rank", "1"], FACE_POINT, 2),
-], ids=["nan-weight", "no-edges", "rank-0", "restarts-negative", "restarts-0", "graph-cap",
-        "elliptope-n-0", "census-cap", "verify-seed", "census-seed",
-        "iterate-restarts", "classify-restarts", "domain-restarts-key",
-        "domain-misspelt-key", "domain-seed-key", "domain-rank-key",
-        "iterate-max-iter-0", "iterate-tol-0",
-        "classify-max-iter-0", "classify-tol-0", "classify-samples-negative",
-        "baseline-samples-negative", "baseline-samples-0", "classify-eps-0",
-        "classify-eps-negative", "verify-tol-negative", "verify-tol-nan", "verify-tol-inf",
-        "verify-diag-tol-negative", "verify-diag-tol-nan", "maxcut-seed-negative",
-        "iterate-seed-negative", "classify-seed-negative", "iterate-rank",
-        "classify-rank"])
+    pytest.param(["maxcut", "--graph", "FILE"], "0 1 nan\n", 1, id="nan-weight"),
+    pytest.param(["maxcut", "--graph", "FILE"], "# no edges\n", 1, id="no-edges"),
+    # the relaxation's width, its restart count and the baseline's
+    # hyperplane count are set by the graph, not by flags
+    pytest.param(["maxcut", "--graph", "FILE", "--rank", "0"], "0 1\n", 2,
+                 id="rank-0"),
+    pytest.param(["maxcut", "--graph", "FILE", "--restarts", "-1"], "0 1\n", 2,
+                 id="restarts-negative"),
+    pytest.param(["maxcut", "--graph", "FILE", "--restarts", "0"], "0 1\n", 2,
+                 id="restarts-0"),
+    pytest.param(["maxcut", "--graph", "FILE", "--baseline-samples", "-1"],
+                 "0 1\n", 2, id="baseline-samples-negative"),
+    pytest.param(["maxcut", "--graph", "FILE", "--baseline-samples", "0"],
+                 "0 1\n", 2, id="baseline-samples-0"),
+    pytest.param(["maxcut", "--graph", "FILE"], "0 2048\n", 2,
+                 id="graph-cap"),  # n = 2049, one over the cap
+    pytest.param(["iterate", "--domain", "elliptope", "--n", "0", "--start",
+                  "FILE"], "", 2, id="elliptope-n-0"),
+    pytest.param(["census", "--n", "13"], "", 2, id="census-cap"),
+    pytest.param(["verify", "--matrix", "FILE", "--seed", "1"], "", 2,
+                 id="verify-seed"),
+    pytest.param(["census", "--n", "3", "--seed", "1"], "", 2, id="census-seed"),
+    pytest.param(["iterate", "--domain", "elliptope", "--n", "3", "--start",
+                  "FILE", "--restarts", "2"], "", 2, id="iterate-restarts"),
+    pytest.param(["classify", "--matrix", "FILE", "--restarts", "2"], "", 2,
+                 id="classify-restarts"),
+    pytest.param(["iterate", "--domain", "FILE", "--start", "0,1"],
+                 "kind=ball\ncenter=1,0\nradius=2\nrestarts=5\n", 1,
+                 id="domain-restarts-key"),
+    pytest.param(["iterate", "--domain", "FILE", "--start", "0,1"],
+                 "kind=ball\ncenter=1,0\nradius=2\nradious=2\n", 1,
+                 id="domain-misspelt-key"),
+    pytest.param(["iterate", "--domain", "FILE", "--start", "0,1"],
+                 "kind=elliptope\nn=3\nseed=-1\n", 1, id="domain-seed-key"),
+    pytest.param(["iterate", "--domain", "FILE", "--start", "0,1"],
+                 "kind=elliptope\nn=3\nrank=2\n", 1, id="domain-rank-key"),
+    pytest.param(["iterate", "--domain", "FILE", "--start", "0,1",
+                  "--max-iter", "0"], "", 2, id="iterate-max-iter-0"),
+    pytest.param(["iterate", "--domain", "FILE", "--start", "0,1", "--tol", "0"],
+                 "", 2, id="iterate-tol-0"),
+    pytest.param(["classify", "--matrix", "FILE", "--max-iter", "0"], "", 2,
+                 id="classify-max-iter-0"),
+    pytest.param(["classify", "--matrix", "FILE", "--tol", "0"], "", 2,
+                 id="classify-tol-0"),
+    pytest.param(["classify", "--matrix", "FILE", "--samples", "-2"], "", 2,
+                 id="classify-samples-negative"),
+    pytest.param(["classify", "--matrix", "FILE", "--eps", "0"], "", 2,
+                 id="classify-eps-0"),
+    pytest.param(["classify", "--matrix", "FILE", "--eps", "-1"], "", 2,
+                 id="classify-eps-negative"),
+    pytest.param(["verify", "--matrix", "FILE", "--tol", "-1"], FACE_POINT, 2,
+                 id="verify-tol-negative"),
+    pytest.param(["verify", "--matrix", "FILE", "--tol", "nan"], FACE_POINT, 2,
+                 id="verify-tol-nan"),
+    pytest.param(["verify", "--matrix", "FILE", "--tol", "inf"],
+                 "2\n1 0.5\n0.5 1\n", 2, id="verify-tol-inf"),
+    pytest.param(["verify", "--matrix", "FILE", "--diag-tol", "-1"], FACE_POINT,
+                 2, id="verify-diag-tol-negative"),
+    pytest.param(["verify", "--matrix", "FILE", "--diag-tol", "nan"], FACE_POINT,
+                 2, id="verify-diag-tol-nan"),
+    pytest.param(["maxcut", "--graph", "FILE", "--seed", "-1"],
+                 "0 1\n1 2\n0 2\n", 2, id="maxcut-seed-negative"),
+    pytest.param(["iterate", "--domain", "elliptope", "--n", "3", "--start",
+                  "FILE", "--seed", "-1"], FACE_POINT, 2,
+                 id="iterate-seed-negative"),
+    pytest.param(["classify", "--matrix", "FILE", "--seed", "-1"], FACE_POINT, 2,
+                 id="classify-seed-negative"),
+    pytest.param(["iterate", "--domain", "elliptope", "--n", "3", "--start",
+                  "FILE", "--rank", "1"], FACE_POINT, 2, id="iterate-rank"),
+    pytest.param(["classify", "--matrix", "FILE", "--rank", "1"], FACE_POINT, 2,
+                 id="classify-rank"),
+])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
     f = tmp_path / "input.txt"
     f.write_text(content)
@@ -470,31 +521,6 @@ def test_file_not_in_utf8_gives_one_error_line(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {f}: not UTF-8 text")
-    assert len(captured.err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("argv, content", [
-    (["maxcut", "--graph", "FILE", "--restarts", "1000000000"], "0 1\n1 2\n0 2\n"),
-    (["maxcut", "--graph", "FILE", "--rank", "1000000"], "0 1\n1 2\n0 2\n"),
-    (["maxcut", "--graph", "FILE", "--baseline-samples", "2000000"],
-     "0 1\n1 2\n0 2\n"),
-], ids=["maxcut-restarts", "maxcut-rank", "maxcut-baseline-samples"])
-def test_size_caps_reject_before_allocating(tmp_path, capsys, monkeypatch,
-                                            argv, content):
-    # n * restarts * rank and samples * max(n, rank) are capped at
-    # GRAPH_CAP^2 entries; nothing may get as far as allocating them
-    def unreachable(*args, **kwargs):
-        raise AssertionError("size cap not checked first")
-
-    for owner, name in [(cli, "maxcut_pipeline"), (elliptope, "random_gram"),
-                        (elliptope, "_oracle")]:
-        monkeypatch.setattr(owner, name, unreachable)
-    f = tmp_path / "input.txt"
-    f.write_text(content)
-    assert main([str(f) if a == "FILE" else a for a in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "over the cap" in captured.err
     assert len(captured.err.splitlines()) == 1
 
 

@@ -144,7 +144,8 @@ class TestOracle:
         for n in (5, 8):
             c = rng.standard_normal((n, n))
             c = 0.5 * (c + c.T)
-            res = elliptope_oracle(c, OracleConfig(rank=n, seed=2))
+            v0 = elliptope.random_gram(n, n, np.random.default_rng(2))
+            res = elliptope_oracle(c, warm_start=v0)
             assert np.linalg.eigvalsh(res.matrix)[0] <= 1e-6
 
     def test_eigenmatrix_identity_at_output(self):
@@ -168,15 +169,17 @@ class TestOracle:
         c = rng.standard_normal((6, 6))
         c = 0.5 * (c + c.T)
         v0 = gram_factor(c @ c.T + np.eye(6))
-        res = elliptope_oracle(c, OracleConfig(restarts=5), warm_start=v0)
+        res = elliptope_oracle(c, warm_start=v0)
         assert len(res.restart_objectives) == 1
         assert len(res.candidate_grams) == 1
         assert res.best_index == 0
 
     def test_restart_bookkeeping(self):
         c = -J3
-        res = elliptope_oracle(c, OracleConfig(restarts=3, seed=7))
-        assert len(res.restart_objectives) == 3
+        res = elliptope_oracle(c, OracleConfig(seed=7))
+        assert len(res.restart_objectives) == elliptope.RESTARTS
+        assert [v.shape for v in res.candidate_grams] == [
+            (3, default_rank_budget(3))] * elliptope.RESTARTS
         assert res.objective == pytest.approx(max(res.restart_objectives))
 
     def test_asymmetric_cost_rejected(self):
@@ -224,10 +227,6 @@ class TestOracle:
         res = elliptope_oracle(c, warm_start=v0)
         assert res.status == "step_tol"
         assert np.max(np.abs(res.matrix - GREEN)) <= 1e-15
-
-    def test_no_candidates_rejected(self):
-        with pytest.raises(ValueError, match="restarts must be at least 1"):
-            elliptope_oracle(J3, OracleConfig(restarts=0))
 
 
 def _gap_costs():
@@ -629,11 +628,15 @@ class TestDomainAdapter:
         with pytest.raises(ElliptopeError, match="expected 3, got 4"):
             ElliptopeDomain(3).contains(np.eye(4))
 
-    @pytest.mark.parametrize("bad", [{"rank": 0}, {"restarts": -1},
-                                     {"max_sweeps": 0}, {"seed": -1},
-                                     {"gap_tol": -1e-7}, {"gap_tol": np.inf}])
-    def test_config_bounds(self, bad):
-        with pytest.raises(ValueError):
+    # rank and restarts are no fields: a cold call runs RESTARTS starts of
+    # width default_rank_budget(n), so asking for either is a TypeError
+    @pytest.mark.parametrize("bad, error", [
+        ({"rank": 0}, TypeError), ({"restarts": -1}, TypeError),
+        ({"max_sweeps": 0}, ValueError), ({"seed": -1}, ValueError),
+        ({"gap_tol": -1e-7}, ValueError), ({"gap_tol": np.inf}, ValueError),
+    ], ids=[f"bad{k}" for k in range(6)])
+    def test_config_bounds(self, bad, error):
+        with pytest.raises(error):
             OracleConfig(**bad)
 
     def test_rank_budget_default(self):

@@ -5,7 +5,6 @@ import pytest
 
 from iterlinopt import (
     GraphFormatError,
-    OracleConfig,
     WeightedGraph,
     brute_force_maxcut,
     cut_value,
@@ -23,7 +22,7 @@ from iterlinopt import (
 )
 from iterlinopt import maxcut
 from iterlinopt.elliptope import ROW_TOL
-from iterlinopt.maxcut import FALLBACK_SAMPLES, GAP_TOL, ROUND_STEPS, START_DIST
+from iterlinopt.maxcut import GAP_TOL, HYPERPLANES, ROUND_STEPS, START_DIST
 
 
 def complete_graph(n, w=1.0):
@@ -228,7 +227,7 @@ class TestBruteForce:
 
 class TestRelaxation:
     def test_triangle_optimum_matches_symmetric_slice_scan(self):
-        res = solve_relaxation(K3, OracleConfig(seed=0))
+        res = solve_relaxation(K3, seed=0)
         # independent oracle: scan the symmetric slice x(t), offdiag t
         ts = np.linspace(-0.5, 1.0, 30_001)
         best = max((6.0 - 6.0 * t) / 4.0 for t in ts)
@@ -249,7 +248,7 @@ class TestRelaxation:
                  WeightedGraph(20, [(u, v, 1.0) for u in range(20)
                                     for v in range(u + 1, 20)
                                     if rng.random() < 0.3]))
-            res = solve_relaxation(g, OracleConfig(seed=k))
+            res = solve_relaxation(g, seed=k)
             assert res.status in ("certified_gap", "certified_vertex")
             tol = GAP_TOL * max(1.0, abs(res.objective))
             assert res.objective <= res.upper_bound <= res.objective + tol
@@ -268,7 +267,7 @@ class TestHyperplaneRounding:
         assert val == 1.0
 
     def test_triangle_optimum_cuts_two(self):
-        res = solve_relaxation(K3, OracleConfig(seed=0))
+        res = solve_relaxation(K3, seed=0)
         _, val = gw_hyperplane_round(res.gram, K3, samples=64, seed=0)
         assert val == 2.0
 
@@ -298,7 +297,7 @@ class TestRounding:
         assert report.cut_value == 0.0
 
     def test_triangle_relaxation_rounds_to_optimal_cut(self):
-        res = solve_relaxation(K3, OracleConfig(seed=0))
+        res = solve_relaxation(K3, seed=0)
         report = round_by_iteration(res.matrix, seed=0, graph=K3)
         assert report.terminal_status == "vertex"
         assert report.cut_value == 2.0
@@ -311,7 +310,7 @@ class TestRounding:
         assert set(np.unique(report.partition)) <= {-1, 1}
 
     def test_norms_never_decrease(self):
-        res = solve_relaxation(complete_graph(5), OracleConfig(seed=0))
+        res = solve_relaxation(complete_graph(5), seed=0)
         report = round_by_iteration(res.matrix, seed=0,
                                     graph=complete_graph(5))
         assert np.all(np.diff(report.norms_sq) >= -1e-9)
@@ -331,7 +330,7 @@ class TestRounding:
                 report = round_by_iteration(face, seed=seed, graph=K3)
             assert report.partition_source == "hyperplane_fallback"
             signs, _ = gw_hyperplane_round(gram_factor(face), K3,
-                                           FALLBACK_SAMPLES, seed)
+                                           HYPERPLANES, seed)
             assert np.array_equal(report.partition, signs)
 
     def test_a_factor_of_the_start_rounds_it_alike(self):
@@ -345,7 +344,7 @@ class TestRounding:
                    for _ in range(4)]
         graphs += [signed_torus(4, 5, rng) for _ in range(4)]
         for k, g in enumerate(graphs):
-            res = solve_relaxation(g, OracleConfig(seed=k))
+            res = solve_relaxation(g, seed=k)
             for v in res.candidate_grams[:2]:
                 x = gram_to_matrix(v, row_tol=ROW_TOL)
                 a = round_by_iteration(x, graph=g)
@@ -402,7 +401,7 @@ class TestBudgetedRounding:
 
         monkeypatch.setattr(maxcut, "_power_step", recording_step)
         monkeypatch.setattr(maxcut, "_power_product", counting_product)
-        res = solve_relaxation(g, OracleConfig(seed=0))
+        res = solve_relaxation(g, seed=0)
         report = round_by_iteration(res.matrix, seed=0, graph=g)
         assert report.terminal_status == "vertex"
         assert steps and products == [ROUND_STEPS] * len(steps)
@@ -416,13 +415,13 @@ class TestBudgetedRounding:
         # per step loses at least one of them
         for n, seed, cut in ((19, 0, 90), (27, 0, 182), (32, 0, 256),
                              (38, 0, 360), (39, 1, 378)):
-            report = maxcut_pipeline(complete_graph(n), OracleConfig(seed=seed))
+            report = maxcut_pipeline(complete_graph(n), seed=seed)
             assert report.cut_value == cut
 
 
 class TestPipeline:
     def test_triangle_full_chain(self):
-        report = maxcut_pipeline(K3, OracleConfig(seed=0), baseline_samples=64,
+        report = maxcut_pipeline(K3, seed=0, baseline_samples=64,
                                  brute_force=True)
         assert report.cut_value == 2.0
         assert report.brute_force_cut == 2.0
@@ -435,7 +434,7 @@ class TestPipeline:
         starts = {4: 1, 5: 5, 6: 3, 7: 5, 8: 5}
         for n in (4, 5, 6, 7, 8):
             g = complete_graph(n)
-            report = maxcut_pipeline(g, OracleConfig(seed=0), brute_force=True)
+            report = maxcut_pipeline(g, seed=0, brute_force=True)
             assert report.brute_force_cut == n * n // 4
             assert report.cut_value == n * n // 4
             assert report.relaxed_cut >= report.brute_force_cut - 1e-9
@@ -448,7 +447,7 @@ class TestPipeline:
         n = int(rng.integers(6, 15))
         g = WeightedGraph(n, [(u, v, 1.0) for u in range(n)
                               for v in range(u + 1, n) if rng.random() < 0.35])
-        res = solve_relaxation(g, OracleConfig(seed=0))
+        res = solve_relaxation(g, seed=0)
         tol = GAP_TOL * max(1.0, abs(res.objective))
         tied = [gram_to_matrix(v, row_tol=ROW_TOL)
                 for obj, v in zip(res.restart_objectives, res.candidate_grams)
@@ -457,7 +456,7 @@ class TestPipeline:
         dists = [np.max(np.abs(x - y)) for k, x in enumerate(tied)
                  for y in tied[k + 1:]]
         assert 1e-12 < min(dists) and max(dists) < START_DIST
-        assert maxcut_pipeline(g, OracleConfig(seed=0)).rounding_starts == 1
+        assert maxcut_pipeline(g, seed=0).rounding_starts == 1
 
     def test_relaxed_cut_is_a_bound_on_the_optimum(self):
         # float weights of both signs: the bound holds by weak duality
@@ -467,8 +466,8 @@ class TestPipeline:
             g = WeightedGraph(n, [(u, v, float(rng.uniform(-1.0, 2.0)))
                                   for u in range(n) for v in range(u + 1, n)
                                   if rng.random() < 0.5])
-            report = maxcut_pipeline(g, OracleConfig(seed=k), brute_force=True)
-            res = solve_relaxation(g, OracleConfig(seed=k))
+            report = maxcut_pipeline(g, seed=k, brute_force=True)
+            res = solve_relaxation(g, seed=k)
             assert report.relaxed_cut >= report.brute_force_cut
             assert report.relaxed_cut == (
                 np.sum(g.weight_matrix()) + res.upper_bound) / 4.0
@@ -479,8 +478,8 @@ class TestPipeline:
         # on a certified vertex, whose bound is exact
         relaxations = []
 
-        def recorded(g, config):
-            relaxations.append(solve_relaxation(g, config))
+        def recorded(g, seed):
+            relaxations.append(solve_relaxation(g, seed))
             return relaxations[-1]
 
         monkeypatch.setattr(maxcut, "solve_relaxation", recorded)
@@ -493,7 +492,7 @@ class TestPipeline:
         graphs += [path_graph(n) for n in (5, 8, 20)]
         statuses = []
         for k, g in enumerate(graphs):
-            report = maxcut_pipeline(g, OracleConfig(seed=k))
+            report = maxcut_pipeline(g, seed=k)
             res = relaxations[-1]
             assert report.relative_gap == (
                 (res.upper_bound - res.objective) / max(1.0, abs(res.objective)))
@@ -502,10 +501,37 @@ class TestPipeline:
             statuses.append(res.status)
         assert statuses == ["certified_gap"] * 6 + ["certified_vertex"] * 3
 
+    @staticmethod
+    def _scaled_gnp(s):
+        rng = np.random.default_rng(3)
+        return WeightedGraph(20, [(u, v, s) for u in range(20)
+                                  for v in range(u + 1, 20) if rng.random() < 0.3])
+
+    @pytest.mark.parametrize("k", [-60, -20, 20, 60])
+    def test_the_unit_of_the_weights_changes_nothing(self, k):
+        # the relaxation runs on -W over the power of two of its largest
+        # weight, so weights scaled by 2^k give the same run, figures scaled
+        # by exactly 2^k; without it, 2^-20 and 2^-60 froze rows under the
+        # absolute GRAD_TOL and certified gaps far off the optimum
+        base = maxcut_pipeline(self._scaled_gnp(1.0), brute_force=True)
+        report = maxcut_pipeline(self._scaled_gnp(2.0 ** k), brute_force=True)
+        assert np.array_equal(report.partition, base.partition)
+        assert report.relative_gap == base.relative_gap
+        for name in ("cut_value", "relaxed_cut", "relaxation_objective",
+                     "brute_force_cut"):
+            assert getattr(report, name) == getattr(base, name) * 2.0 ** k
+
+    def test_huge_weights_do_not_overflow(self):
+        # at 1e160 the unscaled row norms overflowed; any warning fails here
+        base = maxcut_pipeline(self._scaled_gnp(1.0), brute_force=True)
+        report = maxcut_pipeline(self._scaled_gnp(1e160), brute_force=True)
+        assert np.array_equal(report.partition, base.partition)
+        assert 0.0 <= report.relative_gap <= GAP_TOL
+
     def test_paths_are_cut_completely(self):
         for n in (3, 5, 8):
             g = path_graph(n)
-            report = maxcut_pipeline(g, OracleConfig(seed=0), brute_force=True)
+            report = maxcut_pipeline(g, seed=0, brute_force=True)
             assert report.brute_force_cut == n - 1
             assert report.relaxed_cut >= n - 1 - 1e-9
             assert report.cut_value == n - 1
@@ -522,7 +548,7 @@ class TestPipeline:
                     if rng.random() < 0.4:
                         edges.add((u, v))
             g = WeightedGraph(n, [(u, v, 1.0) for u, v in sorted(edges)])
-            report = maxcut_pipeline(g, OracleConfig(seed=0), brute_force=True)
+            report = maxcut_pipeline(g, seed=0, brute_force=True)
             assert set(np.unique(report.partition)) <= {-1, 1}
             recount = sum(w for u, v, w in g.edges
                           if report.partition[u] != report.partition[v])
@@ -530,9 +556,9 @@ class TestPipeline:
             assert report.relaxed_cut >= report.brute_force_cut - 1e-9
 
     def test_determinism(self):
-        a = maxcut_pipeline(complete_graph(6), OracleConfig(seed=3),
+        a = maxcut_pipeline(complete_graph(6), seed=3,
                             baseline_samples=32, brute_force=True)
-        b = maxcut_pipeline(complete_graph(6), OracleConfig(seed=3),
+        b = maxcut_pipeline(complete_graph(6), seed=3,
                             baseline_samples=32, brute_force=True)
         assert np.array_equal(a.partition, b.partition)
         assert a.norms_sq == b.norms_sq

@@ -33,6 +33,7 @@ from iterlinopt import (
 )
 from iterlinopt.elliptope import (
     GRAD_TOL,
+    RESTARTS,
     SWEEP_TOL,
     _ascend,
     _certify,
@@ -123,7 +124,7 @@ def test_warm_started_map_matches_cold_restarts():
         n = 2 + k % 11
         x = gram_to_matrix(random_gram(n, int(rng.integers(1, n + 1)), rng))
         tx = ElliptopeDomain(n).maximize(x)
-        cold = elliptope_oracle(x, OracleConfig(restarts=5, seed=k))
+        cold = elliptope_oracle(x, OracleConfig(seed=k))
         obj = float(np.vdot(x, tx))
         assert obj >= cold.objective - 1e-12 * max(1.0, abs(obj))
 
@@ -158,22 +159,20 @@ def test_batched_restarts_match_single_runs():
     for n, s in ((8, 9), (15, 3)):
         c = rng.standard_normal((n, n))
         c = 0.5 * (c + c.T)
-        batched = elliptope_oracle(c, OracleConfig(seed=s, restarts=5))
-        singles = [elliptope_oracle(c, OracleConfig(seed=s + k, restarts=1))
-                   for k in range(5)]
-        sweeps = [one.sweeps for one in singles]
-        assert len(set(sweeps)) > 1
-        assert batched.sweeps == sweeps[batched.best_index]
-        for k, one in enumerate(singles):
-            assert batched.restart_objectives[k] == pytest.approx(
-                one.restart_objectives[0], rel=1e-12)
-            assert np.max(np.abs(batched.candidate_grams[k]
-                                 - one.candidate_grams[0])) <= 1e-10
-        # per-run sweep counts straight from the kernel
+        batched = elliptope_oracle(c, OracleConfig(seed=s))
+        # restart k's start, ascended alone and in the kernel's batch
         c_off = c - np.diag(np.diag(c))
         starts = np.stack([random_gram(n, default_rank_budget(n),
                                        np.random.default_rng(s + k))
-                           for k in range(5)], axis=1)
+                           for k in range(RESTARTS)], axis=1)
+        singles = [_ascend(c, c_off, starts[:, k:k + 1], OracleConfig())[0]
+                   for k in range(RESTARTS)]
+        sweeps = [one[1] for one in singles]
+        assert len(set(sweeps)) > 1
+        assert batched.sweeps == sweeps[batched.best_index]
+        for k, (v, _, obj, _) in enumerate(singles):
+            assert batched.restart_objectives[k] == pytest.approx(obj, rel=1e-12)
+            assert np.max(np.abs(batched.candidate_grams[k] - v)) <= 1e-10
         runs = _ascend(c, c_off, starts, OracleConfig())
         assert [run[1] for run in runs] == sweeps
 
@@ -515,7 +514,7 @@ def test_one_colouring_per_oracle_call(monkeypatch):
     assert res.sweeps >= 32 and colourings == [60]
     # the rounding steps of K19 are power steps: no oracle call, no sweep
     g = _graph(_complete(19))
-    x = solve_relaxation(g, OracleConfig(seed=0)).matrix
+    x = solve_relaxation(g, seed=0).matrix
     monkeypatch.setattr(elliptope, "_oracle", counting_oracle)
     colourings.clear()
     report = round_by_iteration(x, seed=0, graph=g)
@@ -657,7 +656,7 @@ def _per_sample_reference(v, g, samples, seed):
 def test_hyperplanes_scored_in_one_product_match_per_sample_loop(graph):
     rng = np.random.default_rng(43)
     g = graph(rng)
-    factors = [solve_relaxation(g, OracleConfig(seed=0)).gram,
+    factors = [solve_relaxation(g, seed=0).gram,
                random_gram(g.n, 3, rng)]
     for v in factors:
         for seed, samples in ((0, 64), (1, 64), (2, 7), (3, 1)):

@@ -1,15 +1,24 @@
+import argparse
 import contextlib
 import io
+import re
+import shlex
 from pathlib import Path
+
+from iterlinopt.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _section(title):
+    """The text of the README's "## title" section."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _quick_start():
     """The python block of the README's "Library quick start" section."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    return _section("Library quick start").split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def _agrees(printed, comment):
@@ -34,3 +43,24 @@ def test_quick_start_runs_and_prints_what_its_comments_say():
     assert len(printed) == len(comments)
     for got, want in zip(printed, comments):
         assert len(got) == len(want) and all(map(_agrees, got, want)), (got, want)
+
+
+def test_usage_lines_parse():
+    # optional parts, in brackets, are parsed too
+    lines = [ln for ln in _section("Command line").splitlines()
+             if ln.startswith("iterlinopt ")]
+    assert {ln.split()[1] for ln in lines} == {
+        "iterate", "verify", "census", "classify", "maxcut"}
+    for line in lines:
+        build_parser().parse_args(shlex.split(re.sub(r"[][]", "", line))[1:])
+
+
+def test_backticked_flags_exist():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for p in subparsers.choices.values() for a in p._actions
+             for flag in a.option_strings}
+    quoted = {flag for span in re.findall(r"`([^`]*)`", _section("Command line"))
+              for flag in re.findall(r"--[a-z][a-z-]*", span)}
+    assert quoted and quoted <= flags, quoted - flags
