@@ -67,10 +67,9 @@ CENSUS_CAP = 12
 # The maxcut record, in stdout order. graph and edges come from the input,
 # every other field from the RoundingReport.
 MAXCUT_RECORD = ("graph", "n", "edges", "iterations", "escapes",
-                 "rounding_starts", "terminal_status", "partition_source",
-                 "partition", "relaxation_objective", "relaxed_cut",
-                 "relative_gap", "restart_spread", "cut_value",
-                 "baseline_cut", "brute_force_cut")
+                 "terminal_status", "partition_source", "partition",
+                 "relaxation_objective", "relaxed_cut", "relative_gap",
+                 "rounded_cut", "cut_value", "baseline_cut", "brute_force_cut")
 
 
 class CliError(Exception):

@@ -373,6 +373,23 @@ class TestMaxcut:
         assert res.upper_bound == 5.000000000000008
         assert (res.upper_bound - res.objective) / res.objective == 1.500000000000004
 
+    def test_weights_just_under_the_sum_bound_print_finite_figures(
+            self, tmp_path, capsys):
+        # a triangle's figures stay below (n + 3) times the sum of |w| over
+        # ordered pairs, 36 w, which the loader holds to the largest float
+        w = float(np.finfo(float).max) / 37.0
+        p = tmp_path / "k3.txt"
+        p.write_text(f"0 1 {w!r}\n1 2 {w!r}\n0 2 {w!r}\n")
+        assert main(["maxcut", "--graph", str(p), "--brute-force",
+                     "--baseline", "gw"]) == 0
+        record = dict(ln.split(": ", 1)
+                      for ln in capsys.readouterr().out.splitlines())
+        for name in ("relaxation_objective", "relaxed_cut", "relative_gap",
+                     "rounded_cut", "cut_value", "baseline_cut",
+                     "brute_force_cut"):
+            assert np.isfinite(float(record[name])), name
+        assert float(record["cut_value"]) == 2.0 * w
+
     def test_parse_error_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("0 0 1.0\n")
@@ -385,10 +402,9 @@ class TestMaxcut:
                      "--baseline", "gw", "--csv", str(csv), "--json", str(js)])
         assert code == 0
         order = ["graph", "n", "edges", "iterations", "escapes",
-                 "rounding_starts", "terminal_status", "partition_source",
-                 "partition", "relaxation_objective", "relaxed_cut",
-                 "relative_gap", "restart_spread", "cut_value",
-                 "baseline_cut", "brute_force_cut"]
+                 "terminal_status", "partition_source", "partition",
+                 "relaxation_objective", "relaxed_cut", "relative_gap",
+                 "rounded_cut", "cut_value", "baseline_cut", "brute_force_cut"]
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split(": ", 1)[0] for ln in lines] == order
         stdout = dict(ln.split(": ", 1) for ln in lines)
@@ -429,6 +445,9 @@ FACE_POINT = "3\n1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n"  # an L3 face point
 
 @pytest.mark.parametrize("argv, content, code", [
     pytest.param(["maxcut", "--graph", "FILE"], "0 1 nan\n", 1, id="nan-weight"),
+    pytest.param(["maxcut", "--graph", "FILE"],
+                 "0 1 1e308\n1 2 1e308\n0 2 1e308\n", 1,
+                 id="weight-sums-overflow"),
     pytest.param(["maxcut", "--graph", "FILE"], "# no edges\n", 1, id="no-edges"),
     # the relaxation's width, its restart count and the baseline's
     # hyperplane count are set by the graph, not by flags

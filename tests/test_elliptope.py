@@ -127,13 +127,14 @@ class TestOracle:
             c = rng.standard_normal((n, n))
             c = 0.5 * (c + c.T)
             c_off = c - np.diag(np.diag(c))
-            starts = np.stack([elliptope.random_gram(
+            starts = [elliptope.random_gram(
                 n, default_rank_budget(n), np.random.default_rng(1 + k))
-                for k in range(5)], axis=1)
+                for k in range(5)]
             objs = []
             for cap in range(1, 41):
-                runs = elliptope._ascend(c, c_off, starts,
-                                         OracleConfig(max_sweeps=cap))
+                runs = [elliptope._ascend(c, c_off, v0,
+                                          OracleConfig(max_sweeps=cap))
+                        for v0 in starts]
                 assert all(sweeps == cap for _, sweeps, _, status in runs
                            if status == "max_sweeps")
                 objs.append([obj for _, _, obj, _ in runs])
@@ -175,12 +176,24 @@ class TestOracle:
         assert res.best_index == 0
 
     def test_restart_bookkeeping(self):
-        c = -J3
+        # a cold call is one ascent from the seed's draw,
+        # random_gram(n, default_rank_budget(n), default_rng(seed))
+        rng = np.random.default_rng(6)
+        c = rng.standard_normal((7, 7))
+        c = 0.5 * (c + c.T)
         res = elliptope_oracle(c, OracleConfig(seed=7))
-        assert len(res.restart_objectives) == elliptope.RESTARTS
+        assert len(res.restart_objectives) == 1
+        assert res.best_index == 0
         assert [v.shape for v in res.candidate_grams] == [
-            (3, default_rank_budget(3))] * elliptope.RESTARTS
-        assert res.objective == pytest.approx(max(res.restart_objectives))
+            (7, default_rank_budget(7))]
+        assert res.objective == pytest.approx(res.restart_objectives[0])
+        start = elliptope.random_gram(7, default_rank_budget(7),
+                                      np.random.default_rng(7))
+        v, sweeps, obj, status = elliptope._ascend(
+            c, c - np.diag(np.diag(c)), start, OracleConfig(seed=7))
+        assert (res.sweeps, res.restart_objectives, res.status) == (
+            sweeps, [obj], status)
+        assert np.array_equal(res.candidate_grams[0], v)
 
     def test_asymmetric_cost_rejected(self):
         c = np.zeros((2, 2))
@@ -570,7 +583,7 @@ class TestDomainAdapter:
 
     def test_zero_functional_uses_the_seeded_start(self):
         # every point maximizes the zero functional; the map returns the
-        # point of restart 0 of a default cold call, the same on every call
+        # point of a default cold call, the same on every call
         dom = ElliptopeDomain(5)
         t = dom.maximize(np.zeros((5, 5)))
         assert np.array_equal(t, dom.maximize(np.zeros((5, 5))))
@@ -628,8 +641,8 @@ class TestDomainAdapter:
         with pytest.raises(ElliptopeError, match="expected 3, got 4"):
             ElliptopeDomain(3).contains(np.eye(4))
 
-    # rank and restarts are no fields: a cold call runs RESTARTS starts of
-    # width default_rank_budget(n), so asking for either is a TypeError
+    # rank and restarts are no fields: a cold call runs one start of width
+    # default_rank_budget(n), so asking for either is a TypeError
     @pytest.mark.parametrize("bad, error", [
         ({"rank": 0}, TypeError), ({"restarts": -1}, TypeError),
         ({"max_sweeps": 0}, ValueError), ({"seed": -1}, ValueError),

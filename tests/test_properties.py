@@ -33,7 +33,6 @@ from iterlinopt import (
 )
 from iterlinopt.elliptope import (
     GRAD_TOL,
-    RESTARTS,
     SWEEP_TOL,
     _ascend,
     _certify,
@@ -118,7 +117,7 @@ def test_elliptope_oracle_beats_random_members():
 
 def test_warm_started_map_matches_cold_restarts():
     # the map runs from X's own full-width factor alone; at that width the
-    # ascent has no spurious local maxima, so five cold restarts do no better
+    # ascent has no spurious local maxima, so a cold start does no better
     rng = np.random.default_rng(41)
     for k in range(36):
         n = 2 + k % 11
@@ -150,47 +149,6 @@ def test_blocks_of_fixed_points_are_fixed_points():
         for comp in irreducible_components(x):
             block = x[np.ix_(comp, comp)]
             assert fixed_point_certificate(block).is_fixed
-
-
-def test_batched_restarts_match_single_runs():
-    # restarts advance as one batch; each must end as it would alone, also
-    # after other runs of the batch have stopped and been dropped from it
-    rng = np.random.default_rng(5)
-    for n, s in ((8, 9), (15, 3)):
-        c = rng.standard_normal((n, n))
-        c = 0.5 * (c + c.T)
-        batched = elliptope_oracle(c, OracleConfig(seed=s))
-        # restart k's start, ascended alone and in the kernel's batch
-        c_off = c - np.diag(np.diag(c))
-        starts = np.stack([random_gram(n, default_rank_budget(n),
-                                       np.random.default_rng(s + k))
-                           for k in range(RESTARTS)], axis=1)
-        singles = [_ascend(c, c_off, starts[:, k:k + 1], OracleConfig())[0]
-                   for k in range(RESTARTS)]
-        sweeps = [one[1] for one in singles]
-        assert len(set(sweeps)) > 1
-        assert batched.sweeps == sweeps[batched.best_index]
-        for k, (v, _, obj, _) in enumerate(singles):
-            assert batched.restart_objectives[k] == pytest.approx(obj, rel=1e-12)
-            assert np.max(np.abs(batched.candidate_grams[k] - v)) <= 1e-10
-        runs = _ascend(c, c_off, starts, OracleConfig())
-        assert [run[1] for run in runs] == sweeps
-
-
-def test_batched_rows_freeze_per_run():
-    # row 0 has a zero gradient in the first run only: v_1 = -v_2 there
-    c = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    c_off = c.copy()
-    e = np.eye(3)
-    starts = np.stack([np.array([e[0], e[1], -e[1]]),
-                       np.array([e[0], e[1], e[1]])], axis=1)
-    cfg = OracleConfig()
-    runs = _ascend(c, c_off, starts, cfg)
-    alone = [_ascend(c, c_off, starts[:, k:k + 1], cfg)[0] for k in range(2)]
-    assert np.array_equal(runs[0][0][0], e[0])
-    for run, one in zip(runs, alone):
-        assert run[1] == one[1]
-        assert np.max(np.abs(run[0] - one[0])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -241,54 +199,36 @@ def _classes(c_off):
 
 def _cyclic_reference(c, c_off, v0, cfg):
     """The plain cyclic sweep: one 1-d product per row, rows in index order,
-    with the vertex check after sweeps 1, 2, 4, .... Same runs as _ascend,
-    which must reproduce them in the order of its colour classes, but each
-    with the objective of every sweep it took, where _ascend keeps the
-    last."""
-    n, runs, r = v0.shape
-    final = np.empty_like(v0)
-    objs = [[] for _ in range(runs)]
-    status = ["max_sweeps"] * runs
-    active = np.arange(runs)
+    with the vertex check after sweeps 1, 2, 4, .... Same run as _ascend,
+    which must reproduce it in the order of its colour classes, but with
+    the objective of every sweep it took, where _ascend keeps the last."""
+    objs = []
+    status = "max_sweeps"
     v = v0.copy()
     for sweep in range(1, cfg.max_sweeps + 1):
         start = v.copy()
-        flat = v.reshape(n, -1)
-        for i in range(n):
-            g = (c_off[i] @ flat).reshape(-1, r)
-            ng = _row_norms(g)[:, None]
+        for i in range(v.shape[0]):
+            g = c_off[i] @ v
+            ng = _row_norms(g)
             np.divide(g, ng, out=v[i], where=ng >= GRAD_TOL)
-        step = _row_norms(v - start).max(axis=0)
-        obj = ((c @ flat).reshape(v.shape) * v).transpose(1, 0, 2).reshape(
-            len(active), -1).sum(axis=1)
-        done = step < SWEEP_TOL
-        for j, k in enumerate(active):
-            objs[k].append(float(obj[j]))
-            if done[j]:
-                status[k] = "step_tol"
-            elif not sweep & (sweep - 1):
-                cert = _certify(c, _top_signs(v[:, j]), objs[k][-1])
-                if cert is not None:
-                    v[:, j] = 0.0
-                    v[:, j, 0] = cert[0]
-                    objs[k].append(cert[1])
-                    status[k] = "certified_vertex"
-                    done[j] = True
-        if done.any():
-            final[:, active[done]] = v[:, done]
-            active, v = active[~done], v[:, ~done].copy()
-            if not active.size:
+        objs.append(float(((c @ v) * v).sum()))
+        if _row_norms(v - start).max() < SWEEP_TOL:
+            status = "step_tol"
+            break
+        if not sweep & (sweep - 1):
+            cert = _certify(c, _top_signs(v), objs[-1])
+            if cert is not None:
+                v[:] = 0.0
+                v[:, 0] = cert[0]
+                objs.append(cert[1])
+                status = "certified_vertex"
                 break
-    final[:, active] = v
-    final = np.ascontiguousarray(final.transpose(1, 0, 2))
-    return [(final[k], len(objs[k]) - (status[k] == "certified_vertex"),
-             objs[k], status[k]) for k in range(runs)]
+    return v, len(objs) - (status == "certified_vertex"), objs, status
 
 
 def _starts(n, runs, seed):
-    return np.stack([random_gram(n, default_rank_budget(n),
-                                 np.random.default_rng(seed + k))
-                     for k in range(runs)], axis=1)
+    return [random_gram(n, default_rank_budget(n),
+                        np.random.default_rng(seed + k)) for k in range(runs)]
 
 
 def test_colour_classes_of_bipartite_and_complete_patterns():
@@ -324,13 +264,12 @@ def test_colour_class_sweep_matches_cyclic_reference(cost):
     n = c.shape[0]
     cfg = OracleConfig()
     starts = _starts(n, 3, 5)
-    runs = _ascend(c, c, starts, cfg)
     perm, bounds = _color_classes(c)
     assert len(bounds) - 1 < n  # a sparse pattern: some class holds two rows
     pc = c[np.ix_(perm, perm)]
-    ref = _cyclic_reference(pc, pc, starts[perm], cfg)
-    for (v, sweeps, obj, status), (w, ref_sweeps, objs, ref_status) in zip(
-            runs, ref):
+    for v0 in starts:
+        v, sweeps, obj, status = _ascend(c, c, v0, cfg)
+        w, ref_sweeps, objs, ref_status = _cyclic_reference(pc, pc, v0[perm], cfg)
         assert (sweeps, status) == (ref_sweeps, ref_status)
         assert np.max(np.abs(v[perm] - w)) <= 1e-12
         assert obj == pytest.approx(objs[-1], rel=1e-12)
@@ -342,41 +281,41 @@ def test_dense_cost_sweeps_bitwise_as_the_reference():
     c = rng.standard_normal((12, 12))
     c = 0.5 * (c + c.T)
     c_off = c - np.diag(np.diag(c))
-    starts = _starts(12, 4, 1)
     cfg = OracleConfig()
-    for (v, *rest), (w, sweeps, objs, status) in zip(
-            _ascend(c, c_off, starts, cfg), _cyclic_reference(c, c_off, starts, cfg)):
+    for v0 in _starts(12, 4, 1):
+        v, *rest = _ascend(c, c_off, v0, cfg)
+        w, sweeps, objs, status = _cyclic_reference(c, c_off, v0, cfg)
         assert np.array_equal(v, w)
         assert rest == [sweeps, objs[-1], status]
 
 
 def test_single_run_rows_sweep_bitwise_as_the_reference():
-    # a lone run of a dense cost takes the scalar row update: one run at
+    # the rows of a dense cost take the scalar row update: one run at
     # width n, and one whose row 0 starts with a zero gradient
     rng = np.random.default_rng(29)
     dense = rng.standard_normal((12, 12))
     dense = 0.5 * (dense + dense.T)
     k3 = _complete(3)  # never certified: no vertex is optimal
     e = np.eye(3)
-    frozen = np.array([e[2], e[0], -e[0]])[:, None]  # g_0 = -(v_1 + v_2) = 0
+    frozen = np.array([e[2], e[0], -e[0]])  # g_0 = -(v_1 + v_2) = 0
     for c, c_off, starts, cfg in [
             (dense, dense - np.diag(np.diag(dense)),
-             random_gram(12, 12, rng)[:, None], OracleConfig()),
+             random_gram(12, 12, rng), OracleConfig()),
             (k3, k3, frozen, OracleConfig(max_sweeps=1)),
             (k3, k3, frozen, OracleConfig())]:
-        runs = _ascend(c, c_off, starts, cfg)
-        for (v, *rest), (w, sweeps, objs, status) in zip(
-                runs, _cyclic_reference(c, c_off, starts, cfg)):
-            assert np.array_equal(v, w)
-            assert rest == [sweeps, objs[-1], status]
-    first_sweep = _ascend(k3, k3, frozen, OracleConfig(max_sweeps=1))[0][0]
+        v, *rest = _ascend(c, c_off, starts, cfg)
+        w, sweeps, objs, status = _cyclic_reference(c, c_off, starts, cfg)
+        assert np.array_equal(v, w)
+        assert rest == [sweeps, objs[-1], status]
+    first_sweep = _ascend(k3, k3, frozen, OracleConfig(max_sweeps=1))[0]
     assert np.array_equal(first_sweep[0], e[2])
 
 
 @pytest.mark.parametrize("r", [1, 8, 40])
 def test_row_norms_are_batch_invariant_linalg_norms(r):
-    # the invariant behind "batching changes no run": a row's norm has the
-    # same bits in any stack as alone, and as np.linalg.norm gives them
+    # a row's norm has the same bits in any stack as alone, and as
+    # np.linalg.norm gives them: a class block's rows and a singleton's
+    # scalar norm take one rule
     rng = np.random.default_rng(r)
     a = rng.standard_normal((6, 5, r)) * 10.0 ** np.arange(-2, 4)[:, None, None]
     norms = _row_norms(a)
@@ -472,11 +411,10 @@ def test_uncertified_runs_end_as_one_ascent_call(max_sweeps):
     # checks ends bitwise as the plain cyclic sweep
     c = _complete(7)
     cfg = OracleConfig(max_sweeps=max_sweeps)
-    starts = _starts(7, 3, 2)
-    runs = _ascend(c, c, starts, cfg)
-    assert "certified_vertex" not in [run[3] for run in runs]
-    for (v, *rest), (w, sweeps, objs, status) in zip(
-            runs, _cyclic_reference(c, c, starts, cfg)):
+    for v0 in _starts(7, 3, 2):
+        v, *rest = _ascend(c, c, v0, cfg)
+        assert rest[2] != "certified_vertex"
+        w, sweeps, objs, status = _cyclic_reference(c, c, v0, cfg)
         assert np.array_equal(v, w)
         assert rest == [sweeps, objs[-1], status]
 
@@ -486,10 +424,10 @@ def test_certified_runs_leave_the_others_unchanged():
     # ends on the step test; one that starts off the vertex is certified
     c = _path(6)
     s = _alternating(6)
-    off = _starts(6, 1, 4)[:, 0]
+    off = _starts(6, 1, 4)[0]
     at_vertex = np.zeros_like(off)
     at_vertex[:, 0] = s
-    runs = _ascend(c, c, np.stack([at_vertex, off], axis=1), OracleConfig())
+    runs = [_ascend(c, c, v0, OracleConfig()) for v0 in (at_vertex, off)]
     assert runs[0][3] == "step_tol"
     assert runs[1][3] == "certified_vertex"
     assert np.array_equal(np.outer(runs[1][0][:, 0], runs[1][0][:, 0]),
