@@ -41,6 +41,11 @@ from .elliptope import (
 )
 
 BRUTE_FORCE_CAP = 22
+# Table entries brute force scores per product: 2^15 float64, 256 KiB. A
+# block is 2^15 / 2^(n // 2) rows, so 32 at n = 20, 16 at n = 22 and the
+# whole table (at most 2^(n - 1) entries) in one block for n <= 16. Blocks
+# of 16-64 rows timed alike at n = 20; at 128 rows the call was ~4% slower.
+BRUTE_FORCE_BLOCK = 1 << 15
 GRAPH_CAP = 2048  # one dense float64 n x n array at this size is 32 MB
 HYPERPLANES = 64  # hyperplanes of the fallback rounding and the GW baseline
 MAX_ROUNDS = 500  # map applications and escapes before rounding falls back
@@ -66,10 +71,15 @@ class GraphFormatError(ValueError):
     """Malformed graph file."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1, edges as (u, v, w)
     triples with u < v and no duplicates.
+
+    The pass that validates the edges also stores them as arrays of ends
+    and weights, which ``weight_matrix``, ``cut_value`` and
+    ``total_weight`` read; the graph is frozen so that they cannot drift
+    from ``edges`` (whose list is not to be changed in place either).
 
     Every figure ``maxcut_pipeline`` forms is at most (n + 3) S in
     magnitude, S the sum of |w_ij| over ordered pairs: cuts, objectives and
@@ -94,26 +104,26 @@ class WeightedGraph:
             if not np.isfinite(w):
                 raise ValueError(f"edge ({u}, {v}) has non-finite weight")
             seen.add((u, v))
+        u, v, w = zip(*self.edges) if self.edges else ((), (), ())
         # Python floats: an overflow gives inf, not a warning
-        if not math.isfinite((self.n + 3) * 2.0
-                             * sum(abs(float(w)) for _, _, w in self.edges)):
+        if not math.isfinite((self.n + 3) * 2.0 * sum(abs(float(x)) for x in w)):
             raise ValueError("edge weights too large: (n + 3) times the sum "
                              "of |w| over ordered pairs overflows")
+        object.__setattr__(self, "_u", np.array(u, dtype=np.intp))
+        object.__setattr__(self, "_v", np.array(v, dtype=np.intp))
+        # 0 + w, as a sum from 0 gives it: a weight of -0.0 is stored as 0.0
+        object.__setattr__(self, "_w", np.array(w, dtype=float) + 0.0)
 
     def weight_matrix(self) -> np.ndarray:
         w = np.zeros((self.n, self.n))
-        if self.edges:
-            u, v, wt = zip(*self.edges)
-            u, v = np.array(u, dtype=np.intp), np.array(v, dtype=np.intp)
-            wt = np.array(wt, dtype=float)
-            # edges are unique, so each entry is 0 + wt, as in a += loop
-            np.add.at(w, (u, v), wt)
-            np.add.at(w, (v, u), wt)
+        w[self._u, self._v] = self._w
+        w[self._v, self._u] = self._w
         return w
 
     @property
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        """Sum of the edge weights, correctly rounded."""
+        return math.fsum(self._w.tolist())
 
 
 def load_graph(path) -> WeightedGraph:
@@ -172,11 +182,12 @@ def relaxed_cut_value(g: WeightedGraph, x) -> float:
 
 
 def cut_value(g: WeightedGraph, signs) -> float:
-    """Total weight of edges crossing the partition."""
+    """Total weight of edges crossing the partition, correctly rounded
+    (``math.fsum``), so that weights that cancel lose nothing."""
     s = np.asarray(signs)
     if s.size != g.n:
         raise ValueError(f"sign vector length {s.size} does not match n={g.n}")
-    return float(sum(w for u, v, w in g.edges if s[u] != s[v]))
+    return math.fsum(g._w[s[g._u] != s[g._v]].tolist())
 
 
 def _signs(bits, count):
@@ -196,8 +207,10 @@ def _quad_rows(s, w_upper):
 
 def brute_force_maxcut(g: WeightedGraph):
     """Exhaustive optimum over all sign vectors with s_0 = +1 (desk-scale
-    oracle). Ties go to the earliest vector in enumeration order, bit k of
-    the counter flipping vertex k+1."""
+    oracle), scored in blocks of at most BRUTE_FORCE_BLOCK table entries,
+    so that a call holds about 1 MiB at the cap, n = 22. Ties go to the
+    earliest vector in enumeration order, bit k of the counter flipping
+    vertex k+1."""
     if g.n > BRUTE_FORCE_CAP:
         raise ValueError(f"brute force is capped at n = {BRUTE_FORCE_CAP}")
     if g.n == 0:
@@ -206,9 +219,11 @@ def brute_force_maxcut(g: WeightedGraph):
     # B the high half. W_upper has no BA block, so for the vector with high
     # bits j and low bits i, s^T W_upper s = q_A[i] + q_B[j]
     # + s_B[j]^T W_AB^T s_A[i]: with q_B and a ones column appended to s_B,
-    # and a ones row and q_A appended to W_AB^T s_A^T, the whole
-    # 2^|B| x 2^|A| table is one product. Its row-major flattening is
-    # counter order, so argmin, the largest cut, keeps the first of ties.
+    # and a ones row and q_A appended to W_AB^T s_A^T, row j of the
+    # 2^|B| x 2^|A| table is row j of left times right. Rows are scored a
+    # block at a time in counter order, and a block's argmin (the largest
+    # cut, first of ties) replaces the best only when strictly smaller, so
+    # the first of tied optima still wins.
     low = g.n // 2
     a = low + 1
     w_upper = np.triu(g.weight_matrix())
@@ -218,7 +233,14 @@ def brute_force_maxcut(g: WeightedGraph):
                             np.ones(len(s_b))))
     right = np.vstack((w_upper[:a, a:].T @ s_a.T, np.ones(len(s_a)),
                        _quad_rows(s_a, w_upper[:a, :a])))
-    j, i = divmod(int(np.argmin(left @ right)), 1 << low)
+    rows = BRUTE_FORCE_BLOCK >> low
+    best, best_k = np.inf, 0
+    for k in range(0, len(left), rows):
+        block = left[k:k + rows] @ right
+        m = int(np.argmin(block))
+        if block.flat[m] < best:
+            best, best_k = block.flat[m], (k << low) + m
+    j, i = divmod(best_k, 1 << low)
     signs = np.concatenate((s_a[i], s_b[j])).astype(int)
     return signs, cut_value(g, signs)
 
@@ -242,7 +264,7 @@ def gw_hyperplane_round(v, g: WeightedGraph, samples=HYPERPLANES, seed=0):
 def _weight_exponent(g: WeightedGraph) -> int:
     """The e with the largest |weight| in [2^e, 2^(e + 1)), or 0 when no
     weight is nonzero."""
-    top = max((abs(w) for _, _, w in g.edges), default=0.0)
+    top = float(np.max(np.abs(g._w), initial=0.0))
     return int(np.frexp(top)[1]) - 1 if top else 0
 
 

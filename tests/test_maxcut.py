@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +145,11 @@ class TestCutArithmetic:
         g = WeightedGraph(2, [(0, 1, 2.5)])
         assert cut_value(g, [1, -1]) == 2.5
 
+    def test_cancelling_weights_are_summed_exactly(self):
+        g = WeightedGraph(4, [(0, 1, 1e16), (0, 2, 1.0), (0, 3, -1e16)])
+        assert cut_value(g, [1, -1, -1, -1]) == 1.0
+        assert g.total_weight == 1.0
+
     def test_cut_value_length_check(self):
         with pytest.raises(ValueError):
             cut_value(K3, [1, -1])
@@ -232,6 +240,20 @@ class TestBruteForce:
             sum(w for u, v, w in g.edges if (k >> u) & 1 != (k >> v) & 1)
             for k in range(16))
         assert val == best == cut_value(g, signs)
+
+    def test_memory_is_bounded_at_the_cap(self):
+        # the whole 2^10 x 2^11 table is 16 MiB; blocks of it about 1 MiB
+        rng = np.random.default_rng(3)
+        g = WeightedGraph(22, [(u, v, float(rng.standard_normal()))
+                               for u in range(22) for v in range(u + 1, 22)
+                               if rng.random() < 0.3])
+        tracemalloc.start()
+        try:
+            brute_force_maxcut(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRelaxation:
@@ -592,6 +614,35 @@ class TestGraphType:
             WeightedGraph(2, [(0, 1, np.inf)])
         with pytest.raises(ValueError, match="weights too large"):
             WeightedGraph(3, [(0, 1, 1e308), (0, 2, 1e308), (1, 2, 1e308)])
+
+    def test_fields_cannot_be_rebound(self):
+        g = complete_graph(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.n = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.edges = []
+
+    @pytest.mark.parametrize("name", ["file", "no-edges", "n1"])
+    def test_edge_arrays_match_the_edges(self, name, tmp_path):
+        if name == "file":
+            p = tmp_path / "g.txt"
+            p.write_text("0 3 2.5\n1 2 -0.75\n3 1\n0 2 1e-3\n2 4 -8\n")
+            g = load_graph(p)
+        elif name == "no-edges":
+            g = WeightedGraph(5, [])
+        else:
+            g = WeightedGraph(1, [])
+        w = np.zeros((g.n, g.n))
+        for u, v, wt in g.edges:
+            w[u, v] += wt
+            w[v, u] += wt
+        assert np.array_equal(g.weight_matrix(), w)
+        top = max((abs(wt) for _, _, wt in g.edges), default=0.0)
+        assert maxcut._weight_exponent(g) == (
+            int(np.frexp(top)[1]) - 1 if top else 0)
+        for bits in itertools.product((1, -1), repeat=g.n):
+            assert cut_value(g, bits) == math.fsum(
+                wt for u, v, wt in g.edges if bits[u] != bits[v])
 
     def test_weight_matrix_symmetry(self):
         w = K3.weight_matrix()
