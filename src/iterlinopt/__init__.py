@@ -16,8 +16,6 @@ from .classify import (
     EscapeWitness,
     classify_elliptope_fixed_point,
     classify_empirical,
-    escape_curve,
-    escape_pair,
     vertex_basin_check,
 )
 from .domains import (
@@ -44,6 +42,8 @@ from .elliptope import (
     default_rank_budget,
     elliptope_oracle,
     enumerate_vertices,
+    escape_curve,
+    escape_pair,
     fixed_point_certificate,
     gamma_of_irreducible,
     gram_factor,

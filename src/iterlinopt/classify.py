@@ -15,19 +15,17 @@ import numpy as np
 
 from .elliptope import (
     DIAG_TOL,
-    ROW_TOL,
+    SIGN_TOL,
     ElliptopeDomain,
-    ElliptopeError,
     check_symmetric,
+    escape_curve,
+    escape_pair,
     fixed_point_certificate,
-    gram_factor,
-    gram_to_matrix,
     is_vertex,
     validate_elliptope,
 )
 from .engine import FIXED_FACTOR, IterationConfig, iterate
 
-SIGN_TOL = 1e-9  # an entry this close to +-1 counts as that sign
 ESCAPE_ALPHAS = tuple(k / 10.0 for k in range(1, 11))  # escape witness grid
 
 
@@ -63,8 +61,9 @@ def fixed_point_residual(domain, x) -> float:
     return float(np.linalg.norm(np.ravel(domain.maximize(x) - x)))
 
 
-def classify_empirical(domain, x, eps, samples=32, seed=0, tol=1e-10,
-                       max_iter=10_000) -> ClassificationResult:
+def classify_empirical(domain, x, eps, samples=32, seed=0,
+                       tol=IterationConfig.tol,
+                       max_iter=IterationConfig.max_iter) -> ClassificationResult:
     """Sample feasible starts within eps of a fixed point and iterate each.
 
     x must lie within FIXED_FACTOR * tol of its image. A sample counts as
@@ -109,45 +108,6 @@ def _sample_verdict(domain, x, eps, samples, seed, tol, max_iter):
     else:
         label = "indeterminate"
     return ClassificationResult(label, eps, samples, returned, escaped)
-
-
-def escape_pair(x):
-    """Lexicographically first ordered pair (i, j) with x_ij away from +-1
-    and row i no heavier (in sum of squares) than row j."""
-    a = np.asarray(x, dtype=float)
-    d = np.sum(a * a, axis=1)
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i == j or abs(a[i, j]) >= 1.0 - SIGN_TOL:
-                continue
-            if d[i] <= d[j] + 1e-12:
-                return i, j
-    raise ElliptopeError("no escape pair exists: the matrix is a vertex")
-
-
-def escape_curve(x, alpha, pair=None) -> np.ndarray:
-    """Feasible deformation of a non-vertex fixed point that strictly
-    increases the squared norm.
-
-    Moves Gram row i toward row j (toward -row j when x_ij is negative)
-    and renormalizes; the result stays a unit-diagonal PSD matrix for
-    every alpha in [0, 1], equals x at alpha 0 and has strictly larger
-    squared norm for alpha > 0, increasing in alpha.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    a = check_symmetric(x)
-    i, j = pair if pair is not None else escape_pair(a)
-    v = gram_factor(a)
-    sign = 1.0 if a[i, j] >= 0.0 else -1.0
-    w = (1.0 - alpha) * v[i] + alpha * sign * v[j]
-    z = float(np.linalg.norm(w))
-    if z == 0.0:
-        raise ElliptopeError("degenerate escape direction")
-    v = v.copy()
-    v[i] = w / z
-    return gram_to_matrix(v, row_tol=ROW_TOL)
 
 
 def vertex_basin_check(x, m) -> bool:

@@ -35,6 +35,8 @@ from .domains import (
     read_lines,
 )
 from .elliptope import (
+    CERT_TOL,
+    VERIFY_DIAG_TOL,
     ElliptopeDomain,
     ElliptopeError,
     analyze_fixed_point,
@@ -352,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="base seed for every random choice (default 0)")
     iteration = argparse.ArgumentParser(add_help=False)
-    iteration.add_argument("--tol", type=_positive, default=1e-10)
-    iteration.add_argument("--max-iter", type=_int_at_least(1), default=10_000)
+    iteration.add_argument("--tol", type=_positive, default=IterationConfig.tol)
+    iteration.add_argument("--max-iter", type=_int_at_least(1),
+                           default=IterationConfig.max_iter)
 
     parser = argparse.ArgumentParser(
         prog="iterlinopt",
@@ -379,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the algebraic fixed-point certificate")
     p.add_argument("--matrix", required=True, help="matrix text file")
-    p.add_argument("--tol", type=_positive, default=1e-8,
+    p.add_argument("--tol", type=_positive, default=CERT_TOL,
                    help="certificate tolerance per unit dimension")
-    p.add_argument("--diag-tol", type=_positive, default=1e-12)
+    p.add_argument("--diag-tol", type=_positive, default=VERIFY_DIAG_TOL)
     p.add_argument("--json", help="also write the report as JSON")
     p.set_defaults(func=cmd_verify)
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEAS_TOL = 1e-10  # default slack of contains, which takes an override
+FEAS_TOL = 1e-10  # slack of contains on balls, ellipsoids and cones
+LP_TOL = 1e-9  # max-norm slack of a polytope's contains, from its LP
 CLASS_MARGIN = 1e-8  # curvature this close to 1/|x| classifies nothing
 SYM_TOL = 1e-12  # largest asymmetry of an input matrix
 PD_TOL = 1e-12  # shape matrix: smallest eigenvalue above PD_TOL * largest
@@ -59,7 +60,7 @@ class ConvexDomain:
         """Return a point of the domain maximizing y -> x.y."""
         raise NotImplementedError
 
-    def contains(self, x, tol=FEAS_TOL):
+    def contains(self, x):
         raise NotImplementedError
 
     def sample(self, rng):
@@ -99,9 +100,9 @@ class BallDomain(ConvexDomain):
             return self.center.copy()
         return self.center + (self.radius / nx) * x
 
-    def contains(self, x, tol=FEAS_TOL):
+    def contains(self, x):
         x = _point(x, self.dim)
-        return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
+        return bool(np.linalg.norm(x - self.center) <= self.radius + FEAS_TOL)
 
     def sample(self, rng):
         u = rng.standard_normal(self.dim)
@@ -177,8 +178,8 @@ class EllipsoidDomain(ConvexDomain):
         z = self._eigvecs.T @ _point(x, self.dim)
         return float(np.sum(z * z / self._eigvals))
 
-    def contains(self, x, tol=FEAS_TOL):
-        return self.quadratic_form(x) <= 1.0 + tol
+    def contains(self, x):
+        return self.quadratic_form(x) <= 1.0 + FEAS_TOL
 
     def sample(self, rng):
         u = rng.standard_normal(self.dim)
@@ -224,10 +225,10 @@ class PolytopeDomain(ConvexDomain):
         scores = self.vertices @ x
         return self.vertices[int(np.argmax(scores))].copy()
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         """Whether some convex combination V^T lambda of the vertices lies
-        within tol of x in the infinity norm: |V^T lambda - x|_inf <= tol,
-        lambda >= 0 and sum(lambda) = 1 exactly."""
+        within LP_TOL of x in the infinity norm: |V^T lambda - x|_inf <=
+        LP_TOL, lambda >= 0 and sum(lambda) = 1 exactly."""
         # membership is feasibility of the convex-combination LP; scipy is
         # imported here, its only use, to keep it off the package import
         from scipy.optimize import linprog
@@ -236,7 +237,7 @@ class PolytopeDomain(ConvexDomain):
         m = len(self.vertices)
         vt = self.vertices.T
         res = linprog(np.zeros(m), A_ub=np.vstack([vt, -vt]),
-                      b_ub=np.concatenate([x + tol, tol - x]),
+                      b_ub=np.concatenate([x + LP_TOL, LP_TOL - x]),
                       A_eq=np.ones((1, m)), b_eq=[1.0],
                       bounds=[(0.0, None)] * m, method="highs")
         return bool(res.success)
@@ -294,15 +295,15 @@ class ConeDomain(ConvexDomain):
             return self.apex.copy()
         return base_pt
 
-    def contains(self, x, tol=FEAS_TOL):
+    def contains(self, x):
         x = _point(x, 3)
         d = x - self.base_center
         t = float(d @ self._axis) / self._height
-        if t < -tol or t > 1.0 + tol:
+        if t < -FEAS_TOL or t > 1.0 + FEAS_TOL:
             return False
         radial = d - (t * self._height) * self._axis
         limit = self.base_radius * (1.0 - min(max(t, 0.0), 1.0))
-        return bool(np.linalg.norm(radial) <= limit + tol)
+        return bool(np.linalg.norm(radial) <= limit + FEAS_TOL)
 
     def sample(self, rng):
         t = rng.random()

@@ -12,21 +12,28 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import SYM_TOL, ConvexDomain, read_lines
 
-PSD_TOL = 1e-9
+PSD_TOL = 1e-9  # most negative eigenvalue of a feasible matrix
 DIAG_TOL = 1e-8  # diagonal slack of every feasibility check but verify's
+VERIFY_DIAG_TOL = 1e-12  # verify's diagonal slack, validate_elliptope's default
+ENTRY_TOL = 1e-12  # how far a feasible matrix's entries may exceed 1 in size
 ROW_TOL = 1e-9  # unit-row slack of a Gram factor that came out of arithmetic
+NORMED_ROW_TOL = 1e-12  # unit-row slack of a factor normalized just before
 RANK_TOL = 1e-6  # eigenvalues above this count toward the rank
 CERT_TOL = 1e-8  # fixed-point verdict allows CERT_TOL * n of Frobenius defect
 ZERO_TOL = 1e-9  # support-graph zero threshold
 SWEEP_TOL = 1e-13  # an ascent run stops once no row moves this far in a sweep
 GRAD_TOL = 1e-14  # rows with gradient below this stay frozen
 NORMAL_CONE_TOL = 1e-8  # slack of the normal-cone test: M X = 0, M >= 0
+TIE_TOL = 1e-12  # objective gaps below TIE_TOL * max(1, |obj|) are ties
+GAMMA_RANK_TOL = 1e-6  # gamma * rank may miss n by GAMMA_RANK_TOL * n
+SIGN_TOL = 1e-9  # an entry this close to +-1 counts as that sign
+ESCAPE_TIE_TOL = 1e-12  # rows this close in sum of squares tie (escape_pair)
 GAP_SWEEPS = 16  # with a gap tolerance, a run is also tested this often
 # Over-relaxation of a gap-stopped ascent, from its first GAP_SWEEPS check
 # on: row i is updated to rownorm(g_i - gamma_i v_i), gamma_i = OVER_RELAX
@@ -62,29 +69,29 @@ def check_symmetric(m, name="matrix") -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def validate_elliptope(m, diag_tol=1e-12, psd_tol=PSD_TOL) -> np.ndarray:
+def validate_elliptope(m, diag_tol=VERIFY_DIAG_TOL) -> np.ndarray:
     """Raise unless m is a unit-diagonal PSD matrix within tolerances."""
     a = check_symmetric(m)
     dev = float(np.max(np.abs(np.diag(a) - 1.0)))
     if dev > diag_tol:
         raise ElliptopeError(f"diagonal deviates from 1 by {dev:.3g}")
-    if np.max(np.abs(a)) > 1.0 + 1e-12:
+    if np.max(np.abs(a)) > 1.0 + ENTRY_TOL:
         raise ElliptopeError("entries exceed 1 in absolute value")
     w = np.linalg.eigvalsh(a)
-    if w[0] < -psd_tol:
-        raise ElliptopeError(f"minimum eigenvalue {w[0]:.3g} below -{psd_tol}")
+    if w[0] < -PSD_TOL:
+        raise ElliptopeError(f"minimum eigenvalue {w[0]:.3g} below -{PSD_TOL}")
     return a
 
 
-def is_in_elliptope(m, diag_tol=1e-12, psd_tol=PSD_TOL) -> bool:
+def is_in_elliptope(m, diag_tol=VERIFY_DIAG_TOL) -> bool:
     try:
-        validate_elliptope(m, diag_tol, psd_tol)
+        validate_elliptope(m, diag_tol)
     except ElliptopeError:
         return False
     return True
 
 
-def gram_to_matrix(v, row_tol=1e-12) -> np.ndarray:
+def gram_to_matrix(v, row_tol=NORMED_ROW_TOL) -> np.ndarray:
     """V V^T of rows unit within row_tol, renormalized; diagonal exactly 1."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
@@ -177,10 +184,10 @@ class OracleResult:
     # a proven bound on C . X over the whole body, from the ascent factor
     # (``_upper_bound``); None when config.gap_tol is 0
     upper_bound: float | None
-    candidate_grams: list = field(default_factory=list)  # the ascent factor
+    candidate_grams: list  # the ascent factor
     # how the ascent stopped:
     # step_tol | max_sweeps | certified_vertex | certified_gap
-    status: str = "step_tol"
+    status: str
 
 
 def _row_norms(a):
@@ -341,7 +348,7 @@ def _upper_bound(c, v) -> float:
 
 def _tie_tol(obj) -> float:
     """Objective gaps below this count as ties: numerical resolution."""
-    return 1e-12 * max(1.0, abs(obj))
+    return TIE_TOL * max(1.0, abs(obj))
 
 
 def _top_signs(v):
@@ -469,8 +476,8 @@ class ElliptopeDomain(ConvexDomain):
             start = None
         return _oracle(x, OracleConfig(), start).matrix
 
-    def contains(self, x, tol=PSD_TOL):
-        return is_in_elliptope(self._order(x), diag_tol=DIAG_TOL, psd_tol=tol)
+    def contains(self, x):
+        return is_in_elliptope(self._order(x), diag_tol=DIAG_TOL)
 
     def sample(self, rng):
         return gram_to_matrix(
@@ -572,7 +579,7 @@ def gamma_of_irreducible(m) -> float:
     if gamma < 1.0 - CERT_TOL:
         raise ElliptopeError(f"diagonal value {gamma} below 1")
     s = matrix_rank_psd(a)
-    if abs(gamma * s - a.shape[0]) > 1e-6 * a.shape[0]:
+    if abs(gamma * s - a.shape[0]) > GAMMA_RANK_TOL * a.shape[0]:
         raise ElliptopeError("gamma times rank does not match the dimension")
     return gamma
 
@@ -605,6 +612,45 @@ def vertex_signs(m) -> np.ndarray:
     sign, so the choice of row is immaterial)."""
     a = np.asarray(m, dtype=float)
     return np.where(a[0] >= 0.0, 1, -1).astype(int)
+
+
+def escape_pair(x):
+    """Lexicographically first ordered pair (i, j) with x_ij away from +-1
+    and row i no heavier (in sum of squares) than row j."""
+    a = np.asarray(x, dtype=float)
+    d = np.sum(a * a, axis=1)
+    n = a.shape[0]
+    for i in range(n):
+        for j in range(n):
+            if i == j or abs(a[i, j]) >= 1.0 - SIGN_TOL:
+                continue
+            if d[i] <= d[j] + ESCAPE_TIE_TOL:
+                return i, j
+    raise ElliptopeError("no escape pair exists: the matrix is a vertex")
+
+
+def escape_curve(x, alpha, pair=None) -> np.ndarray:
+    """Feasible deformation of a non-vertex fixed point that strictly
+    increases the squared norm.
+
+    Moves Gram row i toward row j (toward -row j when x_ij is negative)
+    and renormalizes; the result stays a unit-diagonal PSD matrix for
+    every alpha in [0, 1], equals x at alpha 0 and has strictly larger
+    squared norm for alpha > 0, increasing in alpha.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    a = check_symmetric(x)
+    i, j = pair if pair is not None else escape_pair(a)
+    v = gram_factor(a)
+    sign = 1.0 if a[i, j] >= 0.0 else -1.0
+    w = (1.0 - alpha) * v[i] + alpha * sign * v[j]
+    z = float(np.linalg.norm(w))
+    if z == 0.0:
+        raise ElliptopeError("degenerate escape direction")
+    v = v.copy()
+    v[i] = w / z
+    return gram_to_matrix(v, row_tol=ROW_TOL)
 
 
 def enumerate_vertices(n) -> list:

@@ -22,6 +22,7 @@ STALL_GAIN_TOL = 1e-14
 FIXED_FACTOR = 10.0  # x within FIXED_FACTOR * tol of T(x) counts as fixed
 NORM_SLACK = 1e-12  # check_monotone: slack of non-decreasing squared norms
 STEP_SLACK = 1e-9  # check_monotone: slack of squared step <= norm gain
+STEP_TOL = 1e-10  # default tol of a run: it converges on a step this small
 
 
 class InfeasibleStartError(ValueError):
@@ -34,7 +35,7 @@ class IterationConfig:
     # domain, so exterior starts are legal; validate_start opts in to
     # rejecting them (monotonicity of the squared norms is only guaranteed
     # from a feasible start onward).
-    tol: float = 1e-10
+    tol: float = STEP_TOL
     max_iter: int = 10_000
     record_trace: bool = True
     validate_start: bool = False

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import escape_curve
 from .domains import read_lines
 from .elliptope import (
     DIAG_TOL,
@@ -32,6 +31,7 @@ from .elliptope import (
     _row_norms,
     _tie_tol,
     elliptope_oracle,
+    escape_curve,
     fixed_point_certificate,
     gram_factor,
     gram_to_matrix,
@@ -78,8 +78,8 @@ class WeightedGraph:
 
     The pass that validates the edges also stores them as arrays of ends
     and weights, which ``weight_matrix``, ``cut_value`` and
-    ``total_weight`` read; the graph is frozen so that they cannot drift
-    from ``edges`` (whose list is not to be changed in place either).
+    ``total_weight`` read; the graph is frozen and ``edges`` is stored as a
+    tuple of triples, so that they cannot drift from ``edges``.
 
     Every figure ``maxcut_pipeline`` forms is at most (n + 3) S in
     magnitude, S the sum of |w_ij| over ordered pairs: cuts, objectives and
@@ -90,11 +90,13 @@ class WeightedGraph:
     """
 
     n: int
-    edges: list
+    edges: tuple
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
+        object.__setattr__(self, "edges",
+                           tuple((u, v, w) for u, v, w in self.edges))
         seen = set()
         for u, v, w in self.edges:
             if not (0 <= u < v < self.n):
@@ -291,7 +293,9 @@ def solve_relaxation(g: WeightedGraph, seed=0) -> OracleResult:
 @dataclass
 class RoundingReport:
     """Everything a rounding run produced, optional fields filled when the
-    corresponding extra computation was requested."""
+    corresponding extra computation was requested. cut_value is the
+    partition's cut on the rounded graph; ``maxcut_pipeline`` replaces the
+    partition and its cut by those of the local search."""
 
     n: int
     iterations: int
@@ -300,15 +304,15 @@ class RoundingReport:
     partition_source: str  # vertex_row | hyperplane_fallback
     partition: np.ndarray
     norms_sq: list
+    cut_value: float
     relaxation_objective: float | None = None
     relaxed_cut: float | None = None
     # (UB - objective) / max(1, |objective|), both in the relaxation's unit
     relative_gap: float | None = None
     rounded_cut: float | None = None  # the rounding chain's own cut
-    cut_value: float | None = None
     baseline_cut: float | None = None
     brute_force_cut: float | None = None
-    rounding_starts: int = 1  # always 1; the benchmark's counters read it
+    rounding_starts = 1  # a class constant the benchmark's counters read
 
 
 def _power_product(v, w):
@@ -336,7 +340,7 @@ def _power_step(x, v):
     return _polish(x, w, y, obj, _tie_tol(obj))[:2]
 
 
-def round_by_iteration(x0, seed=0, graph: WeightedGraph | None = None,
+def round_by_iteration(x0, seed=0, *, graph: WeightedGraph,
                        gram=None) -> RoundingReport:
     """Round a feasible matrix to a partition by iterating the map.
 
@@ -352,13 +356,13 @@ def round_by_iteration(x0, seed=0, graph: WeightedGraph | None = None,
     index and reproduce x0 within ROW_TOL. A non-vertex fixed point
     triggers a norm-increasing escape step and the run resumes, up to
     ESCAPE_RETRIES times; after that, or if MAX_ROUNDS pass without a
-    vertex, hyperplane rounding of the current Gram factor, seeded with
-    seed, supplies the partition and the provenance is flagged. graph, when
-    given, must have x0's order; the report then carries the cut. The
+    vertex, hyperplane rounding of the current Gram factor against graph,
+    seeded with seed, supplies the partition and the provenance is flagged.
+    graph must have x0's order, and the report carries its cut. The
     squared norm never decreases across accepted iterates.
     """
     x = validate_elliptope(np.asarray(x0, dtype=float), diag_tol=DIAG_TOL)
-    if graph is not None and graph.n != x.shape[0]:
+    if graph.n != x.shape[0]:
         raise ValueError(f"graph has {graph.n} vertices, x0 {x.shape[0]} rows")
     v = None  # X's unit-row factor, taken when a step first needs it
     if gram is not None:
@@ -399,15 +403,11 @@ def round_by_iteration(x0, seed=0, graph: WeightedGraph | None = None,
         iterations += 1
         norms.append(float(np.vdot(x, x)))
     if partition is None:
-        v = gram_factor(x)
-        if graph is not None:
-            partition, _ = gw_hyperplane_round(v, graph, seed=seed)
-        else:
-            partition = np.where(v[:, 0] >= 0.0, 1, -1).astype(int)
+        partition, _ = gw_hyperplane_round(gram_factor(x), graph, seed=seed)
         source = "hyperplane_fallback"
         warnings.warn("rounding did not reach a vertex; hyperplane fallback used",
                       stacklevel=2)
-    report = RoundingReport(
+    return RoundingReport(
         n=x.shape[0],
         iterations=iterations,
         escapes=escapes,
@@ -415,10 +415,8 @@ def round_by_iteration(x0, seed=0, graph: WeightedGraph | None = None,
         partition_source=source,
         partition=partition,
         norms_sq=norms,
+        cut_value=cut_value(graph, partition),
     )
-    if graph is not None:
-        report.cut_value = cut_value(graph, partition)
-    return report
 
 
 def _one_flip(w, partition):

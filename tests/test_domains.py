@@ -11,6 +11,8 @@ from iterlinopt import (
     curvature_classify_2d,
     load_domain,
 )
+from iterlinopt import domains
+from iterlinopt.domains import LP_TOL
 
 SQUARE = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
@@ -148,13 +150,21 @@ class TestPolytopeOracle:
         assert dom.contains([1.0, 1.0])
         assert not dom.contains([1.5, 0.0])
 
-    def test_membership_slack_is_tol_in_the_max_norm(self):
+    def test_membership_slack_is_tol_in_the_max_norm(self, monkeypatch):
         dom = PolytopeDomain([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-        assert not dom.contains([0.5, 0.5 + 1e-6], tol=1e-9)
-        assert dom.contains([0.5, 0.5 + 1e-6], tol=1e-5)
-        # [1, 0] is the nearest point, 0.5 away in every norm
-        assert not dom.contains([1.5, 0.0], tol=0.4)
-        assert dom.contains([1.5, 0.0], tol=0.6)
+        # 5e-7 from the hull in the max norm, so outside at LP_TOL = 1e-9
+        assert LP_TOL == 1e-9
+        assert not dom.contains([0.5, 0.5 + 1e-6])
+        # contains reads the constant: [1, 0] is the nearest point of
+        # [1.5, 0], 0.5 away in every norm; [0, 0] is the nearest of
+        # [-0.5, -0.5], 0.5 away in the max norm and 0.71 in the Euclidean
+        for tol, point, inside in ((1e-5, [0.5, 0.5 + 1e-6], True),
+                                   (0.4, [1.5, 0.0], False),
+                                   (0.6, [1.5, 0.0], True),
+                                   (0.4, [-0.5, -0.5], False),
+                                   (0.6, [-0.5, -0.5], True)):
+            monkeypatch.setattr(domains, "LP_TOL", tol)
+            assert dom.contains(point) == inside, (tol, point)
 
     def test_optimality_random(self):
         rng = np.random.default_rng(11)
@@ -192,7 +202,7 @@ class TestConeOracle:
             t = dom.maximize(x)
             ys = np.array([dom.sample(rng) for _ in range(200)])
             assert np.all(ys @ x <= x @ t + 1e-9)
-            assert dom.contains(t, tol=1e-9)
+            assert dom.contains(t)
 
 
 class TestCurvatureClassify:

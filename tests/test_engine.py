@@ -118,7 +118,7 @@ def test_infeasible_start_rejected_when_validation_on():
         iterate(dom, [10.0, 10.0], IterationConfig(validate_start=True))
     # validation off (the default): exterior starts step into the domain
     traj = iterate(dom, [10.0, 10.0])
-    assert dom.contains(traj.final, tol=1e-9)
+    assert dom.contains(traj.final)
 
 
 def test_trace_off_keeps_endpoints_only():

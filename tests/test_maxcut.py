@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +53,7 @@ class TestGraphIO:
         p.write_text("0 1 1.0\n1 2 1.0\n0 2 1.0\n")
         g = load_graph(p)
         assert g.n == 3
-        assert g.edges == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
+        assert g.edges == ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))
 
     @pytest.mark.parametrize("w", [1e308, float(np.finfo(float).max) / 35.0])
     def test_weights_whose_sums_overflow_rejected(self, tmp_path, w):
@@ -66,12 +68,12 @@ class TestGraphIO:
         p = tmp_path / "e.txt"
         p.write_text("0 1\n")
         g = load_graph(p)
-        assert g.edges == [(0, 1, 1.0)]
+        assert g.edges == ((0, 1, 1.0),)
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("# header\n\n0 1 2.0  # inline\n")
-        assert load_graph(p).edges == [(0, 1, 2.0)]
+        assert load_graph(p).edges == ((0, 1, 2.0),)
 
     def test_self_loop_rejected_with_line_number(self, tmp_path):
         p = tmp_path / "loop.txt"
@@ -115,7 +117,7 @@ class TestGraphIO:
         p.write_text("0 1 1.0\n1 0 2.0\n")
         with pytest.warns(UserWarning):
             g = load_graph(p)
-        assert g.edges == [(0, 1, 3.0)]
+        assert g.edges == ((0, 1, 3.0),)
 
 
 class TestCutArithmetic:
@@ -335,7 +337,7 @@ class TestRounding:
         assert report.escapes >= 1  # the optimum is itself a fixed point
 
     def test_identity_start_escapes_then_hits_vertex(self):
-        report = round_by_iteration(np.eye(4), seed=0)
+        report = round_by_iteration(np.eye(4), seed=0, graph=complete_graph(4))
         assert report.terminal_status == "vertex"
         assert report.escapes >= 1
         assert set(np.unique(report.partition)) <= {-1, 1}
@@ -347,8 +349,15 @@ class TestRounding:
         assert np.all(np.diff(report.norms_sq) >= -1e-9)
 
     def test_family_member_start(self):
-        report = round_by_iteration(l4_family(0.3), seed=0)
+        report = round_by_iteration(l4_family(0.3), seed=0,
+                                    graph=complete_graph(4))
         assert report.terminal_status == "vertex"
+
+    def test_the_graph_is_required(self):
+        with pytest.raises(TypeError, match="graph"):
+            round_by_iteration(np.ones((3, 3)))
+        with pytest.raises(TypeError):  # keyword only
+            round_by_iteration(np.ones((3, 3)), 0, K3)
 
 
     def test_fallback_hyperplanes_take_the_config_seed(self, monkeypatch):
@@ -390,9 +399,9 @@ class TestRounding:
         for bad in (v[:3], v[:, :1], np.roll(v, 1, axis=0), v[0],
                     np.full_like(v, np.nan)):
             with pytest.raises(ValueError, match="gram"):
-                round_by_iteration(x, gram=bad)
+                round_by_iteration(x, graph=complete_graph(4), gram=bad)
         with pytest.raises(ValueError):  # x0 itself is still validated
-            round_by_iteration(2.0 * x, gram=v)
+            round_by_iteration(2.0 * x, graph=complete_graph(4), gram=v)
 
     def test_a_graph_of_another_order_is_rejected_before_rounding(self,
                                                                  monkeypatch):
@@ -622,6 +631,25 @@ class TestGraphType:
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.edges = []
 
+    def test_edges_cannot_change_in_place(self):
+        # a list of edges given is stored as a tuple, so the edge arrays
+        # cannot drift from it
+        given = [(0, 1, 1.0)]
+        g = WeightedGraph(3, given)
+        given.append((1, 2, 5.0))
+        assert g.edges == ((0, 1, 1.0),)
+        with pytest.raises(AttributeError):
+            g.edges.append((1, 2, 5.0))
+        with pytest.raises(TypeError):
+            g.edges[0] = (0, 2, 5.0)
+        assert cut_value(g, [1, -1, 1]) == 1.0 and g.total_weight == 1.0
+
+    def test_graphs_hash_by_their_edges(self):
+        a = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        b = WeightedGraph(3, [[0, 1, 1.0], [1, 2, 2.0]])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, complete_graph(3)}) == 2
+
     @pytest.mark.parametrize("name", ["file", "no-edges", "n1"])
     def test_edge_arrays_match_the_edges(self, name, tmp_path):
         if name == "file":
@@ -648,3 +676,18 @@ class TestGraphType:
         w = K3.weight_matrix()
         assert np.array_equal(w, w.T)
         assert K3.total_weight == 3.0
+
+
+def test_maxcut_stands_on_the_elliptope_layer_alone():
+    """maxcut imports only .domains and .elliptope from the package, so
+    that the iteration engine and the classify layer stay out of it."""
+    tree = ast.parse(Path(maxcut.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("iterlinopt")):
+            package.add(node.module)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names
+                           if a.name.startswith("iterlinopt"))
+    assert package == {"domains", "elliptope"}

@@ -48,3 +48,21 @@ def test_every_tolerance_constant_has_a_row():
                 assert table.get(name, (None,))[0] == path.stem, (
                     f"{path.stem}.{name} has no row in the README's "
                     "Tolerances table")
+
+
+def test_no_unnamed_tolerance_literals():
+    """A float literal in (0, 1e-5) is a tolerance, so it may appear only as
+    the value of a module-level NAME = literal assignment, which names it
+    (and, for a *_TOL name, the test above ties to its Tolerances row)."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {id(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and isinstance(node.targets[0], ast.Name)}
+        found += [f"{path.name}:{node.lineno}: {node.value!r}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and type(node.value) is float and 0.0 < node.value < 1e-5
+                  and id(node) not in named]
+    assert not found, found
