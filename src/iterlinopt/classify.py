@@ -143,6 +143,6 @@ def classify_elliptope_fixed_point(x) -> ClassificationResult:
         return ClassificationResult("attractive", 0.0, 0, 0, 0)
     i, j = escape_pair(a)
     norms = [float(np.vdot(xa, xa))
-             for xa in (escape_curve(a, al, (i, j)) for al in ESCAPE_ALPHAS)]
+             for xa in (escape_curve(a, al) for al in ESCAPE_ALPHAS)]
     witness = EscapeWitness(i, j, list(ESCAPE_ALPHAS), norms)
     return ClassificationResult("not_attractive", 0.0, 0, 0, 0, witness)

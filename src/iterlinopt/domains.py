@@ -230,7 +230,9 @@ class PolytopeDomain(ConvexDomain):
         within LP_TOL of x in the infinity norm: |V^T lambda - x|_inf <=
         LP_TOL, lambda >= 0 and sum(lambda) = 1 exactly."""
         # membership is feasibility of the convex-combination LP; scipy is
-        # imported here, its only use, to keep it off the package import
+        # imported here, its only use, to keep it off the package import.
+        # HiGHS also allows its own primal infeasibility (1e-7 by default)
+        # on top of the LP's slack, so that is set well below LP_TOL
         from scipy.optimize import linprog
 
         x = _point(x, self.dim)
@@ -239,7 +241,8 @@ class PolytopeDomain(ConvexDomain):
         res = linprog(np.zeros(m), A_ub=np.vstack([vt, -vt]),
                       b_ub=np.concatenate([x + LP_TOL, LP_TOL - x]),
                       A_eq=np.ones((1, m)), b_eq=[1.0],
-                      bounds=[(0.0, None)] * m, method="highs")
+                      bounds=[(0.0, None)] * m, method="highs",
+                      options={"primal_feasibility_tolerance": LP_TOL / 10})
         return bool(res.success)
 
     def sample(self, rng):

@@ -96,6 +96,8 @@ def gram_to_matrix(v, row_tol=NORMED_ROW_TOL) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
         raise ElliptopeError("Gram factor must be a 2-d array")
+    if not np.all(np.isfinite(v)):  # a NaN row would pass the unit test
+        raise ElliptopeError("Gram factor has non-finite entries")
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms == 0.0):
         raise ElliptopeError("Gram factor has a zero row")
@@ -419,7 +421,10 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
         w = np.asarray(warm_start, dtype=float)
         if w.ndim != 2 or w.shape[0] != n:
             raise ElliptopeError("warm start must have one row per index")
-        start = w / np.linalg.norm(w, axis=1)[:, None]
+        norms = np.linalg.norm(w, axis=1)
+        if not np.all((norms > 0.0) & np.isfinite(norms)):
+            raise ElliptopeError("warm start rows must be finite and nonzero")
+        start = w / norms[:, None]
     else:
         start = random_gram(n, default_rank_budget(n),
                             np.random.default_rng(cfg.seed))
@@ -629,28 +634,36 @@ def escape_pair(x):
     raise ElliptopeError("no escape pair exists: the matrix is a vertex")
 
 
-def escape_curve(x, alpha, pair=None) -> np.ndarray:
-    """Feasible deformation of a non-vertex fixed point that strictly
-    increases the squared norm.
-
-    Moves Gram row i toward row j (toward -row j when x_ij is negative)
-    and renormalizes; the result stays a unit-diagonal PSD matrix for
-    every alpha in [0, 1], equals x at alpha 0 and has strictly larger
-    squared norm for alpha > 0, increasing in alpha.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    a = check_symmetric(x)
-    i, j = pair if pair is not None else escape_pair(a)
-    v = gram_factor(a)
-    sign = 1.0 if a[i, j] >= 0.0 else -1.0
+def _escape_factor(v, x, alpha):
+    """v, a unit-row factor of x, with row i moved toward +-row j and
+    renormalized, (i, j) = ``escape_pair(x)``: toward -row j when x_ij <
+    -ZERO_TOL, so that roundoff in a zero entry, whose two directions gain
+    alike, does not pick the direction."""
+    i, j = escape_pair(x)
+    sign = -1.0 if x[i, j] < -ZERO_TOL else 1.0
     w = (1.0 - alpha) * v[i] + alpha * sign * v[j]
     z = float(np.linalg.norm(w))
     if z == 0.0:
         raise ElliptopeError("degenerate escape direction")
     v = v.copy()
     v[i] = w / z
-    return gram_to_matrix(v, row_tol=ROW_TOL)
+    return v
+
+
+def escape_curve(x, alpha) -> np.ndarray:
+    """Feasible deformation of a non-vertex fixed point that strictly
+    increases the squared norm.
+
+    Moves row i of x's Gram factor toward +-row j (``_escape_factor``);
+    the result stays a unit-diagonal PSD matrix for every alpha in [0, 1],
+    equals x at alpha 0 and has strictly larger squared norm for alpha > 0,
+    increasing in alpha.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    a = check_symmetric(x)
+    return gram_to_matrix(_escape_factor(_gram_factor(a), a, alpha),
+                          row_tol=ROW_TOL)
 
 
 def enumerate_vertices(n) -> list:

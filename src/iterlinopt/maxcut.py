@@ -2,13 +2,16 @@
 deterministic rounding by norm-increasing iteration.
 
 The relaxation maximizes -W . X over the feasible body, where W is the
-symmetric weight matrix; rounding repeatedly takes an ascent step of the
-linear-maximization map, each step of which is itself a relaxation of the
+symmetric weight matrix, and warns when it stops at its sweep cap. The
+rounding carries the relaxation's unit-row factor V of X = V V^T as its
+only state and repeatedly takes an ascent step of the linear-maximization
+map on it, each step of which is itself a relaxation of the
 closest-vertex problem, until a vertex (a rank-one sign matrix encoding a
 partition) is reached. Runs that settle on a non-vertex fixed point take an
-explicit norm-increasing escape step and resume; if escapes run out, random
-hyperplane rounding is used as a flagged fallback. The pipeline finishes
-the rounded partition with a single-flip local search.
+explicit norm-increasing escape step, which moves one row of V, and
+resume; if escapes run out, random hyperplane rounding of V is used as a
+flagged fallback. The pipeline finishes the rounded partition with a
+single-flip local search.
 """
 
 from __future__ import annotations
@@ -21,22 +24,18 @@ import numpy as np
 
 from .domains import read_lines
 from .elliptope import (
-    DIAG_TOL,
     GRAD_TOL,
     ROW_TOL,
-    ElliptopeError,
     OracleConfig,
     OracleResult,
+    _escape_factor,
     _polish,
     _row_norms,
     _tie_tol,
     elliptope_oracle,
-    escape_curve,
     fixed_point_certificate,
-    gram_factor,
     gram_to_matrix,
     is_vertex,
-    validate_elliptope,
     vertex_signs,
 )
 
@@ -277,12 +276,17 @@ def solve_relaxation(g: WeightedGraph, seed=0) -> OracleResult:
     divided by 2^e, e = ``_weight_exponent(g)``, so that its tolerances,
     the gap stop among them, are relative to the largest weight; the
     objectives and the bound are scaled back, so weights scaled by a power
-    of two give the same factors and scaled figures."""
+    of two give the same factors and scaled figures. A run that reaches
+    the sweep cap before its gap is certified says so in a warning; its
+    bound still holds."""
     if g.n < 1:
         raise ValueError("graph has no vertices")
     e = _weight_exponent(g)
     res = elliptope_oracle(np.ldexp(relaxation_cost(g), -e),
                            OracleConfig(seed=seed, gap_tol=GAP_TOL))
+    if res.status == "max_sweeps":
+        warnings.warn(f"relaxation stopped at its {res.sweeps}-sweep cap "
+                      "before its duality gap was certified", stacklevel=2)
     unit = 2.0 ** e
     res.objective *= unit
     res.upper_bound *= unit
@@ -340,39 +344,30 @@ def _power_step(x, v):
     return _polish(x, w, y, obj, _tie_tol(obj))[:2]
 
 
-def round_by_iteration(x0, seed=0, *, graph: WeightedGraph,
-                       gram=None) -> RoundingReport:
-    """Round a feasible matrix to a partition by iterating the map.
+def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
+    """Round X = V V^T, V = gram, to a partition by iterating the map.
 
-    Applies an ascent step of the linear-maximization map until a vertex
-    appears (the partition is then read off its first row). The step
-    carries X's unit-row factor V: ``_power_step`` maps X = V V^T to
-    Y = W W^T with <X, Y> >= <X, X>, so |Y - X|^2 <= |Y|^2 - |X|^2, and it
-    leaves X where it is exactly when X^2 = DX, so the vertices stay exact
-    fixed points. gram, when given, is X's unit-row factor, which the first
-    step then takes as V instead of factoring X: the power steps map V Q
-    to W Q, so a factor of any width rounds X alike, and a narrow one (the
-    relaxation's, say) makes each step cheaper. It must have one row per
-    index and reproduce x0 within ROW_TOL. A non-vertex fixed point
-    triggers a norm-increasing escape step and the run resumes, up to
-    ESCAPE_RETRIES times; after that, or if MAX_ROUNDS pass without a
-    vertex, hyperplane rounding of the current Gram factor against graph,
-    seeded with seed, supplies the partition and the provenance is flagged.
-    graph must have x0's order, and the report carries its cut. The
+    gram must be 2-d and finite with rows unit within ROW_TOL, which makes
+    X feasible, and the chain carries it as its only state. It applies an
+    ascent step of the linear-maximization map until a vertex appears (the
+    partition is then read off its first row): ``_power_step`` maps V to W
+    with <X, Y> >= <X, X> for Y = W W^T, so |Y - X|^2 <= |Y|^2 - |X|^2, and
+    it leaves X where it is exactly when X^2 = DX, so the vertices stay
+    exact fixed points. It maps V Q to W Q, so a factor of any width
+    rounds X alike, and a narrow one (the relaxation's) makes each step
+    cheaper. A non-vertex fixed point triggers a norm-increasing escape
+    step, ``escape_curve``'s move of one row of V, and the run resumes, up
+    to ESCAPE_RETRIES times; after that, or if MAX_ROUNDS pass without a
+    vertex, hyperplane rounding of V against graph, seeded with seed,
+    supplies the partition and the provenance is flagged. graph must have
+    one vertex per row of gram, and the report carries its cut. The
     squared norm never decreases across accepted iterates.
     """
-    x = validate_elliptope(np.asarray(x0, dtype=float), diag_tol=DIAG_TOL)
+    x = gram_to_matrix(gram, row_tol=ROW_TOL)
     if graph.n != x.shape[0]:
-        raise ValueError(f"graph has {graph.n} vertices, x0 {x.shape[0]} rows")
-    v = None  # X's unit-row factor, taken when a step first needs it
-    if gram is not None:
-        v = np.asarray(gram, dtype=float)
-        if v.ndim != 2 or v.shape[0] != x.shape[0]:
-            raise ElliptopeError(
-                f"gram must have {x.shape[0]} rows, got shape {v.shape}")
-        if not float(np.max(np.abs(v @ v.T - x))) <= ROW_TOL:  # NaN fails
-            raise ElliptopeError(f"gram does not reproduce x0 within {ROW_TOL}")
-        v = v / _row_norms(v)[:, None]
+        raise ValueError(f"graph has {graph.n} vertices, gram {x.shape[0]} rows")
+    v = np.asarray(gram, dtype=float)
+    v = v / _row_norms(v)[:, None]
     norms = [float(np.vdot(x, x))]
     escapes = 0
     iterations = 0
@@ -390,20 +385,18 @@ def round_by_iteration(x0, seed=0, *, graph: WeightedGraph,
         cert = fixed_point_certificate(x)
         if cert.is_fixed:
             if escapes < ESCAPE_RETRIES:
-                x = escape_curve(x, ESCAPE_ALPHA)
-                v = None
+                v = _escape_factor(v, x, ESCAPE_ALPHA)
+                x = gram_to_matrix(v, row_tol=ROW_TOL)
                 escapes += 1
                 norms.append(float(np.vdot(x, x)))
                 continue
             status = "nonvertex_fixed_point"
             break
-        if v is None:
-            v = gram_factor(x)
         v, x = _power_step(x, v)
         iterations += 1
         norms.append(float(np.vdot(x, x)))
     if partition is None:
-        partition, _ = gw_hyperplane_round(gram_factor(x), graph, seed=seed)
+        partition, _ = gw_hyperplane_round(v, graph, seed=seed)
         source = "hyperplane_fallback"
         warnings.warn("rounding did not reach a vertex; hyperplane fallback used",
                       stacklevel=2)
@@ -457,7 +450,7 @@ def maxcut_pipeline(g: WeightedGraph, seed=0, baseline_samples=0,
     """
     res = solve_relaxation(g, seed)
     w = g.weight_matrix()
-    report = round_by_iteration(res.matrix, seed, graph=g, gram=res.gram)
+    report = round_by_iteration(res.gram, seed, graph=g)
     report.rounded_cut = report.cut_value
     report.partition = _one_flip(w, report.partition)
     report.cut_value = cut_value(g, report.partition)

@@ -24,7 +24,6 @@ from iterlinopt import (
     check_monotone,
     elliptope_oracle,
     escape_curve,
-    escape_pair,
     fixed_point_certificate,
     gamma_of_irreducible,
     gram_to_matrix,
@@ -291,10 +290,9 @@ def suite_vertex_attractiveness(seed):
         if p.family == "vertex":
             continue
         base = float(np.vdot(p.matrix, p.matrix))
-        pair = escape_pair(p.matrix)
         prev = base
         for k in range(1, 11):
-            xa = escape_curve(p.matrix, k / 10.0, pair)
+            xa = escape_curve(p.matrix, k / 10.0)
             val = float(np.vdot(xa, xa))
             assert val > prev
             assert np.array_equal(np.diag(xa), np.ones(3))

@@ -11,11 +11,13 @@ from iterlinopt import (
     curvature_classify_2d,
     escape_curve,
     escape_pair,
+    gram_factor,
     gram_to_matrix,
     l3_census,
     validate_elliptope,
     vertex_basin_check,
 )
+from iterlinopt.elliptope import ROW_TOL
 
 J3 = np.ones((3, 3))
 PUFF = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
@@ -156,15 +158,29 @@ class TestEscapeCurve:
     def test_strictly_increasing_and_feasible_along_grid(self):
         for mat in (GREEN, PUFF, np.eye(4)):
             base = float(np.vdot(mat, mat))
-            pair = escape_pair(mat)
             prev = base
             for k in range(1, 11):
-                xa = escape_curve(mat, k / 10.0, pair)
+                xa = escape_curve(mat, k / 10.0)
                 val = float(np.vdot(xa, xa))
                 assert val > prev
                 assert np.array_equal(np.diag(xa), np.ones(len(mat)))
                 assert np.linalg.eigvalsh(xa)[0] >= -1e-9
                 prev = val
+
+    def test_it_moves_the_row_of_escape_pair(self):
+        # row i of gram_factor(x) moved toward +-row j, (i, j) =
+        # escape_pair(x), and renormalized, to the last bit
+        points = [GREEN, PUFF, np.eye(4)] + [
+            p.matrix for p in l3_census() if p.family != "vertex"]
+        for x in points:
+            i, j = escape_pair(x)
+            sign = 1.0 if x[i, j] >= 0.0 else -1.0
+            for alpha in (0.0, 0.1, 0.25, 0.5, 1.0):
+                v = gram_factor(x)
+                w = (1.0 - alpha) * v[i] + alpha * sign * v[j]
+                v[i] = w / float(np.linalg.norm(w))
+                assert np.array_equal(escape_curve(x, alpha),
+                                      gram_to_matrix(v, row_tol=ROW_TOL))
 
     def test_vertex_has_no_escape_pair(self):
         from iterlinopt import ElliptopeError

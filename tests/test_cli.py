@@ -1,8 +1,10 @@
+import functools
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +363,31 @@ class TestMaxcut:
         p = tmp_path / "big.txt"
         p.write_text("\n".join(f"{k} {k + 1} 1.0" for k in range(29)) + "\n")
         assert main(["maxcut", "--graph", str(p), "--brute-force"]) == 2
+
+    def test_a_capped_relaxation_warns_and_keeps_stdout(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # one sweep certifies no gap on a G(20, 0.3): the relaxation stops
+        # at its cap and says so in a warning, and stdout keeps its lines
+        rng = np.random.default_rng(4)
+        edges = [(u, v, 1.0) for u in range(20) for v in range(u + 1, 20)
+                 if rng.random() < 0.3]
+        p = tmp_path / "gnp20.txt"
+        p.write_text("".join(f"{u} {v}\n" for u, v, _ in edges))
+        assert main(["maxcut", "--graph", str(p)]) == 0
+        out = capsys.readouterr().out
+        fields = [line.split(":")[0] for line in out.splitlines()]
+        monkeypatch.setattr(maxcut, "OracleConfig",
+                            functools.partial(OracleConfig, max_sweeps=1))
+        with pytest.warns(UserWarning, match="its 1-sweep cap"):
+            assert maxcut.solve_relaxation(WeightedGraph(20, edges)).sweeps == 1
+        with pytest.warns(UserWarning, match="its 1-sweep cap"):
+            assert main(["maxcut", "--graph", str(p)]) == 0
+        warned = capsys.readouterr().out
+        assert [line.split(":")[0] for line in warned.splitlines()] == fields
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["maxcut", "--graph", str(p)]) == 0
+        assert capsys.readouterr().out == warned
 
     def test_rank_one_reports_the_gap_it_could_not_close(self):
         # a rank-one factor of K3's relaxation sits at a vertex it cannot

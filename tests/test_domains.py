@@ -155,6 +155,12 @@ class TestPolytopeOracle:
         # 5e-7 from the hull in the max norm, so outside at LP_TOL = 1e-9
         assert LP_TOL == 1e-9
         assert not dom.contains([0.5, 0.5 + 1e-6])
+        # the slack is LP_TOL, not the LP solver's own 1e-7 feasibility
+        # tolerance: [0.5, 0.5 + d] is d / 2 and [-e, 0.3] is e outside
+        for gap, inside in ((5e-10, True), (2e-9, False), (2e-8, False)):
+            assert dom.contains([0.5, 0.5 + 2.0 * gap]) == inside, gap
+        for gap, inside in ((1e-9, True), (2e-9, False), (1e-7, False)):
+            assert dom.contains([-gap, 0.3]) == inside, gap
         # contains reads the constant: [1, 0] is the nearest point of
         # [1.5, 0], 0.5 away in every norm; [0, 0] is the nearest of
         # [-0.5, -0.5], 0.5 away in the max norm and 0.71 in the Euclidean

@@ -66,6 +66,13 @@ class TestGram:
         with pytest.raises(ElliptopeError):
             gram_to_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        # a NaN row norm passes a unit-row test by comparison, |NaN - 1| >
+        # row_tol being False
+        with pytest.raises(ElliptopeError, match="non-finite"):
+            gram_to_matrix(np.array([[bad, 0.0], [1.0, 0.0]]))
+
     def test_factor_round_trip(self):
         rng = np.random.default_rng(0)
         for n in (2, 4, 7):
@@ -164,6 +171,13 @@ class TestOracle:
         v0 = np.eye(3)
         res = elliptope_oracle(c, warm_start=v0)
         assert np.array_equal(res.gram[0], v0[0])
+
+    @pytest.mark.parametrize("first", [0.0, np.nan, np.inf])
+    def test_warm_start_without_a_unit_direction_rejected(self, first):
+        # a zero or non-finite row has no direction to normalize to
+        c = -(np.ones((3, 3)) - np.eye(3))  # K3's relaxation cost
+        with pytest.raises(ElliptopeError, match="warm start rows"):
+            elliptope_oracle(c, warm_start=[[first], [1.0], [1.0]])
 
     def test_warm_start_runs_alone(self):
         rng = np.random.default_rng(8)

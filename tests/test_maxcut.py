@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from iterlinopt import (
+    ElliptopeError,
     GraphFormatError,
     WeightedGraph,
     brute_force_maxcut,
@@ -39,6 +40,12 @@ def path_graph(n, w=1.0):
 
 
 K3 = complete_graph(3)
+# non-vertex fixed points whose rounding chains escape: members of the L4
+# family and the identity on K4, and an L3 face point on K3
+ESCAPING_STARTS = [(l4_family(0.3), complete_graph(4)),
+                   (l4_family(-0.7), complete_graph(4)),
+                   (np.eye(4), complete_graph(4)),
+                   ([p.matrix for p in l3_census() if p.family == "face"][0], K3)]
 
 
 class TestGraphIO:
@@ -323,7 +330,7 @@ class TestHyperplaneRounding:
 
 class TestRounding:
     def test_vertex_input_returns_immediately(self):
-        report = round_by_iteration(np.ones((3, 3)), graph=K3)
+        report = round_by_iteration(np.ones((3, 1)), graph=K3)
         assert report.terminal_status == "vertex"
         assert report.iterations == 0 and report.escapes == 0
         assert np.array_equal(report.partition, [1, 1, 1])
@@ -331,7 +338,7 @@ class TestRounding:
 
     def test_triangle_relaxation_rounds_to_optimal_cut(self):
         res = solve_relaxation(K3, seed=0)
-        report = round_by_iteration(res.matrix, seed=0, graph=K3)
+        report = round_by_iteration(res.gram, seed=0, graph=K3)
         assert report.terminal_status == "vertex"
         assert report.cut_value == 2.0
         assert report.escapes >= 1  # the optimum is itself a fixed point
@@ -344,20 +351,20 @@ class TestRounding:
 
     def test_norms_never_decrease(self):
         res = solve_relaxation(complete_graph(5), seed=0)
-        report = round_by_iteration(res.matrix, seed=0,
+        report = round_by_iteration(res.gram, seed=0,
                                     graph=complete_graph(5))
         assert np.all(np.diff(report.norms_sq) >= -1e-9)
 
     def test_family_member_start(self):
-        report = round_by_iteration(l4_family(0.3), seed=0,
+        report = round_by_iteration(gram_factor(l4_family(0.3)), seed=0,
                                     graph=complete_graph(4))
         assert report.terminal_status == "vertex"
 
     def test_the_graph_is_required(self):
         with pytest.raises(TypeError, match="graph"):
-            round_by_iteration(np.ones((3, 3)))
+            round_by_iteration(np.ones((3, 1)))
         with pytest.raises(TypeError):  # keyword only
-            round_by_iteration(np.ones((3, 3)), 0, K3)
+            round_by_iteration(np.ones((3, 1)), 0, K3)
 
 
     def test_fallback_hyperplanes_take_the_config_seed(self, monkeypatch):
@@ -367,7 +374,8 @@ class TestRounding:
         monkeypatch.setattr(maxcut, "ESCAPE_RETRIES", 0)
         for seed in (0, 11):
             with pytest.warns(UserWarning, match="hyperplane fallback"):
-                report = round_by_iteration(face, seed=seed, graph=K3)
+                report = round_by_iteration(gram_factor(face), seed=seed,
+                                            graph=K3)
             assert report.partition_source == "hyperplane_fallback"
             signs, _ = gw_hyperplane_round(gram_factor(face), K3,
                                            HYPERPLANES, seed)
@@ -386,22 +394,47 @@ class TestRounding:
         for k, g in enumerate(graphs):
             res = solve_relaxation(g, seed=k)
             for v in res.candidate_grams[:2]:
-                x = gram_to_matrix(v, row_tol=ROW_TOL)
-                a = round_by_iteration(x, graph=g)
-                b = round_by_iteration(x, graph=g, gram=v)
+                a = round_by_iteration(gram_factor(gram_to_matrix(v)), graph=g)
+                b = round_by_iteration(v, graph=g)
                 assert (b.cut_value, b.iterations, b.terminal_status) == (
                     a.cut_value, a.iterations, a.terminal_status)
                 assert np.array_equal(b.partition, a.partition)
+        # the escapes move a row of the carried factor, so a rotated or
+        # zero-padded factor of an escaping start also rounds it alike
+        for x, g in ESCAPING_STARTS:
+            v = gram_factor(x)
+            q, _ = np.linalg.qr(rng.standard_normal((g.n, g.n)))
+            a, *others = (round_by_iteration(f, graph=g) for f in (
+                v, v @ q, np.hstack((v, np.zeros((g.n, 3))))))
+            assert a.escapes >= 1
+            for b in others:
+                assert (b.cut_value, b.iterations, b.escapes, b.terminal_status,
+                        b.partition_source) == (
+                    a.cut_value, a.iterations, a.escapes, a.terminal_status,
+                    a.partition_source)
+                assert np.array_equal(b.partition, a.partition)
 
-    def test_a_factor_of_another_matrix_is_rejected(self):
-        x = gram_to_matrix(gram_factor(l4_family(0.3)))
-        v = gram_factor(x)
-        for bad in (v[:3], v[:, :1], np.roll(v, 1, axis=0), v[0],
-                    np.full_like(v, np.nan)):
-            with pytest.raises(ValueError, match="gram"):
-                round_by_iteration(x, graph=complete_graph(4), gram=bad)
-        with pytest.raises(ValueError):  # x0 itself is still validated
-            round_by_iteration(2.0 * x, graph=complete_graph(4), gram=v)
+    def test_the_chain_takes_no_eigendecomposition(self, monkeypatch):
+        # escapes and steps act on the carried factor: no refactoring
+        def no_eigh(a):
+            raise AssertionError("eigh called")
+
+        starts = [(gram_factor(x), g) for x, g in ESCAPING_STARTS]
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for v, g in starts:
+            report = round_by_iteration(v, graph=g)
+            assert report.terminal_status == "vertex" and report.escapes >= 1
+
+    def test_a_bad_factor_is_rejected(self):
+        v = gram_factor(l4_family(0.3))
+        nan_row, zero_row = v.copy(), v.copy()
+        nan_row[1, 0] = np.nan
+        zero_row[2] = 0.0
+        for bad, match in ((v[0], "2-d"), (zero_row, "zero row"),
+                           (nan_row, "non-finite"), (2.0 * v, "unit"),
+                           (v + 1e-6, "unit")):
+            with pytest.raises(ElliptopeError, match=match):
+                round_by_iteration(bad, graph=complete_graph(4))
 
     def test_a_graph_of_another_order_is_rejected_before_rounding(self,
                                                                  monkeypatch):
@@ -442,7 +475,7 @@ class TestBudgetedRounding:
         monkeypatch.setattr(maxcut, "_power_step", recording_step)
         monkeypatch.setattr(maxcut, "_power_product", counting_product)
         res = solve_relaxation(g, seed=0)
-        report = round_by_iteration(res.matrix, seed=0, graph=g)
+        report = round_by_iteration(res.gram, seed=0, graph=g)
         assert report.terminal_status == "vertex"
         assert steps and products == [ROUND_STEPS] * len(steps)
         for x, y in steps:

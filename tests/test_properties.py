@@ -452,10 +452,10 @@ def test_one_colouring_per_oracle_call(monkeypatch):
     assert res.sweeps >= 32 and colourings == [60]
     # the rounding steps of K19 are power steps: no oracle call, no sweep
     g = _graph(_complete(19))
-    x = solve_relaxation(g, seed=0).matrix
+    v = solve_relaxation(g, seed=0).gram
     monkeypatch.setattr(elliptope, "_oracle", counting_oracle)
     colourings.clear()
-    report = round_by_iteration(x, seed=0, graph=g)
+    report = round_by_iteration(v, seed=0, graph=g)
     assert report.iterations > 0
     assert calls == [] and colourings == []
 
