@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .classify import (
     ClassificationResult,
     EscapeWitness,
+    ExactClassification,
     classify_elliptope_fixed_point,
     classify_empirical,
     vertex_basin_check,
@@ -72,6 +73,7 @@ from .engine import (
 )
 from .maxcut import (
     GraphFormatError,
+    MaxcutReport,
     RoundingReport,
     WeightedGraph,
     brute_force_maxcut,

@@ -29,7 +29,7 @@ from .engine import FIXED_FACTOR, IterationConfig, iterate
 ESCAPE_ALPHAS = tuple(k / 10.0 for k in range(1, 11))  # escape witness grid
 
 
-@dataclass
+@dataclass(frozen=True)
 class EscapeWitness:
     """Pair of indices driving the escape curve, with the squared norms
     along a grid of curve parameters (strictly increasing, all above the
@@ -41,19 +41,30 @@ class EscapeWitness:
     norms_sq: list
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassificationResult:
-    label: str  # attractive | repelling | neither | indeterminate | not_attractive
+    """What perturbation sampling measured: the label, the ball radius and
+    the tally of the samples."""
+
+    label: str  # attractive | repelling | neither | indeterminate
     eps: float
     samples: int
     returned: int
     escaped: int
-    witness: EscapeWitness | None = None
 
     @property
     def undecided(self) -> int:
         """Samples that neither converged back nor left the eps ball."""
         return self.samples - self.returned - self.escaped
+
+
+@dataclass(frozen=True)
+class ExactClassification:
+    """The exact dichotomy's verdict: attractive for a vertex, which has no
+    witness, or not_attractive with an escape witness."""
+
+    label: str  # attractive | not_attractive
+    witness: EscapeWitness | None
 
 
 def fixed_point_residual(domain, x) -> float:
@@ -126,7 +137,7 @@ def vertex_basin_check(x, m) -> bool:
     return bool(np.max(np.abs(tx - np.asarray(x, dtype=float))) <= SIGN_TOL)
 
 
-def classify_elliptope_fixed_point(x) -> ClassificationResult:
+def classify_elliptope_fixed_point(x) -> ExactClassification:
     """Exact dichotomy on the unit-diagonal PSD body.
 
     Vertices are attractive. Any other fixed point gets the label
@@ -140,9 +151,9 @@ def classify_elliptope_fixed_point(x) -> ClassificationResult:
     if not cert.is_fixed:
         raise ValueError("input is not a fixed point within tolerance")
     if is_vertex(a):
-        return ClassificationResult("attractive", 0.0, 0, 0, 0)
+        return ExactClassification("attractive", None)
     i, j = escape_pair(a)
     norms = [float(np.vdot(xa, xa))
              for xa in (escape_curve(a, al) for al in ESCAPE_ALPHAS)]
-    witness = EscapeWitness(i, j, list(ESCAPE_ALPHAS), norms)
-    return ClassificationResult("not_attractive", 0.0, 0, 0, 0, witness)
+    return ExactClassification(
+        "not_attractive", EscapeWitness(i, j, list(ESCAPE_ALPHAS), norms))

@@ -67,11 +67,12 @@ EXIT_NOT_FIXED = 3
 CENSUS_CAP = 12
 
 # The maxcut record, in stdout order. graph and edges come from the input,
-# every other field from the RoundingReport.
+# every other field from the MaxcutReport.
 MAXCUT_RECORD = ("graph", "n", "edges", "iterations", "escapes",
                  "terminal_status", "partition_source", "partition",
                  "relaxation_objective", "relaxed_cut", "relative_gap",
-                 "rounded_cut", "cut_value", "baseline_cut", "brute_force_cut")
+                 "relaxation_status", "relaxation_sweeps", "rounded_cut",
+                 "cut_value", "baseline_cut", "brute_force_cut")
 
 
 class CliError(Exception):
@@ -225,13 +226,13 @@ def _print_witness(w):
 
 
 def _print_empirical(result):
-    print(f"empirical label: {result.label}")
-    print(f"eps: {_fmt(result.eps)}")
-    print(f"samples: {result.samples}")
-    print(f"returned: {result.returned}")
-    print(f"escaped: {result.escaped}")
-    print(f"undecided: {result.undecided}")
-    _print_witness(result.witness)
+    if result is not None:
+        print(f"empirical label: {result.label}")
+        print(f"eps: {_fmt(result.eps)}")
+        print(f"samples: {result.samples}")
+        print(f"returned: {result.returned}")
+        print(f"escaped: {result.escaped}")
+        print(f"undecided: {result.undecided}")
 
 
 def _fixed_residual(domain, x, tol):
@@ -244,7 +245,18 @@ def _fixed_residual(domain, x, tol):
     return residual
 
 
+def _empirical(domain, x, args):
+    """The sampled verdict at x, already checked to be fixed, or None when
+    --samples is 0."""
+    if args.samples == 0:
+        return None
+    return _sample_verdict(domain, x, args.eps, args.samples, args.seed,
+                           args.tol, args.max_iter)
+
+
 def cmd_classify(args) -> int:
+    # every verdict is computed before the first line prints, so that a
+    # failure leaves stdout empty
     if args.matrix:
         x = read_matrix_text(args.matrix)
         domain = ElliptopeDomain(x.shape[0])
@@ -259,26 +271,27 @@ def cmd_classify(args) -> int:
         if args.samples > 0:
             _fixed_residual(domain, x, args.tol)
         theorem = classify_elliptope_fixed_point(x)
+        empirical = _empirical(domain, x, args)
         print(f"theorem label: {theorem.label}")
         _print_witness(theorem.witness)
-        if args.samples > 0:
-            _print_empirical(_sample_verdict(domain, x, args.eps, args.samples,
-                                             args.seed, args.tol, args.max_iter))
+        _print_empirical(empirical)
         return EXIT_OK
     if not args.domain or not args.point:
         raise CliError(EXIT_PARSE, "classify needs --matrix, or --domain with --point")
     domain = load_domain(args.domain)
     x = _read_point(domain, args.point)
     residual = _fixed_residual(domain, x, args.tol)
-    print(f"fixed point: {_fmt_vec(x)}")
-    print(f"fixed-point residual: {_fmt(residual)}")
-    if args.samples > 0:
-        _print_empirical(_sample_verdict(domain, x, args.eps, args.samples,
-                                         args.seed, args.tol, args.max_iter))
+    empirical = _empirical(domain, x, args)
+    k = None
     if isinstance(domain, (BallDomain, EllipsoidDomain)) and domain.dim == 2:
         k = domain.boundary_curvature(x)
+        curvature_label = curvature_classify_2d(k, x)
+    print(f"fixed point: {_fmt_vec(x)}")
+    print(f"fixed-point residual: {_fmt(residual)}")
+    _print_empirical(empirical)
+    if k is not None:
         print(f"curvature: {_fmt(k)}")
-        print(f"curvature label: {curvature_classify_2d(k, x)}")
+        print(f"curvature label: {curvature_label}")
     return EXIT_OK
 
 

@@ -113,7 +113,7 @@ class BallDomain(ConvexDomain):
         return 1.0 / self.radius
 
 
-@dataclass
+@dataclass(frozen=True)
 class BallFixedPoints:
     """Fixed points of the ball map, or the centered-ball degenerate status."""
 

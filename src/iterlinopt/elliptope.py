@@ -58,13 +58,16 @@ class ElliptopeError(ValueError):
 # ---------------------------------------------------------------------------
 
 def check_symmetric(m, name="matrix") -> np.ndarray:
-    """Return a symmetrized copy, rejecting asymmetry beyond SYM_TOL."""
+    """Return a symmetrized copy, rejecting an empty matrix and asymmetry
+    beyond SYM_TOL."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ElliptopeError(f"{name} must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ElliptopeError(f"{name} is empty")
     if not np.all(np.isfinite(a)):
         raise ElliptopeError(f"{name} has non-finite entries")
-    if a.size and np.max(np.abs(a - a.T)) > SYM_TOL:
+    if np.max(np.abs(a - a.T)) > SYM_TOL:
         raise ElliptopeError(f"{name} is not symmetric within {SYM_TOL}")
     return 0.5 * (a + a.T)
 
@@ -96,6 +99,8 @@ def gram_to_matrix(v, row_tol=NORMED_ROW_TOL) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
         raise ElliptopeError("Gram factor must be a 2-d array")
+    if v.shape[0] == 0:
+        raise ElliptopeError("Gram factor has no rows")
     if not np.all(np.isfinite(v)):  # a NaN row would pass the unit test
         raise ElliptopeError("Gram factor has non-finite entries")
     norms = np.linalg.norm(v, axis=1)
@@ -147,7 +152,7 @@ def default_rank_budget(n) -> int:
     return min(int(n), int(np.ceil(np.sqrt(2.0 * n))) + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleConfig:
     """Knobs for the coordinate-ascent oracle.
 
@@ -173,7 +178,7 @@ class OracleConfig:
             raise ValueError("gap_tol must be nonnegative and finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleResult:
     matrix: np.ndarray
     gram: np.ndarray
@@ -412,8 +417,6 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
 def _oracle(c, cfg, warm_start) -> OracleResult:
     """``elliptope_oracle`` of a cost already checked by ``check_symmetric``."""
     n = c.shape[0]
-    if n == 0:
-        raise ElliptopeError("cost matrix is empty")
     c_off = c.copy()
     np.fill_diagonal(c_off, 0.0)
 
@@ -510,7 +513,7 @@ class ElliptopeDomain(ConvexDomain):
 # fixed-point certificate and structure
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DiagonalCertificate:
     """Diagonal d with d_i the i-th row sum of squares, and the Frobenius
     defect of X^2 against diag(d) X. The defect vanishes exactly at the
@@ -704,7 +707,7 @@ def sign_kernel_fixed_point(w) -> np.ndarray:
 # catalogs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CensusPoint:
     matrix: np.ndarray
     rank: int
@@ -772,7 +775,7 @@ def sign_kernel_census(n) -> list:
 # structured report and text format
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FixedPointReport:
     is_fixed: bool
     d: np.ndarray

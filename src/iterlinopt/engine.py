@@ -29,7 +29,7 @@ class InfeasibleStartError(ValueError):
     """Starting point failed domain validation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationConfig:
     # The map is defined on all of space and its first step lands in the
     # domain, so exterior starts are legal; validate_start opts in to
@@ -47,7 +47,7 @@ class IterationConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Recorded run of the iteration.
 
@@ -132,7 +132,7 @@ def iterate(domain, x0, config: IterationConfig | None = None) -> Trajectory:
     return Trajectory(points, norms_sq, step_norms, status, residual)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonotoneReport:
     passed: bool
     first_violation: int | None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -288,18 +288,16 @@ def solve_relaxation(g: WeightedGraph, seed=0) -> OracleResult:
         warnings.warn(f"relaxation stopped at its {res.sweeps}-sweep cap "
                       "before its duality gap was certified", stacklevel=2)
     unit = 2.0 ** e
-    res.objective *= unit
-    res.upper_bound *= unit
-    res.restart_objectives = [o * unit for o in res.restart_objectives]
-    return res
+    return replace(res, objective=res.objective * unit,
+                   upper_bound=res.upper_bound * unit,
+                   restart_objectives=[o * unit for o in res.restart_objectives])
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundingReport:
-    """Everything a rounding run produced, optional fields filled when the
-    corresponding extra computation was requested. cut_value is the
-    partition's cut on the rounded graph; ``maxcut_pipeline`` replaces the
-    partition and its cut by those of the local search."""
+    """What a rounding chain produced: its counts, how it ended, its
+    partition, the squared norms of its iterates and the partition's cut on
+    the rounded graph."""
 
     n: int
     iterations: int
@@ -309,14 +307,25 @@ class RoundingReport:
     partition: np.ndarray
     norms_sq: list
     cut_value: float
-    relaxation_objective: float | None = None
-    relaxed_cut: float | None = None
-    # (UB - objective) / max(1, |objective|), both in the relaxation's unit
-    relative_gap: float | None = None
-    rounded_cut: float | None = None  # the rounding chain's own cut
+    rounding_starts = 1  # a class constant the benchmark's counters read
+
+
+@dataclass(frozen=True)
+class MaxcutReport(RoundingReport):
+    """What ``maxcut_pipeline`` produced. The chain's fields are those of
+    its ``RoundingReport`` but partition and cut_value, which are the local
+    search's; rounded_cut is the chain's own cut. The optional baselines are
+    None when they were not requested."""
+
+    relaxation_objective: float
+    relaxed_cut: float
+    # (UB - objective) / max(u, |objective|), u the relaxation's unit
+    relative_gap: float
+    relaxation_status: str  # OracleResult.status of the relaxation
+    relaxation_sweeps: int
+    rounded_cut: float
     baseline_cut: float | None = None
     brute_force_cut: float | None = None
-    rounding_starts = 1  # a class constant the benchmark's counters read
 
 
 def _power_product(v, w):
@@ -372,15 +381,9 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
     escapes = 0
     iterations = 0
     status = "max_rounds"
-    partition = None
-    source = None
     for _ in range(MAX_ROUNDS):
         if is_vertex(x):
-            signs = vertex_signs(x)
-            x = np.outer(signs, signs).astype(float)
-            partition = signs
             status = "vertex"
-            source = "vertex_row"
             break
         cert = fixed_point_certificate(x)
         if cert.is_fixed:
@@ -395,7 +398,9 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
         v, x = _power_step(x, v)
         iterations += 1
         norms.append(float(np.vdot(x, x)))
-    if partition is None:
+    if status == "vertex":
+        partition, source = vertex_signs(x), "vertex_row"
+    else:
         partition, _ = gw_hyperplane_round(v, graph, seed=seed)
         source = "hyperplane_fallback"
         warnings.warn("rounding did not reach a vertex; hyperplane fallback used",
@@ -430,7 +435,7 @@ def _one_flip(w, partition):
 
 
 def maxcut_pipeline(g: WeightedGraph, seed=0, baseline_samples=0,
-                    brute_force=False) -> RoundingReport:
+                    brute_force=False) -> MaxcutReport:
     """Full chain: relaxation, iterated rounding, local search, optional
     baselines.
 
@@ -446,22 +451,26 @@ def maxcut_pipeline(g: WeightedGraph, seed=0, baseline_samples=0,
     relaxed cut is the certified bound: (sum over ordered pairs of W + UB)
     / 4, at least the maximum cut by weak duality. The relative gap is
     taken in the relaxation's unit, 2^``_weight_exponent(g)``, so that it
-    does not depend on the unit of the weights.
+    does not depend on the unit of the weights. The report also carries
+    how the relaxation stopped and after how many sweeps.
     """
     res = solve_relaxation(g, seed)
     w = g.weight_matrix()
-    report = round_by_iteration(res.gram, seed, graph=g)
-    report.rounded_cut = report.cut_value
-    report.partition = _one_flip(w, report.partition)
-    report.cut_value = cut_value(g, report.partition)
-    report.relaxation_objective = res.objective
-    report.relaxed_cut = float((np.sum(w) + res.upper_bound) / 4.0)
-    report.relative_gap = ((res.upper_bound - res.objective)
-                           / max(2.0 ** _weight_exponent(g), abs(res.objective)))
-    if baseline_samples:
-        _, baseline = gw_hyperplane_round(res.gram, g, baseline_samples, seed)
-        report.baseline_cut = baseline
-    if brute_force:
-        _, optimum = brute_force_maxcut(g)
-        report.brute_force_cut = optimum
-    return report
+    chain = round_by_iteration(res.gram, seed, graph=g)
+    partition = _one_flip(w, chain.partition)
+    baseline = (gw_hyperplane_round(res.gram, g, baseline_samples, seed)[1]
+                if baseline_samples else None)
+    optimum = brute_force_maxcut(g)[1] if brute_force else None
+    return MaxcutReport(
+        **{**vars(chain), "partition": partition,
+           "cut_value": cut_value(g, partition)},
+        relaxation_objective=res.objective,
+        relaxed_cut=float((np.sum(w) + res.upper_bound) / 4.0),
+        relative_gap=((res.upper_bound - res.objective)
+                      / max(2.0 ** _weight_exponent(g), abs(res.objective))),
+        relaxation_status=res.status,
+        relaxation_sweeps=res.sweeps,
+        rounded_cut=chain.cut_value,
+        baseline_cut=baseline,
+        brute_force_cut=optimum,
+    )

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from iterlinopt import (
     BallDomain,
+    ClassificationResult,
     ConeDomain,
     ElliptopeDomain,
     EllipsoidDomain,
+    EscapeWitness,
+    ExactClassification,
     classify_elliptope_fixed_point,
     classify_empirical,
     curvature_classify_2d,
@@ -211,6 +216,21 @@ class TestElliptopeClassification:
         base = float(np.vdot(PUFF, PUFF))
         assert all(v > base for v in w.norms_sq)
         assert all(b > a for a, b in zip(w.norms_sq, w.norms_sq[1:]))
+
+    def test_the_exact_verdict_has_its_own_type(self):
+        vertex = classify_elliptope_fixed_point(J3)
+        assert type(vertex) is ExactClassification
+        assert vertex.witness is None
+        face = [p for p in l3_census() if p.family == "face"][0].matrix
+        res = classify_elliptope_fixed_point(face)
+        assert type(res) is ExactClassification
+        assert isinstance(res.witness, EscapeWitness)
+        assert [f.name for f in dataclasses.fields(ExactClassification)] == [
+            "label", "witness"]
+
+    def test_the_sampled_result_carries_no_witness(self):
+        assert [f.name for f in dataclasses.fields(ClassificationResult)] == [
+            "label", "eps", "samples", "returned", "escaped"]
 
     def test_identity_not_attractive(self):
         res = classify_elliptope_fixed_point(np.eye(4))

@@ -263,6 +263,31 @@ class TestClassify:
         assert main(argv + ["--samples", "0"]) == 0
         assert "theorem label: not_attractive" in capsys.readouterr().out
 
+    def test_matrix_that_cannot_be_sampled_prints_nothing(self, tmp_path,
+                                                          capsys):
+        # [[1]] is the body's only point, so no nearby sample exists: the
+        # run fails after the theorem verdict, which must not print first
+        path = tmp_path / "one.txt"
+        path.write_text("1\n1\n")
+        assert main(["classify", "--matrix", str(path), "--samples", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: could not sample a nearby")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_domain_point_that_cannot_be_sampled_prints_nothing(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "e1.cfg"
+        cfg.write_text("kind=elliptope\nn=1\n")
+        point = tmp_path / "one.txt"
+        point.write_text("1\n1\n")
+        assert main(["classify", "--domain", str(cfg), "--point", str(point),
+                     "--samples", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: could not sample a nearby")
+        assert len(captured.err.splitlines()) == 1
+
     def test_ellipse_minor_axis_repelling(self, ellipse_cfg, capsys):
         code = main(["classify", "--domain", ellipse_cfg, "--point", "0,1",
                      "--samples", "12", "--eps", "0.2"])
@@ -389,6 +414,20 @@ class TestMaxcut:
             assert main(["maxcut", "--graph", str(p)]) == 0
         assert capsys.readouterr().out == warned
 
+    def test_the_record_says_how_the_relaxation_stopped(self, k3_file,
+                                                        capsys, monkeypatch):
+        assert main(["maxcut", "--graph", k3_file]) == 0
+        out = capsys.readouterr().out
+        assert "relaxation_status: certified_gap\n" in out
+        assert "relaxation_sweeps: 8\n" in out
+        monkeypatch.setattr(maxcut, "OracleConfig",
+                            functools.partial(OracleConfig, max_sweeps=1))
+        with pytest.warns(UserWarning, match="its 1-sweep cap"):
+            assert main(["maxcut", "--graph", k3_file]) == 0
+        out = capsys.readouterr().out
+        assert "relaxation_status: max_sweeps\n" in out
+        assert "relaxation_sweeps: 1\n" in out
+
     def test_rank_one_reports_the_gap_it_could_not_close(self):
         # a rank-one factor of K3's relaxation sits at a vertex it cannot
         # leave: its objective is 2, its proven bound 5, and the gap the
@@ -431,7 +470,8 @@ class TestMaxcut:
         order = ["graph", "n", "edges", "iterations", "escapes",
                  "terminal_status", "partition_source", "partition",
                  "relaxation_objective", "relaxed_cut", "relative_gap",
-                 "rounded_cut", "cut_value", "baseline_cut", "brute_force_cut"]
+                 "relaxation_status", "relaxation_sweeps", "rounded_cut",
+                 "cut_value", "baseline_cut", "brute_force_cut"]
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split(": ", 1)[0] for ln in lines] == order
         stdout = dict(ln.split(": ", 1) for ln in lines)

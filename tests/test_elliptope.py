@@ -83,6 +83,24 @@ class TestGram:
             assert np.max(np.abs(gram_to_matrix(v) - x)) < 1e-12
 
 
+@pytest.mark.parametrize("check", [is_vertex, analyze_fixed_point,
+                                   validate_elliptope, gram_factor,
+                                   fixed_point_certificate])
+def test_an_empty_matrix_is_rejected(check):
+    with pytest.raises(ElliptopeError, match="matrix is empty"):
+        check(np.zeros((0, 0)))
+
+
+def test_a_factor_without_rows_is_rejected():
+    with pytest.raises(ElliptopeError, match="no rows"):
+        gram_to_matrix(np.zeros((0, 2)))
+
+
+def test_an_empty_cost_is_rejected_by_the_symmetry_check():
+    with pytest.raises(ElliptopeError, match="cost matrix is empty"):
+        elliptope_oracle(np.zeros((0, 0)), OracleConfig())
+
+
 class TestValidation:
     def test_accepts_members(self):
         assert is_in_elliptope(np.eye(3))

@@ -11,6 +11,8 @@ import pytest
 from iterlinopt import (
     ElliptopeError,
     GraphFormatError,
+    MaxcutReport,
+    RoundingReport,
     WeightedGraph,
     brute_force_maxcut,
     cut_value,
@@ -436,6 +438,20 @@ class TestRounding:
             with pytest.raises(ElliptopeError, match=match):
                 round_by_iteration(bad, graph=complete_graph(4))
 
+    def test_a_factor_without_rows_is_rejected(self):
+        with pytest.raises(ElliptopeError, match="no rows"):
+            round_by_iteration(np.zeros((0, 2)), graph=WeightedGraph(0, []))
+
+    def test_the_report_holds_only_what_the_chain_knows(self):
+        rep = round_by_iteration(solve_relaxation(K3).gram, graph=K3)
+        assert type(rep) is RoundingReport
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "n", "iterations", "escapes", "terminal_status",
+            "partition_source", "partition", "norms_sq", "cut_value"]
+        assert rep.rounding_starts == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.cut_value = 3.0
+
     def test_a_graph_of_another_order_is_rejected_before_rounding(self,
                                                                  monkeypatch):
         def no_step(x, v):
@@ -501,6 +517,18 @@ class TestPipeline:
         assert report.baseline_cut == 2.0
         assert report.relaxed_cut == pytest.approx(2.25, abs=1e-6)
         assert report.relaxed_cut >= report.brute_force_cut
+
+    def test_the_report_is_built_once(self):
+        rep = maxcut_pipeline(K3)
+        assert isinstance(rep, MaxcutReport) and rep.rounding_starts == 1
+        chain = {f.name: getattr(rep, f.name)
+                 for f in dataclasses.fields(RoundingReport)}
+        with pytest.raises(TypeError, match="relaxation_objective"):
+            MaxcutReport(**chain)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.cut_value = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.brute_force_cut = 2.0
 
     def test_complete_graphs_hit_the_optimum(self):
         for n in (4, 5, 6, 7, 8):

@@ -5,7 +5,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "iterlinopt"
 
 # The settable values of the package, as the quality aim in ROADMAP.md
 # states them. Adding a knob means updating both numbers.
-SETTABLE_VALUES = 60
+SETTABLE_VALUES = 55
 
 
 def _is_dataclass(node):
@@ -38,3 +38,20 @@ def test_settable_value_count():
     lowered."""
     counts = {p.name: _settable(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert sum(counts.values()) == SETTABLE_VALUES, counts
+
+
+def test_every_dataclass_is_frozen():
+    """A result is built once, by its producer: every dataclass of the
+    package says frozen=True, so that no caller can assign to its fields
+    after the constructor returns."""
+    unfrozen = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                frozen = any(isinstance(d, ast.Call) and any(
+                    kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is True for kw in d.keywords)
+                    for d in node.decorator_list)
+                if not frozen:
+                    unfrozen.append(f"{path.name}:{node.name}")
+    assert not unfrozen
