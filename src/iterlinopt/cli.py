@@ -20,11 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import (
-    _sample_verdict,
-    classify_elliptope_fixed_point,
-    fixed_point_residual,
-)
+from .classify import _sample_verdict, classify_elliptope_fixed_point
 from .domains import (
     BallDomain,
     DomainError,
@@ -47,7 +43,13 @@ from .elliptope import (
     read_matrix_text,
     sign_kernel_census,
 )
-from .engine import FIXED_FACTOR, InfeasibleStartError, IterationConfig, iterate
+from .engine import (
+    FIXED_FACTOR,
+    InfeasibleStartError,
+    IterationConfig,
+    fixed_point_residual,
+    iterate,
+)
 from .maxcut import (
     BRUTE_FORCE_CAP,
     GRAPH_CAP,
@@ -85,12 +87,29 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _fmt_vec(a) -> str:
-    return " ".join(_fmt(v) for v in np.asarray(a).ravel())
+def _text(value) -> str:
+    """A record value as stdout and --csv show it: a list of lists as its
+    lists joined by '; ', a list as its items joined by spaces, a missing
+    item as n/a and a float with 17 significant digits."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, list):
+        sep = "; " if value and isinstance(value[0], list) else " "
+        return sep.join(_text(v) for v in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
-def _matrix_lines(m):
-    return [" ".join(_fmt(v) for v in row) for row in np.asarray(m)]
+def _print_record(record):
+    """Print a record as `name: value` lines, in its order. A value that
+    was not computed (None) prints nothing, and a matrix prints `name:`
+    over its rows."""
+    for name, value in record.items():
+        if isinstance(value, np.ndarray):
+            print(f"{name}:")
+            for row in value:
+                print(_text(row.tolist()))
+        elif value is not None:
+            print(f"{name}: {_text(value)}")
 
 
 def _write_json(path, payload):
@@ -121,7 +140,8 @@ def _read_point(domain, text):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds its record, writes its files, then prints, so
+# that a run that fails leaves stdout empty
 # ---------------------------------------------------------------------------
 
 def cmd_iterate(args) -> int:
@@ -138,24 +158,21 @@ def cmd_iterate(args) -> int:
                           record_trace=args.trace is not None,
                           validate_start=args.validate_start)
     traj = iterate(domain, x0, cfg)
-    print(f"status: {traj.status}")
-    print(f"iterations: {len(traj.step_norms)}")
+    record = {"status": traj.status, "iterations": len(traj.step_norms)}
     final = traj.final
     if final.ndim == 2:
-        print("final matrix:")
-        for line in _matrix_lines(final):
-            print(line)
         cert = fixed_point_certificate(final)
-        print(f"certificate d: {_fmt_vec(cert.d)}")
-        print(f"certificate residual: {_fmt(cert.residual)}")
-        print(f"verdict: {'fixed' if cert.is_fixed else 'not fixed'}")
+        record.update({"final matrix": final,
+                       "certificate d": cert.d.tolist(),
+                       "certificate residual": cert.residual,
+                       "verdict": "fixed" if cert.is_fixed else "not fixed"})
     else:
-        print(f"final: {_fmt_vec(final)}")
-    print(f"norm_sq: {_fmt(traj.norms_sq[-1])}")
-    print(f"residual: {_fmt(traj.residual)}")
+        record["final"] = final.tolist()
+    record.update({"norm_sq": traj.norms_sq[-1], "residual": traj.residual,
+                   "trace": args.trace})
     if args.trace:
         traj.export_csv(args.trace)
-        print(f"trace: {args.trace}")
+    _print_record(record)
     return EXIT_OK
 
 
@@ -165,48 +182,38 @@ def cmd_verify(args) -> int:
         raise CliError(EXIT_INVALID,
                        f"{args.matrix}: matrix is not in the feasible body")
     report = analyze_fixed_point(x, tol=args.tol)
-    print(f"n: {x.shape[0]}")
-    print(f"d: {_fmt_vec(report.d)}")
-    print(f"residual: {_fmt(report.residual)}")
-    print(f"verdict: {'fixed' if report.is_fixed else 'not fixed'}")
-    print(f"rank: {report.rank}")
-    for k, comp in enumerate(report.components):
-        gamma = report.gammas[k]
-        gtxt = _fmt(gamma) if gamma is not None else "n/a"
-        print(f"component {k}: {' '.join(str(i) for i in comp)}  gamma: {gtxt}")
+    record = {
+        "n": x.shape[0],
+        "d": report.d.tolist(),
+        "residual": report.residual,
+        "verdict": "fixed" if report.is_fixed else "not fixed",
+        "rank": report.rank,
+        "label": report.label,
+        "components": report.components,
+        "gammas": report.gammas,
+    }
     if args.json:
-        _write_json(args.json, {
-            "n": x.shape[0],
-            "d": [float(v) for v in report.d],
-            "residual": report.residual,
-            "verdict": "fixed" if report.is_fixed else "not fixed",
-            "rank": report.rank,
-            "components": report.components,
-            "gammas": report.gammas,
-            "label": report.label,
-        })
+        _write_json(args.json, record)
+    _print_record(record)
     return EXIT_OK if report.is_fixed else EXIT_NOT_FIXED
 
 
 def _print_census_group(name, mats):
     print(f"group {name} ({len(mats)}):")
-    for k, m in enumerate(mats):
-        print(f"{name} {k}:")
-        for line in _matrix_lines(m):
-            print(line)
+    _print_record({f"{name} {k}": m for k, m in enumerate(mats)})
 
 
 def cmd_census(args) -> int:
     n = args.n
     if n == 3:
         pts = l3_census()
-        print("census n=3: complete (14 fixed points)")
+        _print_record({"census n=3": "complete (14 fixed points)"})
         for family in ("vertex", "edge", "face"):
             _print_census_group(family,
                                 [p.matrix for p in pts if p.family == family])
         return EXIT_OK
-    print(f"census n={n}: partial (the fixed-point set is infinite for n > 3; "
-          "emitting vertices and sign-kernel points only)")
+    _print_record({f"census n={n}": "partial (the fixed-point set is infinite "
+                   "for n > 3; emitting vertices and sign-kernel points only)"})
     vertices = enumerate_vertices(n)
     _print_census_group("vertex", vertices)
     kernels = sign_kernel_census(n)
@@ -216,23 +223,6 @@ def cmd_census(args) -> int:
                    if not any(np.array_equal(k, v) for v in vertices)]
     _print_census_group("sign-kernel", kernels)
     return EXIT_OK
-
-
-def _print_witness(w):
-    if w is not None:
-        print(f"witness pair: {w.i} {w.j}")
-        print(f"witness alphas: {_fmt_vec(w.alphas)}")
-        print(f"witness norms_sq: {_fmt_vec(w.norms_sq)}")
-
-
-def _print_empirical(result):
-    if result is not None:
-        print(f"empirical label: {result.label}")
-        print(f"eps: {_fmt(result.eps)}")
-        print(f"samples: {result.samples}")
-        print(f"returned: {result.returned}")
-        print(f"escaped: {result.escaped}")
-        print(f"undecided: {result.undecided}")
 
 
 def _fixed_residual(domain, x, tol):
@@ -245,61 +235,59 @@ def _fixed_residual(domain, x, tol):
     return residual
 
 
-def _empirical(domain, x, args):
-    """The sampled verdict at x, already checked to be fixed, or None when
-    --samples is 0."""
-    if args.samples == 0:
-        return None
-    return _sample_verdict(domain, x, args.eps, args.samples, args.seed,
-                           args.tol, args.max_iter)
+def _theorem_record(domain, x, source, args):
+    """The exact dichotomy at an elliptope point: x must lie in the body and
+    pass the certificate, and, when --samples is above 0, the map must keep
+    it."""
+    if not domain.contains(x):
+        raise CliError(EXIT_INVALID,
+                       f"{source}: matrix is not in the feasible body")
+    cert = fixed_point_certificate(x)
+    if not cert.is_fixed:
+        raise CliError(EXIT_INVALID, f"{source}: not a fixed point "
+                                     f"(residual {_fmt(cert.residual)})")
+    if args.samples > 0:
+        _fixed_residual(domain, x, args.tol)
+    theorem = classify_elliptope_fixed_point(x)
+    record = {"theorem label": theorem.label}
+    w = theorem.witness
+    if w is not None:
+        record.update({"witness pair": [w.i, w.j], "witness alphas": w.alphas,
+                       "witness norms_sq": w.norms_sq})
+    return record
 
 
 def cmd_classify(args) -> int:
-    # every verdict is computed before the first line prints, so that a
-    # failure leaves stdout empty
+    # --matrix X names the elliptope of X's order and the point X
     if args.matrix:
-        x = read_matrix_text(args.matrix)
+        source = args.matrix
+        x = read_matrix_text(source)
         domain = ElliptopeDomain(x.shape[0])
-        if not domain.contains(x):
-            raise CliError(EXIT_INVALID,
-                           f"{args.matrix}: matrix is not in the feasible body")
-        cert = fixed_point_certificate(x)
-        if not cert.is_fixed:
-            raise CliError(EXIT_INVALID,
-                           f"{args.matrix}: not a fixed point "
-                           f"(residual {_fmt(cert.residual)})")
-        if args.samples > 0:
-            _fixed_residual(domain, x, args.tol)
-        theorem = classify_elliptope_fixed_point(x)
-        empirical = _empirical(domain, x, args)
-        print(f"theorem label: {theorem.label}")
-        _print_witness(theorem.witness)
-        _print_empirical(empirical)
-        return EXIT_OK
-    if not args.domain or not args.point:
+    elif args.domain and args.point:
+        source = args.point
+        domain = load_domain(args.domain)
+        x = _read_point(domain, source)
+    else:
         raise CliError(EXIT_PARSE, "classify needs --matrix, or --domain with --point")
-    domain = load_domain(args.domain)
-    x = _read_point(domain, args.point)
-    residual = _fixed_residual(domain, x, args.tol)
-    empirical = _empirical(domain, x, args)
-    k = None
+    if isinstance(domain, ElliptopeDomain):
+        record = _theorem_record(domain, x, source, args)
+    else:
+        record = {"fixed point": x.tolist(),
+                  "fixed-point residual": _fixed_residual(domain, x, args.tol)}
+    if args.samples > 0:
+        sampled = _sample_verdict(domain, x, args.eps, args.samples, args.seed,
+                                  args.tol, args.max_iter)
+        record.update({"empirical label": sampled.label, "eps": sampled.eps,
+                       "samples": sampled.samples,
+                       "returned": sampled.returned,
+                       "escaped": sampled.escaped,
+                       "undecided": sampled.undecided})
     if isinstance(domain, (BallDomain, EllipsoidDomain)) and domain.dim == 2:
         k = domain.boundary_curvature(x)
-        curvature_label = curvature_classify_2d(k, x)
-    print(f"fixed point: {_fmt_vec(x)}")
-    print(f"fixed-point residual: {_fmt(residual)}")
-    _print_empirical(empirical)
-    if k is not None:
-        print(f"curvature: {_fmt(k)}")
-        print(f"curvature label: {curvature_label}")
+        record.update({"curvature": k,
+                       "curvature label": curvature_classify_2d(k, x)})
+    _print_record(record)
     return EXIT_OK
-
-
-def _text(value) -> str:
-    """A record value as stdout and --csv show it."""
-    if isinstance(value, list):
-        return " ".join(str(v) for v in value)
-    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def cmd_maxcut(args) -> int:
@@ -321,9 +309,6 @@ def cmd_maxcut(args) -> int:
                  "partition": [int(s) for s in report.partition]}
         record = {name: given[name] if name in given else getattr(report, name)
                   for name in MAXCUT_RECORD}
-        for name, value in record.items():
-            if value is not None:
-                print(f"{name}: {_text(value)}")
         records.append((record, report.norms_sq))
     if args.json:
         payload = [{**rec, "norms_sq": [float(v) for v in norms]}
@@ -336,6 +321,8 @@ def cmd_maxcut(args) -> int:
             out.writerow(MAXCUT_RECORD)
             out.writerows(["" if v is None else _text(v) for v in rec.values()]
                           for rec, _ in records)
+    for record, _ in records:
+        _print_record(record)
     return EXIT_OK
 
 

@@ -93,6 +93,11 @@ class Trajectory:
             fh.write("\n".join(lines) + "\n")
 
 
+def fixed_point_residual(domain, x) -> float:
+    """|T(x) - x|: how far one application of the map moves x."""
+    return float(np.linalg.norm(np.ravel(domain.maximize(x) - x)))
+
+
 def iterate(domain, x0, config: IterationConfig | None = None) -> Trajectory:
     """Run x_{k+1} = T(x_k) until the step norm drops to tol.
 
@@ -128,8 +133,8 @@ def iterate(domain, x0, config: IterationConfig | None = None) -> Trajectory:
             break
     if not cfg.record_trace:
         points.append(np.array(x, copy=True))
-    residual = float(np.linalg.norm(np.ravel(domain.maximize(x) - x)))
-    return Trajectory(points, norms_sq, step_norms, status, residual)
+    return Trajectory(points, norms_sq, step_norms, status,
+                      fixed_point_residual(domain, x))
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ from iterlinopt import (
     gram_factor,
     gram_to_matrix,
     l3_census,
+    l4_family,
     validate_elliptope,
     vertex_basin_check,
 )
+from iterlinopt.classify import ESCAPE_ALPHAS
 from iterlinopt.elliptope import ROW_TOL
 
 J3 = np.ones((3, 3))
@@ -216,6 +218,29 @@ class TestElliptopeClassification:
         base = float(np.vdot(PUFF, PUFF))
         assert all(v > base for v in w.norms_sq)
         assert all(b > a for a, b in zip(w.norms_sq, w.norms_sq[1:]))
+
+    def test_witness_norms_are_the_escape_curve_s_from_one_factor(
+            self, monkeypatch):
+        # every witness point is escape_curve's to the last bit, and the
+        # ten of them share one eigendecomposition of x
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(1)
+            return eigh(a)
+
+        points = [p.matrix for p in l3_census() if p.family == "face"]
+        points += [l4_family(c) for c in (0.25, 0.5, 0.75)]
+        for x in points:
+            curve = [escape_curve(x, alpha) for alpha in ESCAPE_ALPHAS]
+            monkeypatch.setattr(np.linalg, "eigh", counted)
+            calls.clear()
+            w = classify_elliptope_fixed_point(x).witness
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert w.alphas == list(ESCAPE_ALPHAS)
+            assert w.norms_sq == [float(np.vdot(xa, xa)) for xa in curve]
 
     def test_the_exact_verdict_has_its_own_type(self):
         vertex = classify_elliptope_fixed_point(J3)

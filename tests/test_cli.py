@@ -19,6 +19,7 @@ from iterlinopt import (
     l4_family,
     maxcut,
     relaxation_cost,
+    sign_kernel_fixed_point,
     write_matrix_text,
 )
 from iterlinopt.cli import main
@@ -191,6 +192,35 @@ class TestVerify:
         assert payload["verdict"] == "fixed"
         assert payload["label"] == "attractive"
 
+    @pytest.mark.parametrize("w, code, components, gammas", [
+        # a sign-kernel point on {0, 1, 3, 4} beside an isolated index 2
+        ((1.0, -1.0, 0.0, 1.0, 1.0), 0, "0 1 3 4; 2", "1.3333333333333335 1"),
+        (None, 3, "0 1 2 3", "n/a"),
+    ], ids=["two-components", "not-fixed"])
+    def test_stdout_and_json_carry_one_record(self, tmp_path, capsys, w, code,
+                                              components, gammas):
+        if w is None:
+            v = random_gram(4, 3, np.random.default_rng(1))
+            x = v @ v.T
+            np.fill_diagonal(x, 1.0)
+        else:
+            x = sign_kernel_fixed_point(w)
+        path = tmp_path / "x.txt"
+        write_matrix_text(x, path)
+        js = tmp_path / "rep.json"
+        assert main(["verify", "--matrix", str(path), "--json", str(js)]) == code
+        lines = capsys.readouterr().out.splitlines()
+        order = ["n", "d", "residual", "verdict", "rank", "label",
+                 "components", "gammas"]
+        assert [ln.split(": ", 1)[0] for ln in lines] == order
+        stdout = dict(ln.split(": ", 1) for ln in lines)
+        payload = json.loads(js.read_text())
+        assert set(payload) == set(order)
+        assert stdout["components"] == components
+        assert stdout["gammas"] == gammas
+        assert stdout["label"] == payload["label"]
+        assert [float(t) for t in stdout["d"].split()] == payload["d"]
+
 
 class TestCensus:
     def test_n3_complete(self, capsys):
@@ -334,8 +364,33 @@ class TestClassify:
                      face_point, "--samples", "4"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "fixed point: 1 " in out
+        assert out.startswith("theorem label: not_attractive\nwitness pair: ")
         assert "empirical label: repelling" in out
+
+    @pytest.mark.parametrize("point, samples, code", [
+        ("face", "0", 0),
+        ("face", "2", 0),
+        ("vertex", "4", 0),
+        ("not-fixed", "2", 2),
+        ("infeasible", "2", 2),
+    ])
+    def test_an_elliptope_domain_file_classifies_as_matrix_does(
+            self, elliptope_cfg, tmp_path, capsys, point, samples, code):
+        v = random_gram(3, 2, np.random.default_rng(3))
+        x = {"face": [p for p in l3_census() if p.family == "face"][0].matrix,
+             "vertex": np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0]),
+             "not-fixed": v @ v.T,
+             "infeasible": 2.0 * np.eye(3)}[point]
+        path = tmp_path / "x.txt"
+        write_matrix_text(x, path)
+        tail = ["--samples", samples]
+        assert main(["classify", "--matrix", str(path)] + tail) == code
+        by_matrix = capsys.readouterr()
+        assert main(["classify", "--domain", elliptope_cfg,
+                     "--point", str(path)] + tail) == code
+        by_domain = capsys.readouterr()
+        assert (by_domain.out, by_domain.err) == (by_matrix.out, by_matrix.err)
+        assert (by_domain.out == "") == (code != 0)
 
     def test_elliptope_domain_file_point_of_another_order_exits_2(
             self, elliptope_cfg, tmp_path, capsys):
@@ -593,6 +648,22 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len([ln for ln in captured.err.splitlines() if "error: " in ln]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--domain", "DISK", "--start", "0,1.9", "--trace", "OUT"],
+    ["verify", "--matrix", "FACE", "--json", "OUT"],
+    ["maxcut", "--graph", "K3", "--json", "OUT"],
+    ["maxcut", "--graph", "K3", "--csv", "OUT"],
+], ids=["iterate-trace", "verify-json", "maxcut-json", "maxcut-csv"])
+def test_an_output_file_that_cannot_be_written_prints_nothing(
+        tmp_path, capsys, disk_cfg, face_point, k3_file, argv):
+    out = str(tmp_path / "missing" / "out")
+    files = {"DISK": disk_cfg, "FACE": face_point, "K3": k3_file, "OUT": out}
+    assert main([files.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("argv", [
