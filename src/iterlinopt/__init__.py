@@ -17,17 +17,14 @@ from .classify import (
     ExactClassification,
     classify_elliptope_fixed_point,
     classify_empirical,
-    vertex_basin_check,
 )
 from .domains import (
     BallDomain,
-    BallFixedPoints,
     ConeDomain,
     ConvexDomain,
     DomainError,
     EllipsoidDomain,
     PolytopeDomain,
-    ball_fixed_points,
     curvature_classify_2d,
     load_domain,
 )
@@ -46,7 +43,6 @@ from .elliptope import (
     escape_curve,
     escape_pair,
     fixed_point_certificate,
-    gamma_of_irreducible,
     gram_factor,
     gram_to_matrix,
     irreducible_components,
@@ -55,7 +51,6 @@ from .elliptope import (
     l3_census,
     l4_family,
     matrix_rank_psd,
-    normal_cone_membership,
     read_matrix_text,
     sign_kernel_census,
     sign_kernel_fixed_point,
@@ -69,7 +64,6 @@ from .engine import (
     Trajectory,
     check_monotone,
     iterate,
-    objective_interpretation,
 )
 from .maxcut import (
     GraphFormatError,
@@ -82,7 +76,6 @@ from .maxcut import (
     load_graph,
     maxcut_pipeline,
     relaxation_cost,
-    relaxed_cut_value,
     round_by_iteration,
     solve_relaxation,
 )

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptope import (
-    DIAG_TOL,
     ROW_TOL,
-    SIGN_TOL,
-    ElliptopeDomain,
     _escape_factor,
     _gram_factor,
     check_symmetric,
@@ -26,7 +23,6 @@ from .elliptope import (
     fixed_point_certificate,
     gram_to_matrix,
     is_vertex,
-    validate_elliptope,
 )
 from .engine import FIXED_FACTOR, IterationConfig, fixed_point_residual, iterate
 
@@ -118,22 +114,6 @@ def _sample_verdict(domain, x, eps, samples, seed, tol, max_iter):
     else:
         label = "indeterminate"
     return ClassificationResult(label, eps, samples, returned, escaped)
-
-
-def vertex_basin_check(x, m) -> bool:
-    """Check one-step convergence to a vertex from a sign-compatible start.
-
-    Any feasible matrix within unit Frobenius distance of a vertex shares
-    its sign pattern, and the map then returns the vertex exactly in a
-    single application. Inputs outside the stated ball are rejected.
-    """
-    if not is_vertex(x):
-        raise ValueError("x must be a vertex (rank-one sign matrix)")
-    mm = validate_elliptope(m, diag_tol=DIAG_TOL)
-    if float(np.linalg.norm(mm - x)) >= 1.0:
-        raise ValueError("m must lie within unit Frobenius distance of the vertex")
-    tx = ElliptopeDomain(mm.shape[0]).maximize(mm)
-    return bool(np.max(np.abs(tx - np.asarray(x, dtype=float))) <= SIGN_TOL)
 
 
 def classify_elliptope_fixed_point(x) -> ExactClassification:

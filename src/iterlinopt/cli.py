@@ -4,9 +4,9 @@ One binary with subcommands (iterate, verify, census, classify, maxcut).
 All numeric output is printed with 17 significant digits and every run is
 reproducible from its flags: the default seed is 0, never the clock.
 
-Exit codes: 0 success (for verify, "fixed"), 1 file or parse problems,
-2 validation failures (bad flag values, infeasible start, matrix outside the
-feasible body, size caps), 3 for a clean "not fixed" verdict from verify.
+Exit codes: 0 success (verify: "fixed"), 1 file, parse or closed-stdout
+problems, 2 validation failures (bad flag values, infeasible start, matrix
+outside the feasible body, size caps), 3 a clean "not fixed" from verify.
 ``main`` is the one place where errors become exit codes.
 """
 
@@ -149,6 +149,8 @@ def cmd_iterate(args) -> int:
         if args.n is None:
             raise CliError(EXIT_PARSE, "elliptope domain needs --n")
         domain = ElliptopeDomain(args.n)
+    elif args.n is not None:
+        raise CliError(EXIT_PARSE, "--n goes only with --domain elliptope")
     else:
         domain = load_domain(args.domain)
     # any symmetric matrix is a legal elliptope start: an exterior start
@@ -259,16 +261,16 @@ def _theorem_record(domain, x, source, args):
 
 def cmd_classify(args) -> int:
     # --matrix X names the elliptope of X's order and the point X
-    if args.matrix:
+    if args.matrix and not (args.domain or args.point):
         source = args.matrix
         x = read_matrix_text(source)
         domain = ElliptopeDomain(x.shape[0])
-    elif args.domain and args.point:
+    elif args.domain and args.point and not args.matrix:
         source = args.point
         domain = load_domain(args.domain)
         x = _read_point(domain, source)
     else:
-        raise CliError(EXIT_PARSE, "classify needs --matrix, or --domain with --point")
+        raise CliError(EXIT_PARSE, "classify takes --matrix or --domain with --point")
     if isinstance(domain, ElliptopeDomain):
         record = _theorem_record(domain, x, source, args)
     else:
@@ -427,7 +429,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help, --version or a bad flag (exit 2)
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the rest of the output goes to devnull, so the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, message = EXIT_PARSE, "stdout closed before the output was written"
     except CliError as exc:
         code, message = exc.code, str(exc)
     except InfeasibleStartError as exc:

@@ -7,8 +7,6 @@ by a documented convention, so iteration runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 FEAS_TOL = 1e-10  # slack of contains on balls, ellipsoids and cones
@@ -111,36 +109,6 @@ class BallDomain(ConvexDomain):
 
     def boundary_curvature(self, x) -> float:
         return 1.0 / self.radius
-
-
-@dataclass(frozen=True)
-class BallFixedPoints:
-    """Fixed points of the ball map, or the centered-ball degenerate status."""
-
-    whole_boundary: bool
-    points: list  # [(point, label)] with labels "attractive" / "repelling"
-
-
-def ball_fixed_points(dom: BallDomain) -> BallFixedPoints:
-    """Both fixed points of a ball containing the origin.
-
-    They sit where the line through the origin and the center crosses the
-    boundary: the far crossing attracts, the near one repels. A centered
-    ball degenerates to "every boundary point is fixed" and the result
-    carries that status instead of a point list.
-    """
-    c, r = dom.center, dom.radius
-    nc = float(np.linalg.norm(c))
-    if nc > r + FEAS_TOL:
-        raise DomainError("origin lies outside the ball; no fixed-point pair")
-    if nc == 0.0:
-        return BallFixedPoints(whole_boundary=True, points=[])
-    attract = c * (1.0 + r / nc)
-    repel = c * (1.0 - r / nc)
-    return BallFixedPoints(
-        whole_boundary=False,
-        points=[(attract, "attractive"), (repel, "repelling")],
-    )
 
 
 class EllipsoidDomain(ConvexDomain):

@@ -29,9 +29,9 @@ CERT_TOL = 1e-8  # fixed-point verdict allows CERT_TOL * n of Frobenius defect
 ZERO_TOL = 1e-9  # support-graph zero threshold
 SWEEP_TOL = 1e-13  # an ascent run stops once no row moves this far in a sweep
 GRAD_TOL = 1e-14  # rows with gradient below this stay frozen
-NORMAL_CONE_TOL = 1e-8  # slack of the normal-cone test: M X = 0, M >= 0
+NORMAL_CONE_TOL = 1e-8  # eigenvalue slack of the vertex stop's M >= 0 test
 TIE_TOL = 1e-12  # objective gaps below TIE_TOL * max(1, |obj|) are ties
-GAMMA_RANK_TOL = 1e-6  # gamma * rank may miss n by GAMMA_RANK_TOL * n
+GAMMA_RANK_TOL = 1e-6  # gamma * rank of a block may miss its order k by this * k
 SIGN_TOL = 1e-9  # an entry this close to +-1 counts as that sign
 ESCAPE_TIE_TOL = 1e-12  # rows this close in sum of squares tie (escape_pair)
 GAP_SWEEPS = 16  # with a gap tolerance, a run is also tested this often
@@ -380,11 +380,11 @@ def _polish(c, v, x, obj, tie_tol):
 def _certify(c, s, obj):
     """(s, s^T C s) when the vertex s s^T scores strictly better than obj
     and maximizes C . X over the whole body, else None.
-    Optimality is the normal-cone condition of ``normal_cone_membership``
-    at X = s s^T: C = D - M with D = Diag(s * Cs) and M >= 0. That D gives
+    Optimality is C in the normal cone at X = s s^T: C = D - M with D
+    diagonal, M >= 0 and M X = 0. D is forced to Diag(s * Cs), which gives
     D s = s * Cs * s = Cs exactly, also in floating point, so M X = 0 holds
-    by construction, and s s^T is feasible: one Cholesky factor of
-    M + NORMAL_CONE_TOL I decides whether lambda_min(M) > -NORMAL_CONE_TOL.
+    by construction, and one Cholesky factor of M + NORMAL_CONE_TOL I
+    decides whether lambda_min(M) > -NORMAL_CONE_TOL.
     The strictly-better test comes first and keeps a run that already sits
     at a maximizer, a non-vertex fixed point say, from being moved to a
     vertex that only ties it.
@@ -568,45 +568,6 @@ def irreducible_components(m) -> list:
     return comps
 
 
-def gamma_of_irreducible(m) -> float:
-    """Common diagonal value of an irreducible fixed point.
-
-    For an irreducible fixed point the certificate diagonal is constant,
-    at least 1, and equals n / rank. A non-constant diagonal means the
-    input was reducible or not fixed, and is rejected.
-    """
-    a = check_symmetric(m)
-    cert = fixed_point_certificate(a)
-    if not cert.is_fixed:
-        raise ElliptopeError("not a fixed point within tolerance")
-    d = cert.d
-    if float(np.max(np.abs(d - d[0]))) > CERT_TOL * a.shape[0]:
-        raise ElliptopeError(
-            "certificate diagonal is not constant (reducible or not fixed)")
-    gamma = float(d[0])
-    if gamma < 1.0 - CERT_TOL:
-        raise ElliptopeError(f"diagonal value {gamma} below 1")
-    s = matrix_rank_psd(a)
-    if abs(gamma * s - a.shape[0]) > GAMMA_RANK_TOL * a.shape[0]:
-        raise ElliptopeError("gamma times rank does not match the dimension")
-    return gamma
-
-
-def normal_cone_membership(x, y) -> bool:
-    """Whether y lies in the normal cone at x.
-
-    Membership means y = D - M with D diagonal, M positive semidefinite
-    and M X = 0. D is forced to diag(Y X), so the test reduces to checking
-    the recovered M.
-    """
-    a = validate_elliptope(x, diag_tol=DIAG_TOL)
-    b = check_symmetric(y)
-    m = np.diag(np.diag(b @ a)) - b
-    if float(np.linalg.norm(m @ a)) > NORMAL_CONE_TOL:
-        return False
-    return bool(np.linalg.eigvalsh(m)[0] >= -NORMAL_CONE_TOL)
-
-
 def is_vertex(m) -> bool:
     """Rank-one sign matrix test: all entries at +-1 and a rank of one."""
     a = check_symmetric(m)
@@ -782,12 +743,18 @@ class FixedPointReport:
     residual: float
     rank: int
     components: list
-    gammas: list  # per component; None when the block diagonal is not constant
+    gammas: list  # per component: the block's checked gamma, or None
     label: str  # attractive | not_attractive | not_fixed
 
 
 def analyze_fixed_point(m, tol=CERT_TOL) -> FixedPointReport:
     """Certificate, rank, block structure and the attractiveness verdict.
+
+    An irreducible fixed point has D = gamma I with gamma >= 1 and gamma
+    times its rank equal to its order. A block's gamma is reported only
+    when all three hold: its certificate diagonal is constant within
+    tol * |block|, at least 1 - tol, and gamma * rank(block) = |block|
+    within GAMMA_RANK_TOL * |block|; otherwise it is None.
 
     Vertices are the attractive fixed points; every other fixed point
     admits arbitrarily close feasible matrices of strictly larger norm and
@@ -796,21 +763,31 @@ def analyze_fixed_point(m, tol=CERT_TOL) -> FixedPointReport:
     a = check_symmetric(m)
     cert = fixed_point_certificate(a, tol)
     comps = irreducible_components(a)
+    rank = matrix_rank_psd(a)
     gammas = []
     for comp in comps:
-        block_d = cert.d[comp]
-        if float(np.max(np.abs(block_d - block_d[0]))) <= tol * len(comp):
-            gammas.append(float(block_d[0]))
-        else:
+        k, block_d = len(comp), cert.d[comp]
+        gamma = float(block_d[0])
+        if float(np.max(np.abs(block_d - gamma))) > tol * k or gamma < 1.0 - tol:
             gammas.append(None)
+            continue
+        # a rank costs an eigendecomposition: only blocks that got here pay
+        if len(comps) == 1:
+            block_rank = rank
+        elif k == 1:
+            block_rank = int(a[comp[0], comp[0]] > RANK_TOL)
+        else:
+            block_rank = matrix_rank_psd(a[np.ix_(comp, comp)])
+        gammas.append(gamma if abs(gamma * block_rank - k) <= GAMMA_RANK_TOL * k
+                      else None)
     if not cert.is_fixed:
         label = "not_fixed"
     elif is_vertex(a):
         label = "attractive"
     else:
         label = "not_attractive"
-    return FixedPointReport(cert.is_fixed, cert.d, cert.residual,
-                            matrix_rank_psd(a), comps, gammas, label)
+    return FixedPointReport(cert.is_fixed, cert.d, cert.residual, rank, comps,
+                            gammas, label)
 
 
 def read_matrix_text(path) -> np.ndarray:

@@ -166,8 +166,3 @@ def check_monotone(traj: Trajectory) -> MonotoneReport:
         if (drop > NORM_SLACK or excess > STEP_SLACK) and first is None:
             first = i
     return MonotoneReport(first is None, first, worst_drop, worst_excess)
-
-
-def objective_interpretation(traj: Trajectory) -> list:
-    """Per-iterate values of the objective the iteration climbs, |x|^2 / 2."""
-    return [a / 2.0 for a in traj.norms_sq]

@@ -175,13 +175,6 @@ def relaxation_cost(g: WeightedGraph) -> np.ndarray:
     return -g.weight_matrix()
 
 
-def relaxed_cut_value(g: WeightedGraph, x) -> float:
-    """(sum over ordered pairs of W - W . X) / 4; equals the cut weight when
-    x is the rank-one sign matrix of a partition."""
-    w = g.weight_matrix()
-    return float((np.sum(w) - np.vdot(w, x)) / 4.0)
-
-
 def cut_value(g: WeightedGraph, signs) -> float:
     """Total weight of edges crossing the partition, correctly rounded
     (``math.fsum``), so that weights that cancel lose nothing."""

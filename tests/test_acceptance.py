@@ -21,22 +21,22 @@ from iterlinopt import (
     OracleConfig,
     PolytopeDomain,
     WeightedGraph,
+    analyze_fixed_point,
     check_monotone,
     elliptope_oracle,
     escape_curve,
     fixed_point_certificate,
-    gamma_of_irreducible,
     gram_to_matrix,
     irreducible_components,
+    is_vertex,
     iterate,
     l3_census,
     l4_family,
     matrix_rank_psd,
     maxcut_pipeline,
-    relaxed_cut_value,
     solve_relaxation,
-    vertex_basin_check,
 )
+from iterlinopt.elliptope import SIGN_TOL
 
 SEED = 20250809
 
@@ -281,7 +281,11 @@ def suite_vertex_attractiveness(seed):
         target = 0.1 + 0.8 * rng.random()
         m = _member_near_vertex(signs, rng, target)
         assert np.linalg.norm(m - x) < 1.0
-        ok = vertex_basin_check(x, m)
+        # m shares the vertex's sign pattern, so one step of the map
+        # returns the vertex
+        dom = ElliptopeDomain(n)
+        assert is_vertex(x) and dom.contains(m)
+        ok = np.max(np.abs(dom.maximize(m) - x)) <= SIGN_TOL
         assert ok, f"trial {t}: one-step convergence to the vertex failed"
         lines.append(f"trial {t} n {n} dist {np.linalg.norm(m - x):.17g}")
     # converse: every non-vertex catalog point admits a strictly
@@ -380,7 +384,7 @@ def suite_maxcut(seed):
     res = solve_relaxation(g3, seed=seed % (2**31))
     off = res.matrix[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off + 0.5)) <= 1e-6
-    assert abs(relaxed_cut_value(g3, res.matrix) - 2.25) <= 1e-6
+    assert abs((np.sum(g3.weight_matrix()) + res.objective) / 4.0 - 2.25) <= 1e-6
     report = maxcut_pipeline(g3, seed=seed % (2**31), brute_force=True)
     assert report.cut_value == 2.0 and report.brute_force_cut == 2.0
     lines.append("triangle chain reproduces the derived values")
@@ -399,7 +403,8 @@ def suite_normal_cone(seed):
         assert float(np.linalg.eigvalsh(m)[0]) >= -1e-8
         comps = irreducible_components(x)
         if len(comps) == 1:
-            gamma = gamma_of_irreducible(x)
+            gamma = analyze_fixed_point(x).gammas[0]
+            assert gamma is not None
             assert abs(gamma * matrix_rank_psd(x) - x.shape[0]) <= 1e-6 * x.shape[0]
             lines.append(f"point {k} irreducible gamma {gamma:.17g}")
         else:

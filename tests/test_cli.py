@@ -196,13 +196,17 @@ class TestVerify:
         # a sign-kernel point on {0, 1, 3, 4} beside an isolated index 2
         ((1.0, -1.0, 0.0, 1.0, 1.0), 0, "0 1 3 4; 2", "1.3333333333333335 1"),
         (None, 3, "0 1 2 3", "n/a"),
-    ], ids=["two-components", "not-fixed"])
+        # not fixed with a constant diagonal 1.25: 1.25 * rank 2 is not 2
+        ([[1.0, 0.5], [0.5, 1.0]], 3, "0 1", "n/a"),
+    ], ids=["two-components", "not-fixed", "not-fixed-constant-diagonal"])
     def test_stdout_and_json_carry_one_record(self, tmp_path, capsys, w, code,
                                               components, gammas):
         if w is None:
             v = random_gram(4, 3, np.random.default_rng(1))
             x = v @ v.T
             np.fill_diagonal(x, 1.0)
+        elif isinstance(w[0], list):
+            x = np.array(w)
         else:
             x = sign_kernel_fixed_point(w)
         path = tmp_path / "x.txt"
@@ -640,6 +644,10 @@ FACE_POINT = "3\n1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n"  # an L3 face point
                   "FILE", "--rank", "1"], FACE_POINT, 2, id="iterate-rank"),
     pytest.param(["classify", "--matrix", "FILE", "--rank", "1"], FACE_POINT, 2,
                  id="classify-rank"),
+    pytest.param(["classify", "--matrix", "FILE", "--domain", "FILE",
+                  "--point", "FILE"], FACE_POINT, 1, id="classify-matrix-and-domain"),
+    pytest.param(["iterate", "--domain", "FILE", "--n", "4", "--start", "0,1.9"],
+                 "kind=ball\ncenter=1,0\nradius=2\n", 1, id="iterate-file-and-n"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
     f = tmp_path / "input.txt"
@@ -679,6 +687,21 @@ def test_file_not_in_utf8_gives_one_error_line(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {f}: not UTF-8 text")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_reader_closing_stdout_early_gives_one_error_line():
+    # census --n 7 prints far more than a pipe holds, so the command is
+    # still writing when the reader closes the pipe after one line
+    src = os.path.dirname(os.path.dirname(iterlinopt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "iterlinopt", "census", "--n", "7"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"census n=7: partial")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert err == "error: stdout closed before the output was written\n"
 
 
 def test_package_import_leaves_scipy_out():

@@ -7,8 +7,8 @@ from iterlinopt import (
     DomainError,
     EllipsoidDomain,
     PolytopeDomain,
-    ball_fixed_points,
     curvature_classify_2d,
+    iterate,
     load_domain,
 )
 from iterlinopt import domains
@@ -52,31 +52,31 @@ class TestBallOracle:
 
 
 class TestBallFixedPoints:
+    # a ball holding the origin has two fixed points, where the line through
+    # the origin and the center crosses the boundary: the far one attracts,
+    # the near one repels; a centered ball fixes its whole boundary
     def test_reference_disk(self):
-        res = ball_fixed_points(BallDomain([1.0, 0.0], 2.0))
-        assert not res.whole_boundary
-        (a, la), (r, lr) = res.points
-        assert la == "attractive" and np.allclose(a, [3.0, 0.0], atol=0)
-        assert lr == "repelling" and np.allclose(r, [-1.0, 0.0], atol=0)
+        dom = BallDomain([1.0, 0.0], 2.0)
+        for start in ([2.9, 0.1], [-0.9, 0.1], [-0.9, -0.1]):
+            traj = iterate(dom, start)
+            assert traj.status == "converged"
+            assert np.linalg.norm(traj.final - [3.0, 0.0]) <= 1e-8
 
     def test_vertical_center(self):
-        res = ball_fixed_points(BallDomain([0.0, 0.5], 1.0))
-        (a, _), (r, _) = res.points
-        assert np.allclose(a, [0.0, 1.5], atol=1e-15)
-        assert np.allclose(r, [0.0, -0.5], atol=1e-15)
+        dom = BallDomain([0.0, 0.5], 1.0)
+        for p in ([0.0, 1.5], [0.0, -0.5]):
+            assert np.allclose(dom.maximize(p), p, atol=1e-15)
 
     def test_centered_ball_whole_boundary(self):
-        res = ball_fixed_points(BallDomain([0.0, 0.0], 1.0))
-        assert res.whole_boundary and res.points == []
-
-    def test_origin_outside_rejected(self):
-        with pytest.raises(DomainError):
-            ball_fixed_points(BallDomain([3.0, 0.0], 1.0))
+        dom = BallDomain([0.0, 0.0], 1.0)
+        for t in np.linspace(0.0, 2.0 * np.pi, 13):
+            p = np.array([np.cos(t), np.sin(t)])
+            assert np.linalg.norm(dom.maximize(p) - p) <= 1e-15
 
     def test_points_are_fixed(self):
         dom = BallDomain([1.0, 0.0], 2.0)
-        for p, _ in ball_fixed_points(dom).points:
-            assert np.linalg.norm(dom.maximize(p) - p) <= 1e-10
+        for p in ([3.0, 0.0], [-1.0, 0.0]):
+            assert np.array_equal(dom.maximize(p), p)
 
 
 class TestEllipsoidOracle:

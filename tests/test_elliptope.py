@@ -14,7 +14,6 @@ from iterlinopt import (
     elliptope_oracle,
     enumerate_vertices,
     fixed_point_certificate,
-    gamma_of_irreducible,
     gram_factor,
     gram_to_matrix,
     irreducible_components,
@@ -24,11 +23,9 @@ from iterlinopt import (
     l3_census,
     l4_family,
     matrix_rank_psd,
-    normal_cone_membership,
     read_matrix_text,
     sign_kernel_fixed_point,
     validate_elliptope,
-    vertex_basin_check,
     write_matrix_text,
 )
 from iterlinopt import elliptope
@@ -251,7 +248,6 @@ class TestOracle:
         res = elliptope_oracle(c, OracleConfig(max_sweeps=3))
         assert res.status == "max_sweeps"
         assert is_vertex(res.matrix)
-        assert not normal_cone_membership(res.matrix, c)
         assert res.objective > res.restart_objectives[res.best_index]
         s = res.gram[:, 0]
         assert res.objective == float(s @ c @ s)
@@ -395,37 +391,31 @@ class TestStructure:
         assert irreducible_components(J3) == [[0, 1, 2]]
 
     def test_gamma_vertex(self):
-        assert gamma_of_irreducible(J3) == pytest.approx(3.0, abs=1e-12)
+        assert analyze_fixed_point(J3).gammas == pytest.approx([3.0], abs=1e-12)
 
     def test_gamma_face_point(self):
-        assert gamma_of_irreducible(PUFF) == pytest.approx(1.5, abs=1e-12)
+        assert analyze_fixed_point(PUFF).gammas == pytest.approx([1.5], abs=1e-12)
 
     def test_gamma_family(self):
-        assert gamma_of_irreducible(l4_family(0.6)) == pytest.approx(2.0, abs=1e-10)
+        assert analyze_fixed_point(l4_family(0.6)).gammas == pytest.approx(
+            [2.0], abs=1e-10)
 
-    def test_gamma_rejects_reducible(self):
-        with pytest.raises(ElliptopeError):
-            gamma_of_irreducible(GREEN)
+    def test_gamma_per_block(self):
+        # the {0, 1} block is a vertex of order 2 (gamma 2, rank 1), and the
+        # isolated index 2 a block of order 1
+        assert analyze_fixed_point(GREEN).gammas == [2.0, 1.0]
+
+    def test_gamma_needs_a_diagonal_of_at_least_one(self):
+        # d = 1 - 1e-7 on a rank-1 block of order 1 passes gamma * rank = 1
+        # within GAMMA_RANK_TOL, but lies below 1 - tol
+        x = np.array([[np.sqrt(1.0 - 1e-7)]])
+        assert analyze_fixed_point(x).gammas == [None]
+        assert analyze_fixed_point(x, tol=1e-6).gammas == pytest.approx([1.0 - 1e-7])
 
     def test_rank(self):
         assert matrix_rank_psd(J3) == 1
         assert matrix_rank_psd(PUFF) == 2
         assert matrix_rank_psd(np.eye(5)) == 5
-
-
-class TestNormalCone:
-    def test_identity_in_its_own_cone(self):
-        assert normal_cone_membership(np.eye(3), np.eye(3))
-
-    def test_vertex_in_its_own_cone(self):
-        assert normal_cone_membership(J3, J3)
-
-    def test_negated_vertex_not_in_cone(self):
-        assert not normal_cone_membership(J3, -J3)
-
-    def test_fixed_points_lie_in_their_cones(self):
-        for p in l3_census():
-            assert normal_cone_membership(p.matrix, p.matrix)
 
 
 class TestVertices:
@@ -626,8 +616,6 @@ class TestDomainAdapter:
     def test_map_takes_no_oracle_settings(self):
         with pytest.raises(TypeError):
             ElliptopeDomain(3, OracleConfig())
-        with pytest.raises(TypeError):
-            vertex_basin_check(J3, J3, OracleConfig())
 
     def test_maximize_checks_its_query_once(self, monkeypatch):
         # the factor and the oracle take the query that maximize symmetrized

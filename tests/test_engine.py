@@ -10,7 +10,6 @@ from iterlinopt import (
     Trajectory,
     check_monotone,
     iterate,
-    objective_interpretation,
 )
 
 SQUARE = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
@@ -82,22 +81,15 @@ def test_check_monotone_needs_two_points():
         check_monotone(traj)
 
 
-def test_objective_interpretation_definition():
-    traj = Trajectory(points=[None] * 3, norms_sq=[1.0, 2.0, 2.5],
-                      step_norms=[1.0, 0.5], status="converged", residual=0.0)
-    assert objective_interpretation(traj) == [0.5, 1.0, 1.25]
-
-
 def test_objective_constant_at_fixed_point():
     dom = BallDomain([1.0, 0.0], 2.0)
     traj = iterate(dom, [3.0, 0.0])
-    vals = objective_interpretation(traj)
-    assert all(v == vals[0] for v in vals)
+    assert all(v == traj.norms_sq[0] for v in traj.norms_sq)
 
 
 def test_objective_strictly_increases_until_convergence():
     traj = iterate(BallDomain([1.0, 0.0], 2.0), [0.0, 1.9])
-    vals = objective_interpretation(traj)
+    vals = traj.norms_sq
     diffs = np.diff(vals)
     assert np.all(diffs >= -1e-12)
     # strict climb until the value saturates at the limit in double precision

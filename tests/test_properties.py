@@ -25,14 +25,15 @@ from iterlinopt import (
     is_vertex,
     l3_census,
     l4_family,
-    normal_cone_membership,
     round_by_iteration,
     sign_kernel_census,
     sign_kernel_fixed_point,
     solve_relaxation,
 )
 from iterlinopt.elliptope import (
+    DIAG_TOL,
     GRAD_TOL,
+    NORMAL_CONE_TOL,
     SWEEP_TOL,
     _ascend,
     _certify,
@@ -324,6 +325,55 @@ def test_row_norms_are_batch_invariant_linalg_norms(r):
         assert norms[i, j] == np.linalg.norm(a[i, j])
         assert _row_norms(a[i, j]) == norms[i, j]
         assert np.array_equal(_row_norms(a[i:, j:j + 1]), norms[i:, j:j + 1])
+
+
+# ---------------------------------------------------------------------------
+# the normal cone, the reference of the oracle's vertex stop
+# ---------------------------------------------------------------------------
+
+J3 = np.ones((3, 3))
+
+
+def normal_cone_membership(x, y) -> bool:
+    """Whether y lies in the normal cone at x.
+
+    Membership means y = D - M with D diagonal, M positive semidefinite
+    and M X = 0. D is forced to diag(Y X), so the test reduces to checking
+    the recovered M.
+    """
+    a = elliptope.validate_elliptope(x, diag_tol=DIAG_TOL)
+    b = elliptope.check_symmetric(y)
+    m = np.diag(np.diag(b @ a)) - b
+    if float(np.linalg.norm(m @ a)) > NORMAL_CONE_TOL:
+        return False
+    return bool(np.linalg.eigvalsh(m)[0] >= -NORMAL_CONE_TOL)
+
+
+class TestNormalCone:
+    def test_identity_in_its_own_cone(self):
+        assert normal_cone_membership(np.eye(3), np.eye(3))
+
+    def test_vertex_in_its_own_cone(self):
+        assert normal_cone_membership(J3, J3)
+
+    def test_negated_vertex_not_in_cone(self):
+        assert not normal_cone_membership(J3, -J3)
+
+    def test_fixed_points_lie_in_their_cones(self):
+        for p in l3_census():
+            assert normal_cone_membership(p.matrix, p.matrix)
+
+
+def test_capped_run_is_polished_to_a_vertex_outside_the_cone():
+    # the case of test_elliptope's capped-run polish: three sweeps leave
+    # the winning run short of a vertex, and the vertex the polish takes
+    # does not maximize the cost
+    rng = np.random.default_rng(26)
+    c = rng.standard_normal((6, 6))
+    c = 0.5 * (c + c.T)
+    res = elliptope_oracle(c, OracleConfig(max_sweeps=3))
+    assert res.status == "max_sweeps" and is_vertex(res.matrix)
+    assert not normal_cone_membership(res.matrix, c)
 
 
 def _certifies(c, s):

@@ -55,3 +55,58 @@ def test_every_dataclass_is_frozen():
                 if not frozen:
                     unfrozen.append(f"{path.name}:{node.name}")
     assert not unfrozen
+
+
+# Exported names that no module of the package and no benchmark script
+# calls, each with the reason it stays exported.
+EXPORT_ALLOWLIST = {}
+
+
+def _referenced(tree):
+    """Names a syntax tree mentions: names, attributes, imported names and
+    string constants."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _statements(path):
+    """(defined name, referenced names) per top-level statement of a
+    module; the name is a def or class statement's, else None."""
+    for node in ast.parse(path.read_text()).body:
+        name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                else None)
+        yield name, _referenced(node)
+
+
+def test_every_export_has_a_production_caller():
+    """Every name the package exports is used by the package's other
+    modules or by the benchmark scripts under perfbench/, or is on
+    EXPORT_ALLOWLIST: a function only the tests call belongs in the tests.
+    A definition's use of itself does not count, nor a use inside an
+    export that is itself unused (a result type only its unused producer
+    builds)."""
+    init = PACKAGE / "__init__.py"
+    exported = {a.asname or a.name for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    statements = [st for path in sorted(PACKAGE.glob("*.py")) if path != init
+                  for st in _statements(path)]
+    bench = set().union(*(_referenced(ast.parse(path.read_text())) for path
+                          in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))))
+    unused = set()
+    while True:
+        used = bench.union(*(refs - {name} for name, refs in statements
+                             if name not in unused))
+        now = exported - used - set(EXPORT_ALLOWLIST)
+        if now == unused:
+            break
+        unused = now
+    assert not unused, sorted(unused)
