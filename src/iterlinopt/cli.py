@@ -8,19 +8,22 @@ Exit codes: 0 success (verify: "fixed"), 1 file, parse or closed-stdout
 problems, 2 validation failures (bad flag values, infeasible start, matrix
 outside the feasible body, size caps), 3 a clean "not fixed" from verify.
 ``main`` is the one place where errors become exit codes.
+
+Each command runs in a fresh interpreter, which compiles every module it
+imports, so this module imports at its top only what census and verify
+use; a command imports the engine, classify and maxcut modules, and json,
+when it runs, and the parser adds the flags of the named command alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .classify import _sample_verdict, classify_elliptope_fixed_point
 from .domains import (
     BallDomain,
     DomainError,
@@ -42,21 +45,6 @@ from .elliptope import (
     l3_census,
     read_matrix_text,
     sign_kernel_census,
-)
-from .engine import (
-    FIXED_FACTOR,
-    InfeasibleStartError,
-    IterationConfig,
-    fixed_point_residual,
-    iterate,
-)
-from .maxcut import (
-    BRUTE_FORCE_CAP,
-    GRAPH_CAP,
-    HYPERPLANES,
-    GraphFormatError,
-    load_graph,
-    maxcut_pipeline,
 )
 
 EXIT_OK = 0
@@ -113,6 +101,7 @@ def _print_record(record):
 
 
 def _write_json(path, payload):
+    import json
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -145,6 +134,7 @@ def _read_point(domain, text):
 # ---------------------------------------------------------------------------
 
 def cmd_iterate(args) -> int:
+    from .engine import InfeasibleStartError, IterationConfig, iterate
     if args.domain == "elliptope":
         if args.n is None:
             raise CliError(EXIT_PARSE, "elliptope domain needs --n")
@@ -159,7 +149,10 @@ def cmd_iterate(args) -> int:
     cfg = IterationConfig(tol=args.tol, max_iter=args.max_iter,
                           record_trace=args.trace is not None,
                           validate_start=args.validate_start)
-    traj = iterate(domain, x0, cfg)
+    try:
+        traj = iterate(domain, x0, cfg)
+    except InfeasibleStartError as exc:  # raised under --validate-start only
+        raise CliError(EXIT_INVALID, str(exc))
     record = {"status": traj.status, "iterations": len(traj.step_norms)}
     final = traj.final
     if final.ndim == 2:
@@ -230,6 +223,7 @@ def cmd_census(args) -> int:
 def _fixed_residual(domain, x, tol):
     """How far the map moves x, which must be at most FIXED_FACTOR * tol:
     the check ``classify_empirical`` makes, done before anything prints."""
+    from .engine import FIXED_FACTOR, fixed_point_residual
     residual = fixed_point_residual(domain, x)
     if residual > FIXED_FACTOR * tol:
         raise CliError(EXIT_INVALID,
@@ -241,6 +235,7 @@ def _theorem_record(domain, x, source, args):
     """The exact dichotomy at an elliptope point: x must lie in the body and
     pass the certificate, and, when --samples is above 0, the map must keep
     it."""
+    from .classify import classify_elliptope_fixed_point
     if not domain.contains(x):
         raise CliError(EXIT_INVALID,
                        f"{source}: matrix is not in the feasible body")
@@ -277,6 +272,7 @@ def cmd_classify(args) -> int:
         record = {"fixed point": x.tolist(),
                   "fixed-point residual": _fixed_residual(domain, x, args.tol)}
     if args.samples > 0:
+        from .classify import _sample_verdict
         sampled = _sample_verdict(domain, x, args.eps, args.samples, args.seed,
                                   args.tol, args.max_iter)
         record.update({"empirical label": sampled.label, "eps": sampled.eps,
@@ -293,9 +289,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_maxcut(args) -> int:
+    from .maxcut import (BRUTE_FORCE_CAP, GRAPH_CAP, HYPERPLANES,
+                         GraphFormatError, load_graph, maxcut_pipeline)
     records = []
     for path in args.graph:
-        g = load_graph(path)
+        try:
+            g = load_graph(path)
+        except GraphFormatError as exc:
+            raise CliError(EXIT_PARSE, str(exc))
         if g.n > GRAPH_CAP:
             raise CliError(EXIT_INVALID,
                            f"{path}: n = {g.n} is over the cap n = {GRAPH_CAP}")
@@ -350,26 +351,20 @@ def _int_at_least(low):
 _positive = _checked(float, lambda v: 0.0 < v < np.inf, "positive and finite")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # flags shared by several subcommands, each declared once
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_int_at_least(0), default=0,
-                        help="base seed for every random choice (default 0)")
-    iteration = argparse.ArgumentParser(add_help=False)
-    iteration.add_argument("--tol", type=_positive, default=IterationConfig.tol)
-    iteration.add_argument("--max-iter", type=_int_at_least(1),
-                           default=IterationConfig.max_iter)
+def _seed_flag(p):
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
+                   help="base seed for every random choice (default 0)")
 
-    parser = argparse.ArgumentParser(
-        prog="iterlinopt",
-        description="Fixed-point iteration of linear maximization over convex "
-                    "bodies: run it, certify its fixed points, classify them, "
-                    "and round max-cut relaxations with it.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("iterate", parents=[iteration],
-                       help="run the iteration from a start point")
+def _iteration_flags(p):
+    from .engine import IterationConfig
+    p.add_argument("--tol", type=_positive, default=IterationConfig.tol)
+    p.add_argument("--max-iter", type=_int_at_least(1),
+                   default=IterationConfig.max_iter)
+
+
+def _iterate_flags(p):
+    _iteration_flags(p)
     p.add_argument("--domain", required=True,
                    help="domain config file, or the literal 'elliptope'")
     p.add_argument("--n", type=_int_at_least(1),
@@ -380,23 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the trajectory to this CSV file")
     p.add_argument("--validate-start", action="store_true",
                    help="reject starts outside the domain (exit 2)")
-    p.set_defaults(func=cmd_iterate)
 
-    p = sub.add_parser("verify", help="check the algebraic fixed-point certificate")
+
+def _verify_flags(p):
     p.add_argument("--matrix", required=True, help="matrix text file")
     p.add_argument("--tol", type=_positive, default=CERT_TOL,
                    help="certificate tolerance per unit dimension")
     p.add_argument("--diag-tol", type=_positive, default=VERIFY_DIAG_TOL)
     p.add_argument("--json", help="also write the report as JSON")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("census", help="list known fixed points of the feasible body")
+
+def _census_flags(p):
     p.add_argument("--n", type=int, required=True,
                    choices=range(2, CENSUS_CAP + 1), metavar=f"2..{CENSUS_CAP}")
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("classify", parents=[seeded, iteration],
-                       help="attractive/repelling diagnosis of a fixed point")
+
+def _classify_flags(p):
+    _seed_flag(p)
+    _iteration_flags(p)
     p.add_argument("--matrix", help="matrix text file (elliptope fixed point)")
     p.add_argument("--domain", help="domain config file (with --point)")
     p.add_argument("--point", help="fixed point coordinates like '3,0', a "
@@ -405,10 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_positive, default=0.1)
     p.add_argument("--samples", type=_int_at_least(0), default=32,
                    help="perturbation samples; 0 skips the empirical run")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("maxcut", parents=[seeded],
-                       help="relax, round and score a max-cut instance")
+
+def _maxcut_flags(p):
+    from .maxcut import BRUTE_FORCE_CAP, GRAPH_CAP, HYPERPLANES
+    _seed_flag(p)
     p.add_argument("--graph", required=True, nargs="+",
                    help=f"edge-list file(s): lines 'u v [w]', n <= {GRAPH_CAP}")
     p.add_argument("--baseline", choices=["gw"],
@@ -418,14 +415,44 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"also compute the exact optimum (n <= {BRUTE_FORCE_CAP})")
     p.add_argument("--json", help="write report(s) as JSON to this path")
     p.add_argument("--csv", help="write one CSV row per instance to this path")
-    p.set_defaults(func=cmd_maxcut)
 
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the command line ``argv``: every command with its
+    short help, and the flags of the one command that argv names, since
+    the defaults of the others' flags live in modules this run need not
+    import. The first argument that is not an option names the command,
+    because the top-level options take no value."""
+    parser = argparse.ArgumentParser(
+        prog="iterlinopt",
+        description="Fixed-point iteration of linear maximization over convex "
+                    "bodies: run it, certify its fixed points, classify them, "
+                    "and round max-cut relaxations with it.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for name, summary, add_flags, run in (
+            ("iterate", "run the iteration from a start point",
+             _iterate_flags, cmd_iterate),
+            ("verify", "check the algebraic fixed-point certificate",
+             _verify_flags, cmd_verify),
+            ("census", "list known fixed points of the feasible body",
+             _census_flags, cmd_census),
+            ("classify", "attractive/repelling diagnosis of a fixed point",
+             _classify_flags, cmd_classify),
+            ("maxcut", "relax, round and score a max-cut instance",
+             _maxcut_flags, cmd_maxcut)):
+        p = sub.add_parser(name, help=summary)
+        if name == named:
+            add_flags(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # --help, --version or a bad flag (exit 2)
         return exc.code
     try:
@@ -438,9 +465,7 @@ def main(argv=None) -> int:
         code, message = EXIT_PARSE, "stdout closed before the output was written"
     except CliError as exc:
         code, message = exc.code, str(exc)
-    except InfeasibleStartError as exc:
-        code, message = EXIT_INVALID, str(exc)
-    except (DomainError, ElliptopeError, GraphFormatError) as exc:
+    except (DomainError, ElliptopeError) as exc:
         code, message = EXIT_PARSE, str(exc)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         code, message = EXIT_PARSE, f"{exc.filename}: {exc.strerror}"

@@ -15,6 +15,7 @@ from iterlinopt import (
     WeightedGraph,
     cli,
     elliptope_oracle,
+    engine,
     l3_census,
     l4_family,
     maxcut,
@@ -91,12 +92,14 @@ class TestIterate:
     def test_iterates_are_kept_only_for_a_trace(self, disk_cfg, tmp_path,
                                                 capsys, monkeypatch):
         runs = []
+        original = engine.iterate
 
         def recorded(*args):
-            runs.append(iterlinopt.iterate(*args))
+            runs.append(original(*args))
             return runs[-1]
 
-        monkeypatch.setattr(cli, "iterate", recorded)
+        # the command imports iterate from its module when it runs
+        monkeypatch.setattr(engine, "iterate", recorded)
         args = ["iterate", "--domain", disk_cfg, "--start", "0,1.9"]
         assert main(args) == 0
         plain = capsys.readouterr().out
@@ -713,6 +716,36 @@ def test_package_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# Each command runs in a fresh interpreter that compiles every module it
+# imports, so a command must leave unloaded the modules it does not use
+UNUSED_BY_ELLIPTOPE_COMMANDS = {"iterlinopt.engine", "iterlinopt.classify",
+                                "iterlinopt.maxcut", "json"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["census", "--n", "3"], UNUSED_BY_ELLIPTOPE_COMMANDS),
+    (["verify", "--matrix", "FACE"], UNUSED_BY_ELLIPTOPE_COMMANDS),
+    (["--help"], UNUSED_BY_ELLIPTOPE_COMMANDS),
+    (["--version"], UNUSED_BY_ELLIPTOPE_COMMANDS),
+    (["iterate", "--domain", "elliptope", "--n", "3", "--start", "FACE"],
+     {"iterlinopt.maxcut", "iterlinopt.classify"}),
+    (["maxcut", "--graph", "K3"], {"iterlinopt.classify", "iterlinopt.engine"}),
+    (["classify", "--matrix", "FACE", "--samples", "2"], {"iterlinopt.maxcut"}),
+], ids=["census", "verify", "help", "version", "iterate", "maxcut", "classify"])
+def test_a_command_loads_only_the_modules_it_uses(argv, unloaded, face_point,
+                                                   k3_file):
+    argv = [{"FACE": face_point, "K3": k3_file}.get(a, a) for a in argv]
+    src = os.path.dirname(os.path.dirname(iterlinopt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    p = subprocess.run([sys.executable, "-X", "importtime", "-m", "iterlinopt",
+                        *argv], env=env, capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in p.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"iterlinopt.cli", "iterlinopt.elliptope"} <= loaded
+    assert sorted(loaded & (unloaded | {"scipy"})) == []
 
 
 class TestReproducibility:

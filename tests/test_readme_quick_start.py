@@ -52,14 +52,19 @@ def test_usage_lines_parse():
     assert {ln.split()[1] for ln in lines} == {
         "iterate", "verify", "census", "classify", "maxcut"}
     for line in lines:
-        build_parser().parse_args(shlex.split(re.sub(r"[][]", "", line))[1:])
+        argv = shlex.split(re.sub(r"[][]", "", line))[1:]
+        build_parser(argv).parse_args(argv)
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def test_backticked_flags_exist():
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    flags = {flag for p in subparsers.choices.values() for a in p._actions
+    # the parser carries the flags of the command its argv names only
+    flags = {flag for name in _subparsers(build_parser([]))
+             for a in _subparsers(build_parser([name]))[name]._actions
              for flag in a.option_strings}
     quoted = {flag for span in re.findall(r"`([^`]*)`", _section("Command line"))
               for flag in re.findall(r"--[a-z][a-z-]*", span)}
