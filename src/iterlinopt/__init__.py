@@ -62,7 +62,6 @@ _EXPORTS = {
         "read_matrix_text",
         "sign_kernel_census",
         "sign_kernel_fixed_point",
-        "validate_elliptope",
         "write_matrix_text",
     ),
     "engine": (

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptope import (
-    ROW_TOL,
     _escape_factor,
     _gram_factor,
     check_symmetric,
@@ -134,7 +133,7 @@ def classify_elliptope_fixed_point(x) -> ExactClassification:
         return ExactClassification("attractive", None)
     i, j = escape_pair(a)
     v = _gram_factor(a)
-    curve = (gram_to_matrix(_escape_factor(v, a, al), row_tol=ROW_TOL)
+    curve = (gram_to_matrix(_escape_factor(v, a, al))
              for al in ESCAPE_ALPHAS)
     norms = [float(np.vdot(xa, xa)) for xa in curve]
     return ExactClassification(

@@ -35,7 +35,6 @@ from .domains import (
 )
 from .elliptope import (
     CERT_TOL,
-    VERIFY_DIAG_TOL,
     ElliptopeDomain,
     ElliptopeError,
     analyze_fixed_point,
@@ -173,7 +172,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_verify(args) -> int:
     x = read_matrix_text(args.matrix)
-    if not is_in_elliptope(x, diag_tol=args.diag_tol):
+    if not is_in_elliptope(x):
         raise CliError(EXIT_INVALID,
                        f"{args.matrix}: matrix is not in the feasible body")
     report = analyze_fixed_point(x, tol=args.tol)
@@ -381,7 +380,6 @@ def _verify_flags(p):
     p.add_argument("--matrix", required=True, help="matrix text file")
     p.add_argument("--tol", type=_positive, default=CERT_TOL,
                    help="certificate tolerance per unit dimension")
-    p.add_argument("--diag-tol", type=_positive, default=VERIFY_DIAG_TOL)
     p.add_argument("--json", help="also write the report as JSON")
 
 

@@ -19,11 +19,8 @@ import numpy as np
 from .domains import SYM_TOL, ConvexDomain, read_lines
 
 PSD_TOL = 1e-9  # most negative eigenvalue of a feasible matrix
-DIAG_TOL = 1e-8  # diagonal slack of every feasibility check but verify's
-VERIFY_DIAG_TOL = 1e-12  # verify's diagonal slack, validate_elliptope's default
-ENTRY_TOL = 1e-12  # how far a feasible matrix's entries may exceed 1 in size
-ROW_TOL = 1e-9  # unit-row slack of a Gram factor that came out of arithmetic
-NORMED_ROW_TOL = 1e-12  # unit-row slack of a factor normalized just before
+DIAG_TOL = 1e-8  # how far a feasible matrix's diagonal may stray from 1
+ROW_TOL = 1e-9  # unit-row slack of a Gram factor (gram_to_matrix)
 RANK_TOL = 1e-6  # eigenvalues above this count toward the rank
 CERT_TOL = 1e-8  # fixed-point verdict allows CERT_TOL * n of Frobenius defect
 ZERO_TOL = 1e-9  # support-graph zero threshold
@@ -72,30 +69,21 @@ def check_symmetric(m, name="matrix") -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def validate_elliptope(m, diag_tol=VERIFY_DIAG_TOL) -> np.ndarray:
-    """Raise unless m is a unit-diagonal PSD matrix within tolerances."""
-    a = check_symmetric(m)
-    dev = float(np.max(np.abs(np.diag(a) - 1.0)))
-    if dev > diag_tol:
-        raise ElliptopeError(f"diagonal deviates from 1 by {dev:.3g}")
-    if np.max(np.abs(a)) > 1.0 + ENTRY_TOL:
-        raise ElliptopeError("entries exceed 1 in absolute value")
-    w = np.linalg.eigvalsh(a)
-    if w[0] < -PSD_TOL:
-        raise ElliptopeError(f"minimum eigenvalue {w[0]:.3g} below -{PSD_TOL}")
-    return a
-
-
-def is_in_elliptope(m, diag_tol=VERIFY_DIAG_TOL) -> bool:
+def is_in_elliptope(m) -> bool:
+    """Whether m is in the body: symmetric within SYM_TOL, its diagonal
+    within DIAG_TOL of 1 and no eigenvalue below -PSD_TOL. The 2x2
+    principal minors of m + PSD_TOL I then bound every entry by
+    1 + DIAG_TOL + PSD_TOL in size."""
     try:
-        validate_elliptope(m, diag_tol)
+        a = check_symmetric(m)
     except ElliptopeError:
         return False
-    return True
+    return bool(np.max(np.abs(np.diag(a) - 1.0)) <= DIAG_TOL
+                and np.linalg.eigvalsh(a)[0] >= -PSD_TOL)
 
 
-def gram_to_matrix(v, row_tol=NORMED_ROW_TOL) -> np.ndarray:
-    """V V^T of rows unit within row_tol, renormalized; diagonal exactly 1."""
+def gram_to_matrix(v) -> np.ndarray:
+    """V V^T of rows unit within ROW_TOL, renormalized; diagonal exactly 1."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
         raise ElliptopeError("Gram factor must be a 2-d array")
@@ -106,8 +94,8 @@ def gram_to_matrix(v, row_tol=NORMED_ROW_TOL) -> np.ndarray:
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms == 0.0):
         raise ElliptopeError("Gram factor has a zero row")
-    if np.max(np.abs(norms - 1.0)) > row_tol:
-        raise ElliptopeError(f"Gram rows must be unit vectors within {row_tol}")
+    if np.max(np.abs(norms - 1.0)) > ROW_TOL:
+        raise ElliptopeError(f"Gram rows must be unit vectors within {ROW_TOL}")
     v = v / norms[:, None]
     x = v @ v.T
     np.fill_diagonal(x, 1.0)
@@ -435,7 +423,7 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
     # from the ascent factor: the polished vertex below may bound worse
     upper = _upper_bound(c, ascent) if cfg.gap_tol else None
     v = ascent
-    x = gram_to_matrix(v, row_tol=ROW_TOL)
+    x = gram_to_matrix(v)
     obj = float(np.vdot(c, x))
     if status != "certified_vertex":  # else already at its vertex
         v, x, obj = _polish(c, v, x, obj, _tie_tol(ascent_obj))
@@ -485,7 +473,7 @@ class ElliptopeDomain(ConvexDomain):
         return _oracle(x, OracleConfig(), start).matrix
 
     def contains(self, x):
-        return is_in_elliptope(self._order(x), diag_tol=DIAG_TOL)
+        return is_in_elliptope(self._order(x))
 
     def sample(self, rng):
         return gram_to_matrix(
@@ -501,7 +489,7 @@ class ElliptopeDomain(ConvexDomain):
         for _ in range(SHRINK_TRIES):
             w = v + scale * g
             w = w / np.linalg.norm(w, axis=1)[:, None]
-            y = gram_to_matrix(w, row_tol=ROW_TOL)
+            y = gram_to_matrix(w)
             dist = float(np.linalg.norm(y - x))
             if 0.0 < dist < eps:
                 return y
@@ -569,9 +557,10 @@ def irreducible_components(m) -> list:
 
 
 def is_vertex(m) -> bool:
-    """Rank-one sign matrix test: all entries at +-1 and a rank of one."""
+    """Rank-one sign matrix test: every entry within SIGN_TOL of +-1 and
+    no second eigenvalue above RANK_TOL."""
     a = check_symmetric(m)
-    if float(np.max(np.abs(np.abs(a) - 1.0))) > RANK_TOL:
+    if float(np.max(np.abs(np.abs(a) - 1.0))) > SIGN_TOL:
         return False
     return a.shape[0] == 1 or bool(np.linalg.eigvalsh(a)[-2] <= RANK_TOL)
 
@@ -626,8 +615,7 @@ def escape_curve(x, alpha) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     a = check_symmetric(x)
-    return gram_to_matrix(_escape_factor(_gram_factor(a), a, alpha),
-                          row_tol=ROW_TOL)
+    return gram_to_matrix(_escape_factor(_gram_factor(a), a, alpha))
 
 
 def enumerate_vertices(n) -> list:
@@ -793,7 +781,7 @@ def analyze_fixed_point(m, tol=CERT_TOL) -> FixedPointReport:
 def read_matrix_text(path) -> np.ndarray:
     """Parse the matrix text format: first line n, then n rows.
 
-    Rejects ragged rows, asymmetry beyond 1e-12 and files not in UTF-8.
+    Rejects ragged rows, asymmetry beyond SYM_TOL and files not in UTF-8.
     """
     lines = [ln.split("#", 1)[0].strip()
              for ln in read_lines(path, ElliptopeError)]

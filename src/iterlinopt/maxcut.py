@@ -25,7 +25,6 @@ import numpy as np
 from .domains import read_lines
 from .elliptope import (
     GRAD_TOL,
-    ROW_TOL,
     OracleConfig,
     OracleResult,
     _escape_factor,
@@ -317,8 +316,8 @@ class MaxcutReport(RoundingReport):
     relaxation_status: str  # OracleResult.status of the relaxation
     relaxation_sweeps: int
     rounded_cut: float
-    baseline_cut: float | None = None
-    brute_force_cut: float | None = None
+    baseline_cut: float | None
+    brute_force_cut: float | None
 
 
 def _power_product(v, w):
@@ -340,7 +339,7 @@ def _power_step(x, v):
     w = v.copy()
     for _ in range(ROUND_STEPS):
         _power_product(v, w)
-    y = gram_to_matrix(w, row_tol=ROW_TOL)
+    y = gram_to_matrix(w)
     obj = float(np.vdot(x, y))
     # the vertex polish of elliptope_oracle: s^T X s = |V^T s|^2
     return _polish(x, w, y, obj, _tie_tol(obj))[:2]
@@ -365,7 +364,7 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
     one vertex per row of gram, and the report carries its cut. The
     squared norm never decreases across accepted iterates.
     """
-    x = gram_to_matrix(gram, row_tol=ROW_TOL)
+    x = gram_to_matrix(gram)
     if graph.n != x.shape[0]:
         raise ValueError(f"graph has {graph.n} vertices, gram {x.shape[0]} rows")
     v = np.asarray(gram, dtype=float)
@@ -382,7 +381,7 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
         if cert.is_fixed:
             if escapes < ESCAPE_RETRIES:
                 v = _escape_factor(v, x, ESCAPE_ALPHA)
-                x = gram_to_matrix(v, row_tol=ROW_TOL)
+                x = gram_to_matrix(v)
                 escapes += 1
                 norms.append(float(np.vdot(x, x)))
                 continue

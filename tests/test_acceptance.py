@@ -263,7 +263,7 @@ def _member_near_vertex(signs, rng, target):
     for _ in range(80):
         w = signs[:, None] * u + scale * g
         w /= np.linalg.norm(w, axis=1)[:, None]
-        m = gram_to_matrix(w, row_tol=1e-9)
+        m = gram_to_matrix(w)
         dist = float(np.linalg.norm(m - x))
         if 0.0 < dist <= target:
             return m

@@ -18,12 +18,12 @@ from iterlinopt import (
     escape_pair,
     gram_factor,
     gram_to_matrix,
+    is_in_elliptope,
     l3_census,
     l4_family,
-    validate_elliptope,
 )
 from iterlinopt.classify import ESCAPE_ALPHAS
-from iterlinopt.elliptope import ROW_TOL, SIGN_TOL
+from iterlinopt.elliptope import SIGN_TOL
 
 J3 = np.ones((3, 3))
 PUFF = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
@@ -116,7 +116,9 @@ class TestVertexBasin:
     @staticmethod
     def _blend(vertex, t):
         # feasible matrix between the vertex and the identity
-        return validate_elliptope((1.0 - t) * vertex + t * np.eye(len(vertex)))
+        m = (1.0 - t) * vertex + t * np.eye(len(vertex))
+        assert is_in_elliptope(m)
+        return m
 
     @staticmethod
     def _one_step(x, m):
@@ -182,7 +184,7 @@ class TestEscapeCurve:
                 w = (1.0 - alpha) * v[i] + alpha * sign * v[j]
                 v[i] = w / float(np.linalg.norm(w))
                 assert np.array_equal(escape_curve(x, alpha),
-                                      gram_to_matrix(v, row_tol=ROW_TOL))
+                                      gram_to_matrix(v))
 
     def test_vertex_has_no_escape_pair(self):
         from iterlinopt import ElliptopeError

@@ -632,6 +632,8 @@ FACE_POINT = "3\n1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n"  # an L3 face point
                  id="verify-tol-nan"),
     pytest.param(["verify", "--matrix", "FILE", "--tol", "inf"],
                  "2\n1 0.5\n0.5 1\n", 2, id="verify-tol-inf"),
+    # membership has one diagonal slack, so verify has no --diag-tol flag:
+    # a value for it is refused as an unrecognized argument
     pytest.param(["verify", "--matrix", "FILE", "--diag-tol", "-1"], FACE_POINT,
                  2, id="verify-diag-tol-negative"),
     pytest.param(["verify", "--matrix", "FILE", "--diag-tol", "nan"], FACE_POINT,
@@ -659,6 +661,54 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len([ln for ln in captured.err.splitlines() if "error: " in ln]) == 1
+
+
+def _membership_grid():
+    """(id, matrix, member) around each edge of the body check: the face
+    point with x_00 moved, J3 with one off-diagonal pair above 1, and a
+    unit-diagonal matrix with a slightly negative eigenvalue."""
+    for dev, member in ((-1e-10, True), (1e-10, True),
+                        (-2e-8, False), (2e-8, False)):
+        x = sign_kernel_fixed_point((1.0, 1.0, 1.0))
+        x[0, 0] = 1.0 + dev
+        yield f"face-x00-{dev:+g}", x, member
+    for dev, member in ((1e-10, True), (1e-6, False)):
+        x = np.ones((3, 3))
+        x[0, 1] = x[1, 0] = 1.0 + dev
+        yield f"j3-x01-{dev:+g}", x, member
+    # the face point plus t (J - I) has the eigenvalue 2t on (1, 1, 1)
+    for lam, member in ((-5e-10, True), (-5e-9, False)):
+        x = sign_kernel_fixed_point((1.0, 1.0, 1.0)) + lam / 2.0 * (
+            np.ones((3, 3)) - np.eye(3))
+        yield f"lambda-min-{lam:g}", x, member
+
+
+@pytest.mark.parametrize("x, member", [
+    pytest.param(x, member, id=name) for name, x, member in _membership_grid()])
+def test_commands_agree_on_membership(tmp_path, capsys, x, member):
+    """verify, classify and iterate --validate-start apply one body check.
+    A later "not a fixed point" stop means the body check passed."""
+    path = tmp_path / "x.txt"
+    write_matrix_text(x, path)
+    runs = {
+        "verify": (["verify", "--matrix", str(path)],
+                   "matrix is not in the feasible body"),
+        "classify": (["classify", "--matrix", str(path), "--samples", "0"],
+                     "matrix is not in the feasible body"),
+        "iterate": (["iterate", "--domain", "elliptope", "--n", "3",
+                     "--start", str(path), "--validate-start"],
+                    "starting point is not in the domain"),
+    }
+    passed = {}
+    for name, (argv, rejection) in runs.items():
+        code = main(argv)
+        err = capsys.readouterr().err
+        passed[name] = rejection not in err
+        if passed[name]:
+            assert code in (0, 3) or "not a fixed point" in err, (name, err)
+        else:
+            assert code == 2, name
+    assert passed == dict.fromkeys(runs, member)
 
 
 @pytest.mark.parametrize("argv", [

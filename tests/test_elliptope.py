@@ -25,7 +25,6 @@ from iterlinopt import (
     matrix_rank_psd,
     read_matrix_text,
     sign_kernel_fixed_point,
-    validate_elliptope,
     write_matrix_text,
 )
 from iterlinopt import elliptope
@@ -66,7 +65,7 @@ class TestGram:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rows_rejected(self, bad):
         # a NaN row norm passes a unit-row test by comparison, |NaN - 1| >
-        # row_tol being False
+        # ROW_TOL being False
         with pytest.raises(ElliptopeError, match="non-finite"):
             gram_to_matrix(np.array([[bad, 0.0], [1.0, 0.0]]))
 
@@ -75,14 +74,14 @@ class TestGram:
         for n in (2, 4, 7):
             rows = rng.standard_normal((n, 3))
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-            x = validate_elliptope(gram_to_matrix(rows))
+            x = gram_to_matrix(rows)
+            assert is_in_elliptope(x)
             v = gram_factor(x)
             assert np.max(np.abs(gram_to_matrix(v) - x)) < 1e-12
 
 
 @pytest.mark.parametrize("check", [is_vertex, analyze_fixed_point,
-                                   validate_elliptope, gram_factor,
-                                   fixed_point_certificate])
+                                   gram_factor, fixed_point_certificate])
 def test_an_empty_matrix_is_rejected(check):
     with pytest.raises(ElliptopeError, match="matrix is empty"):
         check(np.zeros((0, 0)))
@@ -117,6 +116,28 @@ class TestValidation:
         x = np.eye(3)
         x[0, 1] = 0.5
         assert not is_in_elliptope(x)
+
+    @pytest.mark.parametrize("x", [np.zeros((0, 0)), np.ones((2, 3)),
+                                   np.full((2, 2), np.nan)],
+                             ids=["empty", "not-square", "nan"])
+    def test_rejects_what_the_symmetry_check_rejects(self, x):
+        assert not is_in_elliptope(x)
+
+    @pytest.mark.parametrize("base, i, j, value, member", [
+        # the diagonal may stray DIAG_TOL from 1, on either side
+        (np.eye(3), 0, 0, 1.0 - 9e-9, True),
+        (np.eye(3), 0, 0, 1.0 + 9e-9, True),
+        (np.eye(3), 0, 0, 1.0 - 2e-8, False),
+        (np.eye(3), 0, 0, 1.0 + 2e-8, False),
+        # the eigenvalue test alone bounds an entry above 1 in size
+        (J3, 0, 1, 1.0 + 1e-10, True),
+        (J3, 0, 1, 1.0 + 1e-6, False),
+    ], ids=["diag-low", "diag-high", "diag-too-low", "diag-too-high",
+            "entry-over-1e-10", "entry-over-1e-6"])
+    def test_one_rule_decides_membership(self, base, i, j, value, member):
+        x = np.array(base)
+        x[i, j] = x[j, i] = value
+        assert is_in_elliptope(x) is member
 
 
 class TestOracle:
@@ -426,6 +447,19 @@ class TestVertices:
         assert is_vertex(np.outer(s, s))
         assert not is_vertex(np.eye(3))
 
+    @pytest.mark.parametrize("gap", [1e-10, 1e-7])
+    def test_a_sign_is_read_as_escape_pair_reads_it(self, gap):
+        # an entry within SIGN_TOL of +-1 is a sign for both: a vertex has
+        # no escape pair, and a matrix with an escape pair is no vertex
+        x = np.array(J3)
+        x[0, 1] = x[1, 0] = 1.0 - gap
+        try:
+            elliptope.escape_pair(x)
+        except ElliptopeError:
+            assert is_vertex(x)
+        else:
+            assert not is_vertex(x)
+
     def test_enumeration_counts(self):
         assert len(enumerate_vertices(2)) == 2
         assert len(enumerate_vertices(3)) == 4
@@ -503,6 +537,21 @@ class TestCensus:
     def test_certificates(self):
         for p in l3_census():
             assert fixed_point_certificate(p.matrix).residual <= 1e-12
+
+    def test_tables_match_the_generators(self):
+        # the vertices, then one sign-kernel point per kernel vector with
+        # leading nonzero +1: two nonzeros give an edge, three a face
+        expected = [("vertex", m) for m in enumerate_vertices(3)]
+        for w in itertools.product((0, 1, -1), repeat=3):
+            nz = [e for e in w if e]
+            if len(nz) >= 2 and nz[0] == 1:
+                expected.append(("edge" if len(nz) == 2 else "face",
+                                 sign_kernel_fixed_point(np.array(w, dtype=float))))
+        key = [(family, tuple(m.ravel().tolist())) for family, m in expected]
+        census = [(p.family, tuple(p.matrix.ravel().tolist()))
+                  for p in l3_census()]
+        assert len(census) == len(set(census)) == 14
+        assert set(census) == set(key)
 
     def test_edges_are_vertex_averages(self):
         vertices = [p.matrix for p in l3_census() if p.family == "vertex"]
@@ -642,7 +691,8 @@ class TestDomainAdapter:
         dom = ElliptopeDomain(4)
         for eps in (0.05, 0.3):
             y = dom.sample_near(l4_family(0.2), eps, rng)
-            assert is_in_elliptope(y, diag_tol=1e-9)
+            assert is_in_elliptope(y)
+            assert np.max(np.abs(np.diag(y) - 1.0)) <= 1e-9
             d = np.linalg.norm(y - l4_family(0.2))
             assert 0.0 < d < eps
 

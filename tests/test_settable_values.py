@@ -7,7 +7,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "iterlinopt"
 
 # The settable values of the package, as the quality aim in ROADMAP.md
 # states them. Adding a knob means updating both numbers.
-SETTABLE_VALUES = 55
+SETTABLE_VALUES = 49
 
 
 def _is_dataclass(node):
@@ -40,6 +40,50 @@ def test_settable_value_count():
     lowered."""
     counts = {p.name: _settable(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert sum(counts.values()) == SETTABLE_VALUES, counts
+
+
+# The tolerances a caller may set, as "function.parameter" or
+# "Dataclass.field": every other tolerance is one module constant with one
+# decision, listed in the README's Tolerances table.
+TOLERANCE_KEYWORDS = {
+    "fixed_point_certificate.tol",
+    "analyze_fixed_point.tol",
+    "classify_empirical.tol",
+    "IterationConfig.tol",
+    "OracleConfig.gap_tol",
+}
+
+
+def _is_tolerance(name):
+    return name == "tol" or name.endswith("_tol")
+
+
+def _tolerance_keywords(path):
+    """The parameters and dataclass fields with a default that are named
+    tol or *_tol."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None]
+            found |= {f"{node.name}.{a.arg}" for a in defaulted
+                      if _is_tolerance(a.arg)}
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            found |= {f"{node.name}.{st.target.id}" for st in node.body
+                      if isinstance(st, ast.AnnAssign) and st.value is not None
+                      and _is_tolerance(st.target.id)}
+    return found
+
+
+def test_tolerance_keyword_count():
+    """A ratchet on the tolerances a caller may set: a decision with a
+    second value fails here until it is listed in TOLERANCE_KEYWORDS."""
+    found = set().union(*(_tolerance_keywords(p)
+                          for p in sorted(PACKAGE.glob("*.py"))))
+    assert found == TOLERANCE_KEYWORDS
 
 
 def test_every_dataclass_is_frozen():
