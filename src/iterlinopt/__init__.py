@@ -53,12 +53,9 @@ _EXPORTS = {
         "fixed_point_certificate",
         "gram_factor",
         "gram_to_matrix",
-        "irreducible_components",
         "is_in_elliptope",
-        "is_vertex",
         "l3_census",
         "l4_family",
-        "matrix_rank_psd",
         "read_matrix_text",
         "sign_kernel_census",
         "sign_kernel_fixed_point",

@@ -14,14 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptope import (
+    CERT_TOL,
+    ElliptopeError,
+    _certificate,
     _escape_factor,
     _gram_factor,
+    _is_vertex,
     check_symmetric,
     escape_curve,  # noqa: F401  perfbench/spans.py traces this name here
     escape_pair,
-    fixed_point_certificate,
     gram_to_matrix,
-    is_vertex,
 )
 from .engine import FIXED_FACTOR, IterationConfig, fixed_point_residual, iterate
 
@@ -124,17 +126,17 @@ def classify_elliptope_fixed_point(x) -> ExactClassification:
     never flow back (norms never decrease along a run). Nothing stronger
     than non-attractiveness is claimed for non-vertices. The witness
     points are ``escape_curve``'s, all taken from one Gram factor of x.
+    An x that fails ``fixed_point_certificate`` raises ElliptopeError.
     """
     a = check_symmetric(x)
-    cert = fixed_point_certificate(a)
+    cert = _certificate(a, CERT_TOL)
     if not cert.is_fixed:
-        raise ValueError("input is not a fixed point within tolerance")
-    if is_vertex(a):
+        raise ElliptopeError(f"not a fixed point (residual {cert.residual:.17g})")
+    if _is_vertex(a):
         return ExactClassification("attractive", None)
     i, j = escape_pair(a)
     v = _gram_factor(a)
-    curve = (gram_to_matrix(_escape_factor(v, a, al))
-             for al in ESCAPE_ALPHAS)
-    norms = [float(np.vdot(xa, xa)) for xa in curve]
+    norms = [float(np.vdot(xa, xa)) for xa in (
+        gram_to_matrix(_escape_factor(v, a, i, j, al)) for al in ESCAPE_ALPHAS)]
     return ExactClassification(
         "not_attractive", EscapeWitness(i, j, list(ESCAPE_ALPHAS), norms))

@@ -238,13 +238,12 @@ def _theorem_record(domain, x, source, args):
     if not domain.contains(x):
         raise CliError(EXIT_INVALID,
                        f"{source}: matrix is not in the feasible body")
-    cert = fixed_point_certificate(x)
-    if not cert.is_fixed:
-        raise CliError(EXIT_INVALID, f"{source}: not a fixed point "
-                                     f"(residual {_fmt(cert.residual)})")
+    try:
+        theorem = classify_elliptope_fixed_point(x)
+    except ElliptopeError as exc:  # x fails the certificate
+        raise CliError(EXIT_INVALID, f"{source}: {exc}")
     if args.samples > 0:
         _fixed_residual(domain, x, args.tol)
-    theorem = classify_elliptope_fixed_point(x)
     record = {"theorem label": theorem.label}
     w = theorem.witness
     if w is not None:

@@ -56,7 +56,7 @@ class ElliptopeError(ValueError):
 
 def check_symmetric(m, name="matrix") -> np.ndarray:
     """Return a symmetrized copy, rejecting an empty matrix and asymmetry
-    beyond SYM_TOL."""
+    beyond SYM_TOL; halving first keeps every finite input finite."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ElliptopeError(f"{name} must be square, got shape {a.shape}")
@@ -64,9 +64,10 @@ def check_symmetric(m, name="matrix") -> np.ndarray:
         raise ElliptopeError(f"{name} is empty")
     if not np.all(np.isfinite(a)):
         raise ElliptopeError(f"{name} has non-finite entries")
-    if np.max(np.abs(a - a.T)) > SYM_TOL:
+    h = 0.5 * a
+    if np.max(np.abs(h - h.T)) > 0.5 * SYM_TOL:
         raise ElliptopeError(f"{name} is not symmetric within {SYM_TOL}")
-    return 0.5 * (a + a.T)
+    return h + h.T
 
 
 def is_in_elliptope(m) -> bool:
@@ -121,12 +122,6 @@ def random_gram(n, rank, rng) -> np.ndarray:
     """Unit rows drawn from the sphere in rank dimensions."""
     v = rng.standard_normal((n, rank))
     return v / np.linalg.norm(v, axis=1)[:, None]
-
-
-def matrix_rank_psd(m) -> int:
-    """Eigenvalue count above RANK_TOL. Fixed points have spectra in {0, gamma}
-    with gamma >= 1, so any threshold well below 1 gives the exact rank."""
-    return int(np.sum(np.linalg.eigvalsh(check_symmetric(m)) > RANK_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -510,59 +505,63 @@ class DiagonalCertificate:
     d: np.ndarray
     residual: float
     is_fixed: bool
-    tol: float
 
 
-def fixed_point_certificate(m, tol=CERT_TOL) -> DiagonalCertificate:
+def fixed_point_certificate(m) -> DiagonalCertificate:
     """Algebraic fixed-point test: X^2 = DX with D_ii the row sum of squares.
 
     The diagonal is forced: if X^2 = DX holds for any diagonal D then its
     entries must be the row sums of squares, so checking this single D
-    decides the matter. The verdict allows tol * n of Frobenius defect.
+    decides the matter. The verdict allows CERT_TOL * n of Frobenius defect.
     """
-    a = check_symmetric(m)
-    d = np.sum(a * a, axis=1)
-    residual = float(np.linalg.norm(a @ a - d[:, None] * a))
-    return DiagonalCertificate(d, residual, residual <= tol * a.shape[0], tol)
+    return _certificate(check_symmetric(m), CERT_TOL)
 
 
-def irreducible_components(m) -> list:
+def _certificate(a, tol) -> DiagonalCertificate:
+    """``fixed_point_certificate`` allowing tol * n of defect, on a matrix
+    that the package checked or built, as the cores below take theirs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.sum(a * a, axis=1)
+        residual = float(np.linalg.norm(a @ a - d[:, None] * a))
+    if not math.isfinite(residual):  # also catches an infinite d
+        raise ElliptopeError("matrix entries overflow the certificate")
+    return DiagonalCertificate(d, residual, residual <= tol * a.shape[0])
+
+
+def _rank(a) -> int:
+    """Eigenvalue count above RANK_TOL. Fixed points have spectra in {0, gamma}
+    with gamma >= 1, so any threshold well below 1 gives the exact rank."""
+    return int(np.sum(np.linalg.eigvalsh(a) > RANK_TOL))
+
+
+def _components(a) -> list:
     """Connected components of the nonzero-pattern graph, diagonal ignored.
 
     Each component indexes an irreducible principal block; a fixed point
     restricted to any of its blocks is again a fixed point of the smaller
     body.
     """
-    a = check_symmetric(m)
-    n = a.shape[0]
-    adj = np.abs(a) > ZERO_TOL
-    np.fill_diagonal(adj, False)
-    seen = np.zeros(n, dtype=bool)
+    adj = np.abs(a) > ZERO_TOL  # a diagonal entry joins no two indices
+    seen = np.zeros(a.shape[0], dtype=bool)
     comps = []
-    for s in range(n):
+    for s in range(a.shape[0]):
         if seen[s]:
             continue
-        stack = [s]
         seen[s] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.nonzero(adj[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
+        comp, frontier = [s], [s]
+        while frontier:  # breadth first: each index joins one frontier
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & ~seen).tolist()
+            seen[frontier] = True
+            comp += frontier
         comps.append(sorted(comp))
     return comps
 
 
-def is_vertex(m) -> bool:
+def _is_vertex(a) -> bool:
     """Rank-one sign matrix test: every entry within SIGN_TOL of +-1 and
     no second eigenvalue above RANK_TOL."""
-    a = check_symmetric(m)
-    if float(np.max(np.abs(np.abs(a) - 1.0))) > SIGN_TOL:
-        return False
-    return a.shape[0] == 1 or bool(np.linalg.eigvalsh(a)[-2] <= RANK_TOL)
+    return bool(np.max(np.abs(np.abs(a) - 1.0)) <= SIGN_TOL and (
+        a.shape[0] == 1 or np.linalg.eigvalsh(a)[-2] <= RANK_TOL))
 
 
 def vertex_signs(m) -> np.ndarray:
@@ -587,12 +586,11 @@ def escape_pair(x):
     raise ElliptopeError("no escape pair exists: the matrix is a vertex")
 
 
-def _escape_factor(v, x, alpha):
+def _escape_factor(v, x, i, j, alpha):
     """v, a unit-row factor of x, with row i moved toward +-row j and
     renormalized, (i, j) = ``escape_pair(x)``: toward -row j when x_ij <
     -ZERO_TOL, so that roundoff in a zero entry, whose two directions gain
     alike, does not pick the direction."""
-    i, j = escape_pair(x)
     sign = -1.0 if x[i, j] < -ZERO_TOL else 1.0
     w = (1.0 - alpha) * v[i] + alpha * sign * v[j]
     z = float(np.linalg.norm(w))
@@ -615,7 +613,8 @@ def escape_curve(x, alpha) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     a = check_symmetric(x)
-    return gram_to_matrix(_escape_factor(_gram_factor(a), a, alpha))
+    return gram_to_matrix(_escape_factor(_gram_factor(a), a, *escape_pair(a),
+                                         alpha))
 
 
 def enumerate_vertices(n) -> list:
@@ -749,9 +748,9 @@ def analyze_fixed_point(m, tol=CERT_TOL) -> FixedPointReport:
     is labeled not_attractive.
     """
     a = check_symmetric(m)
-    cert = fixed_point_certificate(a, tol)
-    comps = irreducible_components(a)
-    rank = matrix_rank_psd(a)
+    cert = _certificate(a, tol)
+    comps = _components(a)
+    rank = _rank(a)
     gammas = []
     for comp in comps:
         k, block_d = len(comp), cert.d[comp]
@@ -765,12 +764,12 @@ def analyze_fixed_point(m, tol=CERT_TOL) -> FixedPointReport:
         elif k == 1:
             block_rank = int(a[comp[0], comp[0]] > RANK_TOL)
         else:
-            block_rank = matrix_rank_psd(a[np.ix_(comp, comp)])
+            block_rank = _rank(a[np.ix_(comp, comp)])
         gammas.append(gamma if abs(gamma * block_rank - k) <= GAMMA_RANK_TOL * k
                       else None)
     if not cert.is_fixed:
         label = "not_fixed"
-    elif is_vertex(a):
+    elif _is_vertex(a):
         label = "attractive"
     else:
         label = "not_attractive"
@@ -792,6 +791,8 @@ def read_matrix_text(path) -> np.ndarray:
         n = int(lines[0])
     except ValueError:
         raise ElliptopeError(f"{path}: first line must be the dimension")
+    if n < 1:
+        raise ElliptopeError(f"{path}: dimension must be at least 1")
     if len(lines) != n + 1:
         raise ElliptopeError(f"{path}: expected {n} rows, found {len(lines) - 1}")
     rows = []

@@ -24,17 +24,19 @@ import numpy as np
 
 from .domains import read_lines
 from .elliptope import (
+    CERT_TOL,
     GRAD_TOL,
     OracleConfig,
     OracleResult,
+    _certificate,
     _escape_factor,
+    _is_vertex,
     _polish,
     _row_norms,
     _tie_tol,
     elliptope_oracle,
-    fixed_point_certificate,
+    escape_pair,
     gram_to_matrix,
-    is_vertex,
     vertex_signs,
 )
 
@@ -374,13 +376,12 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
     iterations = 0
     status = "max_rounds"
     for _ in range(MAX_ROUNDS):
-        if is_vertex(x):
+        if _is_vertex(x):
             status = "vertex"
             break
-        cert = fixed_point_certificate(x)
-        if cert.is_fixed:
+        if _certificate(x, CERT_TOL).is_fixed:
             if escapes < ESCAPE_RETRIES:
-                v = _escape_factor(v, x, ESCAPE_ALPHA)
+                v = _escape_factor(v, x, *escape_pair(x), ESCAPE_ALPHA)
                 x = gram_to_matrix(v)
                 escapes += 1
                 norms.append(float(np.vdot(x, x)))

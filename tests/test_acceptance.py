@@ -27,16 +27,13 @@ from iterlinopt import (
     escape_curve,
     fixed_point_certificate,
     gram_to_matrix,
-    irreducible_components,
-    is_vertex,
     iterate,
     l3_census,
     l4_family,
-    matrix_rank_psd,
     maxcut_pipeline,
     solve_relaxation,
 )
-from iterlinopt.elliptope import SIGN_TOL
+from iterlinopt.elliptope import SIGN_TOL, _components, _is_vertex, _rank
 
 SEED = 20250809
 
@@ -220,7 +217,7 @@ def suite_l3_census(seed):
     for p in pts:
         cert = fixed_point_certificate(p.matrix)
         assert cert.residual <= 1e-12
-        assert matrix_rank_psd(p.matrix) == p.rank
+        assert _rank(p.matrix) == p.rank
         lines.append(f"{p.family} rank {p.rank} residual {cert.residual:.17g}")
     vertices = [p.matrix for p in pts if p.family == "vertex"]
     for p in pts:
@@ -245,7 +242,7 @@ def suite_l4_family(seed):
         assert resid <= 1e-10
         evals = np.sort(np.linalg.eigvalsh(x))[::-1]
         assert evals[2] <= 1e-9
-        assert matrix_rank_psd(x) == 2
+        assert _rank(x) == 2
         mats.append(x)
         lines.append(f"c {c:.17g} residual {resid:.17g}")
     for a, b in itertools.combinations(range(len(cs)), 2):
@@ -284,7 +281,7 @@ def suite_vertex_attractiveness(seed):
         # m shares the vertex's sign pattern, so one step of the map
         # returns the vertex
         dom = ElliptopeDomain(n)
-        assert is_vertex(x) and dom.contains(m)
+        assert _is_vertex(x) and dom.contains(m)
         ok = np.max(np.abs(dom.maximize(m) - x)) <= SIGN_TOL
         assert ok, f"trial {t}: one-step convergence to the vertex failed"
         lines.append(f"trial {t} n {n} dist {np.linalg.norm(m - x):.17g}")
@@ -401,11 +398,11 @@ def suite_normal_cone(seed):
         m = np.diag(cert.d) - x
         assert float(np.linalg.norm(m @ x)) <= 1e-8
         assert float(np.linalg.eigvalsh(m)[0]) >= -1e-8
-        comps = irreducible_components(x)
+        comps = _components(x)
         if len(comps) == 1:
             gamma = analyze_fixed_point(x).gammas[0]
             assert gamma is not None
-            assert abs(gamma * matrix_rank_psd(x) - x.shape[0]) <= 1e-6 * x.shape[0]
+            assert abs(gamma * _rank(x) - x.shape[0]) <= 1e-6 * x.shape[0]
             lines.append(f"point {k} irreducible gamma {gamma:.17g}")
         else:
             lines.append(f"point {k} reducible blocks {len(comps)}")

@@ -9,6 +9,7 @@ from iterlinopt import (
     ConeDomain,
     ElliptopeDomain,
     EllipsoidDomain,
+    ElliptopeError,
     EscapeWitness,
     ExactClassification,
     classify_elliptope_fixed_point,
@@ -262,7 +263,7 @@ class TestElliptopeClassification:
         rng = np.random.default_rng(2)
         v = rng.standard_normal((4, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ElliptopeError, match=r"^not a fixed point \(residual "):
             classify_elliptope_fixed_point(gram_to_matrix(v))
 
     def test_census_vertices_attractive_empirically(self):

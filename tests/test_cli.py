@@ -282,6 +282,35 @@ class TestClassify:
         write_matrix_text(v @ v.T, path)
         assert main(["classify", "--matrix", str(path)]) == 2
 
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_one_certificate_product_per_command(self, tmp_path, capsys,
+                                                 monkeypatch, fixed):
+        # the command leaves the certificate to the exact dichotomy, whose
+        # ElliptopeError becomes exit 2 with the file name in front
+        from iterlinopt import classify
+        calls = []
+        certificate = classify._certificate
+
+        def counting_certificate(a, tol):
+            calls.append(tol)
+            return certificate(a, tol)
+
+        monkeypatch.setattr(classify, "_certificate", counting_certificate)
+        rng = np.random.default_rng(3)
+        x = (sign_kernel_fixed_point((1.0, 1.0, 1.0)) if fixed
+             else iterlinopt.gram_to_matrix(random_gram(4, 2, rng)))
+        path = tmp_path / "x.txt"
+        write_matrix_text(x, path)
+        code = main(["classify", "--matrix", str(path), "--samples", "0"])
+        captured = capsys.readouterr()
+        assert len(calls) == 1
+        if fixed:
+            assert code == 0
+        else:
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith(
+                f"error: {path}: not a fixed point (residual ")
+
     def test_matrix_the_map_moves_exits_2_before_printing(self, tmp_path,
                                                          capsys):
         # passes the certificate (defect 1.6e-9, bound 3e-8), but the map
@@ -632,6 +661,9 @@ FACE_POINT = "3\n1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n"  # an L3 face point
                  id="verify-tol-nan"),
     pytest.param(["verify", "--matrix", "FILE", "--tol", "inf"],
                  "2\n1 0.5\n0.5 1\n", 2, id="verify-tol-inf"),
+    pytest.param(["verify", "--matrix", "FILE"], "0\n", 1, id="verify-dimension-0"),
+    pytest.param(["verify", "--matrix", "FILE"], "-1\n", 1,
+                 id="verify-dimension-negative"),
     # membership has one diagonal slack, so verify has no --diag-tol flag:
     # a value for it is refused as an unrecognized argument
     pytest.param(["verify", "--matrix", "FILE", "--diag-tol", "-1"], FACE_POINT,

@@ -16,18 +16,16 @@ from iterlinopt import (
     fixed_point_certificate,
     gram_factor,
     gram_to_matrix,
-    irreducible_components,
     is_in_elliptope,
-    is_vertex,
     iterate,
     l3_census,
     l4_family,
-    matrix_rank_psd,
     read_matrix_text,
     sign_kernel_fixed_point,
     write_matrix_text,
 )
-from iterlinopt import elliptope
+from iterlinopt import classify_elliptope_fixed_point, elliptope
+from iterlinopt.elliptope import _components, _is_vertex, _rank
 
 J3 = np.ones((3, 3))
 PUFF = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
@@ -80,8 +78,9 @@ class TestGram:
             assert np.max(np.abs(gram_to_matrix(v) - x)) < 1e-12
 
 
-@pytest.mark.parametrize("check", [is_vertex, analyze_fixed_point,
-                                   gram_factor, fixed_point_certificate])
+@pytest.mark.parametrize("check", [classify_elliptope_fixed_point,
+                                   analyze_fixed_point, gram_factor,
+                                   fixed_point_certificate])
 def test_an_empty_matrix_is_rejected(check):
     with pytest.raises(ElliptopeError, match="matrix is empty"):
         check(np.zeros((0, 0)))
@@ -268,7 +267,7 @@ class TestOracle:
         c = 0.5 * (c + c.T)
         res = elliptope_oracle(c, OracleConfig(max_sweeps=3))
         assert res.status == "max_sweeps"
-        assert is_vertex(res.matrix)
+        assert _is_vertex(res.matrix)
         assert res.objective > res.restart_objectives[res.best_index]
         s = res.gram[:, 0]
         assert res.objective == float(s @ c @ s)
@@ -400,16 +399,38 @@ class TestCertificate:
         cert = fixed_point_certificate(gram_to_matrix(v))
         assert not cert.is_fixed
 
+    @pytest.mark.parametrize("x", [
+        np.full((3, 3), 1.5e308), -np.full((3, 3), 1.7e308),
+        np.array([[0.0, 1.7e308], [1.7e308, 0.0]])])
+    def test_symmetrizing_large_entries_keeps_them_finite(self, x):
+        # halving before the sum: no overflow to inf and no RuntimeWarning
+        assert np.array_equal(elliptope.check_symmetric(x), x)
+
+    def test_asymmetry_of_large_entries_is_rejected_without_overflow(self):
+        with pytest.raises(ElliptopeError, match="not symmetric"):
+            elliptope.check_symmetric(np.array([[0.0, 1.7e308],
+                                                [-1.7e308, 0.0]]))
+
+    @pytest.mark.parametrize("check", [fixed_point_certificate,
+                                       analyze_fixed_point,
+                                       classify_elliptope_fixed_point])
+    @pytest.mark.parametrize("value", [1.5e308, 1e200, 1e160])
+    def test_an_overflowing_certificate_is_rejected(self, check, value):
+        # a row sum of squares or X^2 - DX overflows: no inf d, nan residual
+        # or RuntimeWarning
+        with pytest.raises(ElliptopeError, match="overflow the certificate"):
+            check(np.full((3, 3), value))
+
 
 class TestStructure:
     def test_components_identity(self):
-        assert irreducible_components(np.eye(4)) == [[0], [1], [2], [3]]
+        assert _components(np.eye(4)) == [[0], [1], [2], [3]]
 
     def test_components_block(self):
-        assert irreducible_components(GREEN) == [[0, 1], [2]]
+        assert _components(GREEN) == [[0, 1], [2]]
 
     def test_components_full(self):
-        assert irreducible_components(J3) == [[0, 1, 2]]
+        assert _components(J3) == [[0, 1, 2]]
 
     def test_gamma_vertex(self):
         assert analyze_fixed_point(J3).gammas == pytest.approx([3.0], abs=1e-12)
@@ -434,18 +455,18 @@ class TestStructure:
         assert analyze_fixed_point(x, tol=1e-6).gammas == pytest.approx([1.0 - 1e-7])
 
     def test_rank(self):
-        assert matrix_rank_psd(J3) == 1
-        assert matrix_rank_psd(PUFF) == 2
-        assert matrix_rank_psd(np.eye(5)) == 5
+        assert _rank(J3) == 1
+        assert _rank(PUFF) == 2
+        assert _rank(np.eye(5)) == 5
 
 
 class TestVertices:
     def test_is_vertex(self):
-        assert is_vertex(J3)
-        assert not is_vertex(PUFF)
+        assert _is_vertex(J3)
+        assert not _is_vertex(PUFF)
         s = np.array([1.0, -1.0, 1.0, 1.0])
-        assert is_vertex(np.outer(s, s))
-        assert not is_vertex(np.eye(3))
+        assert _is_vertex(np.outer(s, s))
+        assert not _is_vertex(np.eye(3))
 
     @pytest.mark.parametrize("gap", [1e-10, 1e-7])
     def test_a_sign_is_read_as_escape_pair_reads_it(self, gap):
@@ -456,9 +477,9 @@ class TestVertices:
         try:
             elliptope.escape_pair(x)
         except ElliptopeError:
-            assert is_vertex(x)
+            assert _is_vertex(x)
         else:
-            assert not is_vertex(x)
+            assert not _is_vertex(x)
 
     def test_enumeration_counts(self):
         assert len(enumerate_vertices(2)) == 2
@@ -472,7 +493,7 @@ class TestVertices:
     def test_all_enumerated_are_vertices_and_distinct(self):
         vs = enumerate_vertices(4)
         for v in vs:
-            assert is_vertex(v)
+            assert _is_vertex(v)
         for a, b in itertools.combinations(vs, 2):
             assert np.max(np.abs(a - b)) > 1.0
 
@@ -530,8 +551,8 @@ class TestCensus:
 
     def test_ranks_and_reducibility(self):
         for p in l3_census():
-            assert matrix_rank_psd(p.matrix) == p.rank
-            comps = irreducible_components(p.matrix)
+            assert _rank(p.matrix) == p.rank
+            comps = _components(p.matrix)
             assert (len(comps) == 1) == p.irreducible
 
     def test_certificates(self):
@@ -627,6 +648,14 @@ class TestReportsAndIO:
         path = tmp_path / "x.txt"
         path.write_bytes(b"\xff\xfe1\n1\n")
         with pytest.raises(ElliptopeError, match="x.txt: not UTF-8 text"):
+            read_matrix_text(path)
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_rejects_a_dimension_below_one(self, tmp_path, n):
+        path = tmp_path / "dim.txt"
+        path.write_text(n + "\n")
+        with pytest.raises(ElliptopeError,
+                           match="dim.txt: dimension must be at least 1"):
             read_matrix_text(path)
 
     def test_rejects_ragged_file(self, tmp_path):
@@ -726,3 +755,40 @@ class TestDomainAdapter:
         assert default_rank_budget(2) == 2
         assert default_rank_budget(10) == 6
         assert default_rank_budget(50) == 11
+
+
+def test_each_matrix_from_outside_is_checked_once(monkeypatch):
+    """check_symmetric is the door of the fixed-point analysis: the
+    verdicts check their argument once and then run on unchecked cores,
+    and the rounding chain, which builds every matrix it holds, checks
+    none. The exact dichotomy finds its escape pair once."""
+    from iterlinopt import classify
+    from iterlinopt.maxcut import WeightedGraph, round_by_iteration, solve_relaxation
+    calls = []
+    check = elliptope.check_symmetric
+
+    def counting_check(m, name="matrix"):
+        calls.append(name)
+        return check(m, name)
+
+    pairs = []
+    pair = elliptope.escape_pair
+
+    def counting_pair(x):
+        pairs.append(1)
+        return pair(x)
+
+    for module in (elliptope, classify):
+        monkeypatch.setattr(module, "check_symmetric", counting_check)
+        monkeypatch.setattr(module, "escape_pair", counting_pair)
+    analyze_fixed_point(l4_family(0.3))
+    assert len(calls) == 1
+    calls.clear()
+    face = next(p.matrix for p in l3_census() if p.family == "face")
+    assert classify_elliptope_fixed_point(face).label == "not_attractive"
+    assert len(calls) == 1 and len(pairs) == 1
+    k5 = WeightedGraph(5, [(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)])
+    gram = solve_relaxation(k5).gram
+    calls.clear()
+    round_by_iteration(gram, graph=k5)
+    assert calls == []

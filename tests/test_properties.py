@@ -21,8 +21,6 @@ from iterlinopt import (
     gram_factor,
     gram_to_matrix,
     gw_hyperplane_round,
-    irreducible_components,
-    is_vertex,
     l3_census,
     l4_family,
     round_by_iteration,
@@ -37,6 +35,8 @@ from iterlinopt.elliptope import (
     _ascend,
     _certify,
     _color_classes,
+    _components,
+    _is_vertex,
     _row_norms,
     _top_signs,
     default_rank_budget,
@@ -146,7 +146,7 @@ def test_diagonal_bound_on_verified_fixed_points():
 
 def test_blocks_of_fixed_points_are_fixed_points():
     for x in _verified_fixed_points():
-        for comp in irreducible_components(x):
+        for comp in _components(x):
             block = x[np.ix_(comp, comp)]
             assert fixed_point_certificate(block).is_fixed
 
@@ -372,7 +372,7 @@ def test_capped_run_is_polished_to_a_vertex_outside_the_cone():
     c = rng.standard_normal((6, 6))
     c = 0.5 * (c + c.T)
     res = elliptope_oracle(c, OracleConfig(max_sweeps=3))
-    assert res.status == "max_sweeps" and is_vertex(res.matrix)
+    assert res.status == "max_sweeps" and _is_vertex(res.matrix)
     assert not normal_cone_membership(res.matrix, c)
 
 
@@ -451,7 +451,7 @@ def test_non_tight_relaxations_are_never_certified(n):
     for seed in range(4):
         res = elliptope_oracle(c, OracleConfig(seed=seed))
         assert res.status != "certified_vertex"
-        assert not is_vertex(res.matrix)
+        assert not _is_vertex(res.matrix)
         assert res.objective > best_vertex + 1e-6
 
 
