@@ -86,8 +86,8 @@ class BallDomain(ConvexDomain):
     def __init__(self, center, radius):
         self.center = _point(center)
         self.radius = float(radius)
-        if not self.radius > 0.0:
-            raise DomainError("radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise DomainError("radius must be positive and finite")
         self.dim = self.center.size
 
     def maximize(self, x):
@@ -120,9 +120,10 @@ class EllipsoidDomain(ConvexDomain):
             raise DomainError("shape matrix must be square")
         if not np.all(np.isfinite(a)):
             raise DomainError("shape matrix has non-finite entries")
-        if np.max(np.abs(a - a.T)) > SYM_TOL:
+        h = 0.5 * a  # halved first, so that finite entries stay finite
+        if np.max(np.abs(h - h.T)) > 0.5 * SYM_TOL:
             raise DomainError("shape matrix must be symmetric")
-        self.shape_matrix = 0.5 * (a + a.T)
+        self.shape_matrix = h + h.T
         w, q = np.linalg.eigh(self.shape_matrix)
         if w[0] <= PD_TOL * max(1.0, w[-1]):
             raise DomainError("shape matrix must be positive definite")
@@ -234,8 +235,8 @@ class ConeDomain(ConvexDomain):
             raise DomainError("cone domain is three-dimensional")
         self.base_center = _point(base_center, 3)
         self.base_radius = float(base_radius)
-        if not self.base_radius > 0.0:
-            raise DomainError("base radius must be positive")
+        if not 0.0 < self.base_radius < np.inf:
+            raise DomainError("base radius must be positive and finite")
         axis = self.apex - self.base_center
         h = float(np.linalg.norm(axis))
         if h == 0.0:

@@ -41,11 +41,20 @@ from .elliptope import (
 )
 
 BRUTE_FORCE_CAP = 22
-# Table entries brute force scores per product: 2^15 float64, 256 KiB. A
-# block is 2^15 / 2^(n // 2) rows, so 32 at n = 20, 16 at n = 22 and the
-# whole table (at most 2^(n - 1) entries) in one block for n <= 16. Blocks
-# of 16-64 rows timed alike at n = 20; at 128 rows the call was ~4% slower.
-BRUTE_FORCE_BLOCK = 1 << 15
+# Bytes of table brute force scores per product, 256 KiB: 2^16 float32 or
+# 2^15 float64 entries, so 64 float32 rows at n = 20, 32 at n = 22, and the
+# whole table (at most 2^(n - 1) entries) in one block for n <= 17 in
+# float32 and n <= 16 in float64. With float32 tables at n = 18/20/22, 2^16
+# entries took 0.090/0.232/0.705 ms a call, 2^15 0.093/0.242/0.772 ms and
+# 2^17 0.28/0.51/1.27 ms.
+BRUTE_FORCE_BLOCK = 1 << 18
+# Every integer of size below 2^24 is a float32. With integer weights,
+# every entry of brute force's left and right factors, every product and
+# every partial sum of a table entry is an integer no larger than the sum
+# of |w| over the edges, S / 2 for S the sum over ordered pairs. So when
+# S < FLOAT32_EXACT, sgemm gives the float64 table exactly in any summation
+# order, and the same argmin picks the same first optimum.
+FLOAT32_EXACT = 1 << 24
 GRAPH_CAP = 2048  # one dense float64 n x n array at this size is 32 MB
 HYPERPLANES = 64  # hyperplanes of the fallback rounding and the GW baseline
 MAX_ROUNDS = 500  # map applications and escapes before rounding falls back
@@ -187,10 +196,14 @@ def cut_value(g: WeightedGraph, signs) -> float:
 
 def _signs(bits, count):
     """The 2^bits sign vectors of a counter, row i flipping entry k when bit
-    k of i is set, each padded on the left by ``count - bits`` entries +1."""
+    k of i is set, each padded on the left by ``count - bits`` entries +1.
+    Built by doubling: rows [2^k, 2^(k + 1)) are rows [0, 2^k) with
+    counter entry k flipped."""
     s = np.ones((1 << bits, count))
-    s[:, count - bits:] = 1.0 - 2.0 * ((np.arange(1 << bits)[:, None]
-                                        >> np.arange(bits)) & 1)
+    for k in range(bits):
+        half = 1 << k
+        s[half:2 * half] = s[:half]
+        s[half:2 * half, count - bits + k] = -1.0
     return s
 
 
@@ -200,12 +213,21 @@ def _quad_rows(s, w_upper):
     return np.sum((s @ w_upper) * s, axis=1)
 
 
+def _table_dtype(g: WeightedGraph):
+    """float32 for integer weights with S < FLOAT32_EXACT, where the
+    brute-force table is exact in it, and float64 otherwise."""
+    w = g._w
+    if np.array_equal(w, np.trunc(w)) and 2.0 * np.abs(w).sum() < FLOAT32_EXACT:
+        return np.float32
+    return np.float64
+
+
 def brute_force_maxcut(g: WeightedGraph):
     """Exhaustive optimum over all sign vectors with s_0 = +1 (desk-scale
-    oracle), scored in blocks of at most BRUTE_FORCE_BLOCK table entries,
-    so that a call holds about 1 MiB at the cap, n = 22. Ties go to the
-    earliest vector in enumeration order, bit k of the counter flipping
-    vertex k+1."""
+    oracle), scored in one reused block of BRUTE_FORCE_BLOCK bytes, in
+    float32 where that is exact (FLOAT32_EXACT), so that a call holds under
+    1 MiB at the cap, n = 22. Ties go to the earliest vector in enumeration
+    order, bit k of the counter flipping vertex k+1."""
     if g.n > BRUTE_FORCE_CAP:
         raise ValueError(f"brute force is capped at n = {BRUTE_FORCE_CAP}")
     if g.n == 0:
@@ -221,18 +243,26 @@ def brute_force_maxcut(g: WeightedGraph):
     # the first of tied optima still wins.
     low = g.n // 2
     a = low + 1
+    nb = g.n - a
+    dtype = _table_dtype(g)
     w_upper = np.triu(g.weight_matrix())
     s_a = _signs(low, a)
-    s_b = _signs(g.n - a, g.n - a)
-    left = np.column_stack((s_b, _quad_rows(s_b, w_upper[a:, a:]),
-                            np.ones(len(s_b))))
-    right = np.vstack((w_upper[:a, a:].T @ s_a.T, np.ones(len(s_a)),
-                       _quad_rows(s_a, w_upper[:a, :a])))
-    rows = BRUTE_FORCE_BLOCK >> low
+    s_b = _signs(nb, nb)
+    left = np.empty((len(s_b), nb + 2), dtype)
+    left[:, :nb] = s_b
+    left[:, nb] = _quad_rows(s_b, w_upper[a:, a:])
+    left[:, nb + 1] = 1.0
+    right = np.empty((nb + 2, len(s_a)), dtype)
+    np.matmul(w_upper[:a, a:].T, s_a.T, out=right[:-2])
+    right[-2] = 1.0
+    right[-1] = _quad_rows(s_a, w_upper[:a, :a])
+    # rows and len(left) are powers of two, so every block is full
+    rows = min((BRUTE_FORCE_BLOCK // left.itemsize) >> low, len(left))
+    block = np.empty((rows, len(s_a)), dtype)
     best, best_k = np.inf, 0
     for k in range(0, len(left), rows):
-        block = left[k:k + rows] @ right
-        m = int(np.argmin(block))
+        np.matmul(left[k:k + rows], right, out=block)
+        m = int(block.argmin())
         if block.flat[m] < best:
             best, best_k = block.flat[m], (k << low) + m
     j, i = divmod(best_k, 1 << low)

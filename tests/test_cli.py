@@ -475,6 +475,17 @@ class TestMaxcut:
         assert "cut_value: 16" in out
         assert "brute_force_cut: 16" in out
 
+    @pytest.mark.parametrize("weight, optimum", [("1", "36"), ("0.5", "18")])
+    def test_torus_brute_force(self, tmp_path, capsys, weight, optimum):
+        # a 4 x 5 torus: n = 20 spans several blocks, in float32 for unit
+        # weights and float64 for 0.5; each 5-cycle leaves one edge uncut
+        p = tmp_path / "torus.txt"
+        p.write_text("".join(f"{u} {v} {weight}\n" for i in range(4)
+                             for j in range(5) for u in (5 * i + j,)
+                             for v in (5 * ((i + 1) % 4) + j, 5 * i + (j + 1) % 5)))
+        assert main(["maxcut", "--graph", str(p), "--brute-force"]) == 0
+        assert f"brute_force_cut: {optimum}\n" in capsys.readouterr().out
+
     def test_brute_force_cap_exits_2(self, tmp_path, capsys):
         p = tmp_path / "big.txt"
         p.write_text("\n".join(f"{k} {k + 1} 1.0" for k in range(29)) + "\n")
@@ -685,6 +696,11 @@ FACE_POINT = "3\n1 -0.5 -0.5\n-0.5 1 -0.5\n-0.5 -0.5 1\n"  # an L3 face point
                   "--point", "FILE"], FACE_POINT, 1, id="classify-matrix-and-domain"),
     pytest.param(["iterate", "--domain", "FILE", "--n", "4", "--start", "0,1.9"],
                  "kind=ball\ncenter=1,0\nradius=2\n", 1, id="iterate-file-and-n"),
+    pytest.param(["iterate", "--domain", "FILE", "--start", "0,1"],
+                 "kind=ball\ncenter=1,0\nradius=inf\n", 1, id="domain-ball-radius-inf"),
+    pytest.param(["iterate", "--domain", "FILE", "--start", "0,0,1"],
+                 "kind=cone\napex=0,0,2\nbase_center=0,0,0\nbase_radius=inf\n", 1,
+                 id="domain-cone-radius-inf"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, content, code):
     f = tmp_path / "input.txt"

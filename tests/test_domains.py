@@ -30,6 +30,11 @@ class TestBallOracle:
         dom = BallDomain([1.0, 0.0], 2.0)
         assert np.array_equal(dom.maximize([0.0, 0.0]), [1.0, 0.0])
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(DomainError, match="radius must be positive and finite"):
+            BallDomain([1.0, 0.0], radius)
+
     def test_dimension_mismatch(self):
         dom = BallDomain([1.0, 0.0], 2.0)
         with pytest.raises(DomainError):
@@ -108,6 +113,18 @@ class TestEllipsoidOracle:
         dom = EllipsoidDomain(np.diag([4.0, 1.0]))
         y = dom.maximize([0.0, 0.0])
         assert np.allclose(y, [2.0, 0.0], atol=0)
+
+    def test_large_finite_shape_stays_finite(self):
+        # halving before the sum keeps 1.5e308 + 1.5e308 from overflowing
+        dom = EllipsoidDomain([[1.5e308, 0.0], [0.0, 1.5e308]])
+        assert np.array_equal(dom.shape_matrix, np.diag([1.5e308, 1.5e308]))
+        assert np.array_equal(dom._eigvals, [1.5e308, 1.5e308])
+
+    def test_large_asymmetry_rejected_without_overflow(self):
+        # halving before the difference keeps 1e308 - (-1e308) finite; a
+        # RuntimeWarning would fail the test
+        with pytest.raises(DomainError, match="must be symmetric"):
+            EllipsoidDomain([[1e308, -1e308], [1e308, 1e308]])
 
     def test_not_positive_definite_rejected(self):
         with pytest.raises(DomainError):
@@ -199,6 +216,12 @@ class TestConeOracle:
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             ConeDomain([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+    def test_base_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(DomainError,
+                           match="base radius must be positive and finite"):
+            ConeDomain([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], radius)
 
     def test_optimality_random(self):
         rng = np.random.default_rng(7)

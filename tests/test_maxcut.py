@@ -151,15 +151,22 @@ class TestCutArithmetic:
             cut_value(K3, [1, -1])
 
 
-def signed_torus(rows, cols, rng):
+def torus(rows, cols, weights):
+    """The rows x cols toroidal grid (rows, cols >= 3), its edges in sorted
+    order weighted by ``weights``."""
     edges = set()
     for i in range(rows):
         for j in range(cols):
             u = i * cols + j
             for v in (((i + 1) % rows) * cols + j, i * cols + (j + 1) % cols):
                 edges.add((min(u, v), max(u, v)))
-    return WeightedGraph(rows * cols, [(u, v, float(rng.choice((-1.0, 1.0))))
-                                       for u, v in sorted(edges)])
+    return WeightedGraph(rows * cols, [(u, v, float(w)) for (u, v), w
+                                       in zip(sorted(edges), weights)])
+
+
+def signed_torus(rows, cols, rng):
+    return torus(rows, cols, (rng.choice((-1.0, 1.0))
+                              for _ in range(2 * rows * cols)))
 
 
 def enumerated_maxcut(g):
@@ -173,6 +180,54 @@ def enumerated_maxcut(g):
         if val > best_val:
             best_val, best_signs = val, s
     return np.array(best_signs), float(best_val)
+
+
+def counter_signs(bits, count):
+    """Reference: row i of the counter flips entry count - bits + k when
+    bit k of i is set."""
+    s = np.ones((1 << bits, count))
+    s[:, count - bits:] = 1.0 - 2.0 * ((np.arange(1 << bits)[:, None]
+                                        >> np.arange(bits)) & 1)
+    return s
+
+
+def _chunked_reference(g, block=1 << 15):
+    """Reference: brute_force_maxcut's float64 table, built with
+    column_stack and vstack and scored in a fresh array of ``block``
+    entries per product."""
+    low = g.n // 2
+    a = low + 1
+    w_upper = np.triu(g.weight_matrix())
+    s_a, s_b = counter_signs(low, a), counter_signs(g.n - a, g.n - a)
+    left = np.column_stack((s_b, np.sum((s_b @ w_upper[a:, a:]) * s_b, axis=1),
+                            np.ones(len(s_b))))
+    right = np.vstack((w_upper[:a, a:].T @ s_a.T, np.ones(len(s_a)),
+                       np.sum((s_a @ w_upper[:a, :a]) * s_a, axis=1)))
+    rows = block >> low
+    best, best_k = np.inf, 0
+    for k in range(0, len(left), rows):
+        table = left[k:k + rows] @ right
+        m = int(np.argmin(table))
+        if table.flat[m] < best:
+            best, best_k = table.flat[m], (k << low) + m
+    j, i = divmod(best_k, 1 << low)
+    signs = np.concatenate((s_a[i], s_b[j])).astype(int)
+    return signs, cut_value(g, signs)
+
+
+def assert_matches_chunked_reference(g):
+    signs, val = brute_force_maxcut(g)
+    ref_signs, ref_val = _chunked_reference(g)
+    assert np.array_equal(signs, ref_signs)
+    assert val.hex() == ref_val.hex()
+
+
+def integer_torus_summing_to(total, rng):
+    """A 4 x 5 torus with integer weights of both signs, sum of |w| total."""
+    w = rng.integers(-(1 << 17), 1 << 17, size=40)
+    w[-1] = total - np.abs(w[:-1]).sum()
+    assert w[-1] > 0 and np.abs(w).sum() == total
+    return torus(4, 5, w)
 
 
 class TestBruteForce:
@@ -238,18 +293,52 @@ class TestBruteForce:
         assert val == best == cut_value(g, signs)
 
     def test_memory_is_bounded_at_the_cap(self):
-        # the whole 2^10 x 2^11 table is 16 MiB; blocks of it about 1 MiB
+        # the whole 2^10 x 2^11 table is 16 MiB in float64 and 8 MiB in
+        # float32; a call peaks at about 0.9 MiB and 0.8 MiB
         rng = np.random.default_rng(3)
-        g = WeightedGraph(22, [(u, v, float(rng.standard_normal()))
-                               for u in range(22) for v in range(u + 1, 22)
-                               if rng.random() < 0.3])
-        tracemalloc.start()
-        try:
-            brute_force_maxcut(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        edges = [(u, v, float(rng.standard_normal()))
+                 for u in range(22) for v in range(u + 1, 22)
+                 if rng.random() < 0.3]
+        for g in (WeightedGraph(22, edges),
+                  WeightedGraph(22, [(u, v, 1.0) for u, v, _ in edges])):
+            tracemalloc.start()
+            try:
+                brute_force_maxcut(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("bits", range(12))
+    def test_signs_follow_the_counter(self, bits):
+        for count in (bits, bits + 2):
+            assert np.array_equal(maxcut._signs(bits, count),
+                                  counter_signs(bits, count))
+
+    @pytest.mark.parametrize("n", range(2, 23))
+    def test_real_weights_match_the_chunked_float64_table(self, n):
+        rng = np.random.default_rng(n)
+        g = WeightedGraph(n, [(u, v, float(rng.standard_normal()))
+                              for u in range(n) for v in range(u + 1, n)
+                              if v == u + 1 or rng.random() < 0.5])
+        assert maxcut._table_dtype(g) is np.float64
+        assert_matches_chunked_reference(g)
+
+    @pytest.mark.parametrize("total, dtype", [
+        pytest.param((1 << 23) - 1, np.float32, id="just-below-float32-bound"),
+        pytest.param(1 << 23, np.float64, id="at-float32-bound"),
+        pytest.param((1 << 23) + 1, np.float64, id="just-above-float32-bound")])
+    def test_integer_weights_near_the_float32_bound(self, total, dtype):
+        # 2 sum|w| < 2^24 keeps every table entry and partial sum an exact
+        # float32 integer; the n = 20 torus spans 8 float32 blocks
+        g = integer_torus_summing_to(total, np.random.default_rng(total))
+        assert maxcut._table_dtype(g) is dtype
+        assert_matches_chunked_reference(g)
+
+    def test_half_integer_torus_keeps_float64(self):
+        g = torus(4, 5, np.random.default_rng(5).choice((-0.5, 0.5, 1.5), 40))
+        assert maxcut._table_dtype(g) is np.float64
+        assert_matches_chunked_reference(g)
 
 
 class TestRelaxation:
