@@ -33,7 +33,6 @@ _EXPORTS = {
         "DomainError",
         "EllipsoidDomain",
         "PolytopeDomain",
-        "curvature_classify_2d",
         "load_domain",
     ),
     "elliptope": (

@@ -11,8 +11,8 @@ outside the feasible body, size caps), 3 a clean "not fixed" from verify.
 
 Each command runs in a fresh interpreter, which compiles every module it
 imports, so this module imports at its top only what census and verify
-use; a command imports the engine, classify and maxcut modules, and json,
-when it runs, and the parser adds the flags of the named command alone.
+use; a command imports the engine, classify and maxcut modules, json and
+csv when it runs, and the parser adds the flags of the named command alone.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ import numpy as np
 
 from . import __version__
 from .domains import (
-    BallDomain,
     DomainError,
-    EllipsoidDomain,
     _parse_vector,
-    curvature_classify_2d,
+    _tangent_label,
     load_domain,
     read_lines,
 )
@@ -106,6 +104,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_csv(path, rows):
+    """Write rows of record values as `_text` shows them, None as ''."""
+    import csv
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            ["" if v is None else _text(v) for v in row] for row in rows)
+
+
 def _parse_start_vector(text):
     if os.path.isfile(text):
         text = "".join(read_lines(text, lambda m: CliError(EXIT_PARSE, m)))
@@ -165,7 +171,12 @@ def cmd_iterate(args) -> int:
     record.update({"norm_sq": traj.norms_sq[-1], "residual": traj.residual,
                    "trace": args.trace})
     if args.trace:
-        traj.export_csv(args.trace)
+        steps = [0.0, *traj.step_norms, traj.residual]
+        _write_csv(args.trace, [
+            ["iter", *(f"x{j}" for j in range(final.size)), "norm_sq",
+             "step_norm", "residual"],
+            *([i, *np.ravel(p).tolist(), traj.norms_sq[i], steps[i], steps[i + 1]]
+              for i, p in enumerate(traj.points))])
     _print_record(record)
     return EXIT_OK
 
@@ -208,14 +219,9 @@ def cmd_census(args) -> int:
         return EXIT_OK
     _print_record({f"census n={n}": "partial (the fixed-point set is infinite "
                    "for n > 3; emitting vertices and sign-kernel points only)"})
-    vertices = enumerate_vertices(n)
-    _print_census_group("vertex", vertices)
-    kernels = sign_kernel_census(n)
-    if n == 2:
-        # for n = 2 the sign-kernel points coincide with the vertices
-        kernels = [k for k in kernels
-                   if not any(np.array_equal(k, v) for v in vertices)]
-    _print_census_group("sign-kernel", kernels)
+    _print_census_group("vertex", enumerate_vertices(n))
+    # at n = 2 both sign-kernel points are vertices: the group is empty
+    _print_census_group("sign-kernel", sign_kernel_census(n) if n > 2 else [])
     return EXIT_OK
 
 
@@ -269,19 +275,17 @@ def cmd_classify(args) -> int:
     else:
         record = {"fixed point": x.tolist(),
                   "fixed-point residual": _fixed_residual(domain, x, args.tol)}
+    if hasattr(domain, "tangent_eigenvalues"):  # a ball or an ellipsoid
+        mu = domain.tangent_eigenvalues(x)
+        record.update({"tangent eigenvalues": mu.tolist() or None,  # 1-d: none
+                       "theorem label": _tangent_label(mu)})
     if args.samples > 0:
         from .classify import _sample_verdict
         sampled = _sample_verdict(domain, x, args.eps, args.samples, args.seed,
                                   args.tol, args.max_iter)
         record.update({"empirical label": sampled.label, "eps": sampled.eps,
-                       "samples": sampled.samples,
-                       "returned": sampled.returned,
-                       "escaped": sampled.escaped,
-                       "undecided": sampled.undecided})
-    if isinstance(domain, (BallDomain, EllipsoidDomain)) and domain.dim == 2:
-        k = domain.boundary_curvature(x)
-        record.update({"curvature": k,
-                       "curvature label": curvature_classify_2d(k, x)})
+                       "samples": sampled.samples, "returned": sampled.returned,
+                       "escaped": sampled.escaped, "undecided": sampled.undecided})
     _print_record(record)
     return EXIT_OK
 
@@ -316,12 +320,7 @@ def cmd_maxcut(args) -> int:
                    for rec, norms in records]
         _write_json(args.json, payload if len(payload) > 1 else payload[0])
     if args.csv:
-        import csv
-        with open(args.csv, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(MAXCUT_RECORD)
-            out.writerows(["" if v is None else _text(v) for v in rec.values()]
-                          for rec, _ in records)
+        _write_csv(args.csv, [MAXCUT_RECORD, *(rec.values() for rec, _ in records)])
     for record, _ in records:
         _print_record(record)
     return EXIT_OK

@@ -11,7 +11,7 @@ import numpy as np
 
 FEAS_TOL = 1e-10  # slack of contains on balls, ellipsoids and cones
 LP_TOL = 1e-9  # max-norm slack of a polytope's contains, from its LP
-CLASS_MARGIN = 1e-8  # curvature this close to 1/|x| classifies nothing
+CLASS_MARGIN = 1e-8  # a tangent eigenvalue this close to 1 classifies nothing
 SYM_TOL = 1e-12  # largest asymmetry of an input matrix
 PD_TOL = 1e-12  # shape matrix: smallest eigenvalue above PD_TOL * largest
 DEDUP_TOL = 1e-12  # polytope vertices this close are duplicates
@@ -31,6 +31,13 @@ def read_lines(path, error):
             yield from fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _nonzero_norm(x, dim) -> float:
+    nx = float(np.linalg.norm(_point(x, dim)))
+    if nx == 0.0:
+        raise DomainError("tangent eigenvalues need a nonzero fixed point")
+    return nx
 
 
 def _point(x, dim=None) -> np.ndarray:
@@ -107,8 +114,10 @@ class BallDomain(ConvexDomain):
         u /= np.linalg.norm(u)
         return self.center + self.radius * rng.random() ** (1.0 / self.dim) * u
 
-    def boundary_curvature(self, x) -> float:
-        return 1.0 / self.radius
+    def tangent_eigenvalues(self, x) -> np.ndarray:
+        """The map's tangent eigenvalues at a fixed point x: r/|x|, dim - 1
+        times."""
+        return np.full(self.dim - 1, self.radius / _nonzero_norm(x, self.dim))
 
 
 class EllipsoidDomain(ConvexDomain):
@@ -129,18 +138,20 @@ class EllipsoidDomain(ConvexDomain):
             raise DomainError("shape matrix must be positive definite")
         self._eigvals = w
         self._eigvecs = q
+        self._half_exp = np.frexp(w[-1])[1] // 2  # A / 4^k has entries below 2
+        self._unit_shape = np.ldexp(self.shape_matrix, -2 * self._half_exp)
         self.dim = a.shape[0]
 
     def maximize(self, x):
         x = _point(x, self.dim)
-        ax = self.shape_matrix @ x
-        q = float(x @ ax)
-        if q == 0.0:
-            # x = 0: everything maximizes; canonical pick on the first axis.
-            e1 = np.zeros(self.dim)
-            e1[0] = 1.0
-            return (self.shape_matrix @ e1) / np.sqrt(self.shape_matrix[0, 0])
-        return ax / np.sqrt(q)
+        if not x.any():  # T(0) is the whole ellipsoid; T(e_1) is the pick
+            x = np.eye(self.dim)[0]
+        # with x scaled into [-1, 1] and A to A / 4^k by powers of two, no
+        # product overflows, and T(x) = Ax / sqrt(x^T A x) comes out exactly
+        # 2^k times smaller
+        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+        ax = self._unit_shape @ x
+        return np.ldexp(ax / np.sqrt(x @ ax), self._half_exp)
 
     def quadratic_form(self, x) -> float:
         """y^T A^{-1} y, equal to 1 on the boundary."""
@@ -156,17 +167,12 @@ class EllipsoidDomain(ConvexDomain):
         u *= rng.random() ** (1.0 / self.dim)
         return self._eigvecs @ (np.sqrt(self._eigvals) * (self._eigvecs.T @ u))
 
-    def boundary_curvature(self, x) -> float:
-        """Curvature of the boundary ellipse at a boundary point (2-d only)."""
-        if self.dim != 2:
-            raise DomainError("curvature is only computed for 2-d ellipses")
-        z = self._eigvecs.T @ _point(x, 2)
-        a = np.sqrt(self._eigvals[1])
-        b = np.sqrt(self._eigvals[0])
-        # boundary in the eigenbasis is (a cos t, b sin t) with z = (z2, z1)
-        za, zb = z[1], z[0]
-        denom = (a * zb / b) ** 2 + (b * za / a) ** 2
-        return float(a * b / denom ** 1.5)
+    def tangent_eigenvalues(self, x) -> np.ndarray:
+        """The map's tangent eigenvalues at a fixed point x = +-sqrt(lambda_i)
+        q_i: lambda_j / lambda_i for j != i, with lambda_i = |x|^2."""
+        nx = _nonzero_norm(x, self.dim)
+        i = np.argmax(np.abs(self._eigvecs.T @ x))  # q_i is along x
+        return np.delete(self._eigvals, i) / nx / nx
 
 
 class PolytopeDomain(ConvexDomain):
@@ -285,23 +291,15 @@ class ConeDomain(ConvexDomain):
                 + rad * (np.cos(ang) * self._plane1 + np.sin(ang) * self._plane2))
 
 
-def curvature_classify_2d(k, x) -> str:
-    """Classify a smooth 2-d boundary fixed point by curvature.
-
-    Boundary curvature above 1/|x| pulls nearby iterates back in, below it
-    pushes them away; within CLASS_MARGIN of the threshold the test is
-    inconclusive and "indeterminate" is returned.
-    """
-    x = _point(x)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        raise DomainError("curvature test needs a nonzero fixed point")
-    thr = 1.0 / nx
-    if k > thr + CLASS_MARGIN:
+def _tangent_label(mu) -> str:
+    """Ostrowski's theorem on the map's tangent eigenvalues mu at a fixed
+    point; one within CLASS_MARGIN of 1 decides nothing."""
+    if np.all(mu < 1.0 - CLASS_MARGIN):
         return "attractive"
-    if k < thr - CLASS_MARGIN:
+    above = mu > 1.0 + CLASS_MARGIN
+    if np.all(above):
         return "repelling"
-    return "indeterminate"
+    return "not_attractive" if np.any(above) else "indeterminate"
 
 
 def _parse_vector(text):

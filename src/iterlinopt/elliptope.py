@@ -576,14 +576,12 @@ def escape_pair(x):
     and row i no heavier (in sum of squares) than row j."""
     a = np.asarray(x, dtype=float)
     d = np.sum(a * a, axis=1)
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i == j or abs(a[i, j]) >= 1.0 - SIGN_TOL:
-                continue
-            if d[i] <= d[j] + ESCAPE_TIE_TOL:
-                return i, j
-    raise ElliptopeError("no escape pair exists: the matrix is a vertex")
+    ok = (np.abs(a) < 1.0 - SIGN_TOL) & (d[:, None] <= d + ESCAPE_TIE_TOL)
+    np.fill_diagonal(ok, False)
+    hits = np.flatnonzero(ok)  # in row-major order
+    if hits.size == 0:
+        raise ElliptopeError("no escape pair exists: the matrix is a vertex")
+    return divmod(int(hits[0]), a.shape[0])
 
 
 def _escape_factor(v, x, i, j, alpha):

@@ -66,32 +66,6 @@ class Trajectory:
     def final(self):
         return self.points[-1]
 
-    def export_csv(self, path):
-        """Write iter, coordinates, norm_sq, step_norm, residual rows.
-
-        The step_norm column holds the step into the row's iterate (0 for
-        the first row); the residual column holds the step out of it, which
-        for the last row is the reported fixed-point residual. Floats carry
-        17 significant digits so files round-trip exactly.
-        """
-        if len(self.points) != len(self.norms_sq):
-            raise ValueError("CSV export needs a full trace (record_trace=True)")
-        width = self.points[0].size
-        header = ["iter"] + [f"x{j}" for j in range(width)] + [
-            "norm_sq", "step_norm", "residual"]
-        lines = [",".join(header)]
-        for i, p in enumerate(self.points):
-            step_in = self.step_norms[i - 1] if i > 0 else 0.0
-            step_out = (self.step_norms[i] if i < len(self.step_norms)
-                        else self.residual)
-            row = [str(i)]
-            row += [f"{v:.17g}" for v in np.asarray(p).ravel()]
-            row += [f"{self.norms_sq[i]:.17g}", f"{step_in:.17g}",
-                    f"{step_out:.17g}"]
-            lines.append(",".join(row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def fixed_point_residual(domain, x) -> float:
     """|T(x) - x|: how far one application of the map moves x."""

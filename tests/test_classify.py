@@ -14,7 +14,6 @@ from iterlinopt import (
     ExactClassification,
     classify_elliptope_fixed_point,
     classify_empirical,
-    curvature_classify_2d,
     escape_curve,
     escape_pair,
     gram_factor,
@@ -24,6 +23,7 @@ from iterlinopt import (
     l4_family,
 )
 from iterlinopt.classify import ESCAPE_ALPHAS
+from iterlinopt.domains import _tangent_label
 from iterlinopt.elliptope import SIGN_TOL
 
 J3 = np.ones((3, 3))
@@ -71,19 +71,19 @@ class TestEmpirical2D:
             classify_empirical(dom, np.array([0.0, 2.0]), eps=0.1, samples=4)
 
     def test_agrees_with_curvature_rule(self):
+        # the 2-d curvature cases, labelled by the tangent eigenvalues
         disk = BallDomain([1.0, 0.0], 2.0)
         ellipse = EllipsoidDomain(np.diag([4.0, 1.0]))
         cases = [
-            (disk, np.array([3.0, 0.0])),
-            (disk, np.array([-1.0, 0.0])),
-            (ellipse, np.array([2.0, 0.0])),
-            (ellipse, np.array([0.0, 1.0])),
+            (disk, np.array([3.0, 0.0]), "attractive"),
+            (disk, np.array([-1.0, 0.0]), "repelling"),
+            (ellipse, np.array([2.0, 0.0]), "attractive"),
+            (ellipse, np.array([0.0, 1.0]), "repelling"),
         ]
-        for dom, x in cases:
+        for dom, x, label in cases:
             emp = classify_empirical(dom, x, eps=0.15, samples=16)
-            cur = curvature_classify_2d(dom.boundary_curvature(x), x)
-            assert emp.label == cur
-
+            assert _tangent_label(dom.tangent_eigenvalues(x)) == label
+            assert emp.label == label
 
     def test_needs_at_least_one_sample(self):
         dom = BallDomain([1.0, 0.0], 2.0)
@@ -110,6 +110,35 @@ class TestEmpirical2D:
                     classify_empirical(dom, x, eps=eps, samples=4)
         assert calls == []
 
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_theorem_label_agrees_with_sampling(dim):
+    # every closed-form fixed point of seeded balls and centred ellipsoids:
+    # attractive by the theorem exactly when every sample returns, and never
+    # attractive by sampling where some tangent eigenvalue is above 1
+    rng = np.random.default_rng([dim, 16])
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    lam = 1.6 ** (np.arange(dim) + rng.uniform(0.0, 0.3, dim))
+    ell = EllipsoidDomain(q @ np.diag(lam) @ q.T)
+    w, v = np.linalg.eigh(ell.shape_matrix)
+    points = [(ell, s * np.sqrt(w[i]) * v[:, i])
+              for i in range(dim) for s in (1.0, -1.0)]
+    u = rng.standard_normal(dim)
+    u /= np.linalg.norm(u)
+    for c, r in ((rng.uniform(0.3, 1.0) * u, rng.uniform(1.2, 2.0)),
+                 (np.zeros(dim), 1.0)):
+        ball = BallDomain(c, r)
+        points += [(ball, (np.linalg.norm(c) + r) * u),
+                   (ball, (np.linalg.norm(c) - r) * u)]
+    labels = set()
+    for dom, x in points:
+        theorem = _tangent_label(dom.tangent_eigenvalues(x))
+        sampled = classify_empirical(dom, x, eps=0.1, samples=8, seed=dim).label
+        assert (theorem == "attractive") == (sampled == "attractive"), (x, theorem)
+        labels.add(theorem)
+    assert {"attractive", "repelling", "indeterminate"} <= labels
+    assert ("not_attractive" in labels) == (dim > 2)
 
 class TestVertexBasin:
     # a feasible matrix within unit distance of a vertex shares its sign

@@ -79,6 +79,50 @@ class TestIterate:
             header = fh.readline().strip()
         assert header == "iter,x0,x1,norm_sq,step_norm,residual"
 
+    def test_trace_csv_round_trips(self, disk_cfg, tmp_path, capsys):
+        from iterlinopt import BallDomain, iterate
+        traj = iterate(BallDomain([1.0, 0.0], 2.0), [0.0, 1.9])
+        path = tmp_path / "trace.csv"
+        assert main(["iterate", "--domain", disk_cfg, "--start", "0,1.9",
+                     "--trace", str(path)]) == 0
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "iter,x0,x1,norm_sq,step_norm,residual"
+        assert len(lines) == len(traj.points) + 1
+        for i, line in enumerate(lines[1:]):
+            toks = line.split(",")
+            assert int(toks[0]) == i
+            assert float(toks[1]) == traj.points[i][0]
+            assert float(toks[2]) == traj.points[i][1]
+            assert float(toks[3]) == traj.norms_sq[i]
+            # the step into the row's iterate, 0 for the first
+            assert float(toks[4]) == (traj.step_norms[i - 1] if i else 0.0)
+        # last residual column is the endpoint certificate
+        assert float(lines[-1].split(",")[-1]) == traj.residual
+
+    def test_elliptope_trace_has_a_column_per_entry(self, tmp_path, capsys):
+        start, path = tmp_path / "x0.txt", tmp_path / "trace.csv"
+        write_matrix_text(l4_family(0.25), start)
+        assert main(["iterate", "--domain", "elliptope", "--n", "4",
+                     "--start", str(start), "--trace", str(path)]) == 0
+        iterations = int(capsys.readouterr().out.split("iterations: ")[1]
+                         .split("\n")[0])
+        lines = path.read_text().split("\n")
+        assert lines[0].split(",")[16:] == ["x15", "norm_sq", "step_norm",
+                                            "residual"]
+        assert lines[-1] == "" and len(lines) == iterations + 3
+        assert all(len(line.split(",")) == 20 for line in lines[1:-1])
+
+    def test_huge_ellipse_converges_to_a_boundary_point(self, tmp_path,
+                                                        capsys):
+        # x^T A x overflows in double precision: the map scales x and A
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("kind=ellipsoid\nshape=1.5e308 0; 0 1.5e308\n")
+        assert main(["iterate", "--domain", str(cfg), "--start", "1,1"]) == 0
+        out = capsys.readouterr().out
+        assert "status: converged\n" in out
+        assert "final: 8.6602540378443864e+153 8.6602540378443864e+153\n" in out
+        assert "norm_sq: 1.5e+308\n" in out
+
     def test_elliptope_run_prints_certificate(self, tmp_path, capsys):
         start = tmp_path / "x0.txt"
         write_matrix_text(l4_family(0.25), start)
@@ -360,7 +404,7 @@ class TestClassify:
         out = capsys.readouterr().out
         assert code == 0
         assert "empirical label: repelling" in out
-        assert "curvature label: repelling" in out
+        assert "theorem label: repelling" in out
 
     def test_domain_point_is_mapped_once_before_sampling(
             self, ellipse_cfg, capsys, monkeypatch):
@@ -389,7 +433,56 @@ class TestClassify:
         out = capsys.readouterr().out
         assert code == 0
         assert "empirical label" not in out and "samples:" not in out
-        assert "curvature label: attractive" in out
+        assert "theorem label: attractive" in out
+
+    def test_ball_prints_the_theorem_before_the_samples(self, disk_cfg,
+                                                         capsys):
+        assert main(["classify", "--domain", disk_cfg, "--point", "3,0",
+                     "--samples", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "fixed point", "fixed-point residual", "tangent eigenvalues",
+            "theorem label", "empirical label", "eps", "samples", "returned",
+            "escaped", "undecided"]
+        assert lines[2:4] == ["tangent eigenvalues: 0.66666666666666663",
+                              "theorem label: attractive"]
+
+    def test_ellipsoid_middle_axis_is_not_attractive(self, tmp_path, capsys):
+        cfg = tmp_path / "ellipsoid3.cfg"
+        cfg.write_text("kind=ellipsoid\nshape=4 0 0; 0 2 0; 0 0 1\n")
+        for point, mu, label in (
+                ("0,1.4142135623730951,0", "0.49999999999999994 "
+                 "1.9999999999999998", "not_attractive"),
+                ("2,0,0", "0.25 0.5", "attractive"),
+                ("0,0,1", "2 4", "repelling")):
+            assert main(["classify", "--domain", str(cfg), "--point", point,
+                         "--samples", "0"]) == 0
+            out = capsys.readouterr().out
+            assert out.endswith(f"tangent eigenvalues: {mu}\n"
+                                f"theorem label: {label}\n")
+
+    def test_one_dimensional_ball_has_no_tangent_eigenvalue(self, tmp_path,
+                                                            capsys):
+        # T is constant near each end of a segment: attractive, with no
+        # eigenvalue line
+        cfg = tmp_path / "segment.cfg"
+        cfg.write_text("kind=ball\ncenter=1\nradius=2\n")
+        assert main(["classify", "--domain", str(cfg), "--point", "3",
+                     "--samples", "0"]) == 0
+        assert capsys.readouterr().out == ("fixed point: 3\n"
+                                           "fixed-point residual: 0\n"
+                                           "theorem label: attractive\n")
+
+    def test_centre_of_a_centred_ball_exits_1(self, tmp_path, capsys):
+        # the map fixes the centre (its pick for x = 0), but no tangent
+        # eigenvalue exists there
+        cfg = tmp_path / "circle.cfg"
+        cfg.write_text("kind=ball\ncenter=0,0\nradius=1\n")
+        assert main(["classify", "--domain", str(cfg), "--point", "0,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: tangent eigenvalues need a nonzero "
+                                "fixed point\n")
 
     def test_non_fixed_point_exits_2(self, disk_cfg):
         assert main(["classify", "--domain", disk_cfg, "--point", "0,2"]) == 2

@@ -7,12 +7,11 @@ from iterlinopt import (
     DomainError,
     EllipsoidDomain,
     PolytopeDomain,
-    curvature_classify_2d,
     iterate,
     load_domain,
 )
 from iterlinopt import domains
-from iterlinopt.domains import LP_TOL
+from iterlinopt.domains import CLASS_MARGIN, LP_TOL, _tangent_label
 
 SQUARE = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
@@ -119,6 +118,20 @@ class TestEllipsoidOracle:
         dom = EllipsoidDomain([[1.5e308, 0.0], [0.0, 1.5e308]])
         assert np.array_equal(dom.shape_matrix, np.diag([1.5e308, 1.5e308]))
         assert np.array_equal(dom._eigvals, [1.5e308, 1.5e308])
+
+    def test_large_finite_shape_maximizes_to_a_boundary_point(self):
+        # x^T A x would overflow: maximize scales x and A by powers of two
+        dom = EllipsoidDomain([[1.5e308, 0.0], [0.0, 1.5e308]])
+        y = dom.maximize([1.0, 1.0])
+        assert y[0] == y[1] == np.sqrt(0.75e308)
+        assert abs(dom.quadratic_form(y) - 1.0) <= 1e-15
+
+    def test_power_of_two_multiples_of_x_map_alike(self):
+        # T(2^e x) = T(x) to the bit, also where x^T A x over- or underflows
+        dom = EllipsoidDomain([[4.0, 1.0], [1.0, 2.0]])
+        x = np.array([3.0, -5.0])
+        for e in (-1060, -600, -1, 1, 600, 1020):
+            assert np.array_equal(dom.maximize(np.ldexp(x, e)), dom.maximize(x))
 
     def test_large_asymmetry_rejected_without_overflow(self):
         # halving before the difference keeps 1e308 - (-1e308) finite; a
@@ -235,24 +248,93 @@ class TestConeOracle:
 
 
 class TestCurvatureClassify:
+    """The 2-d curvature cases, decided by the map's tangent eigenvalues: on
+    a boundary of curvature k, the eigenvalue at a fixed point x is
+    1 / (k |x|), so each curvature label carries over."""
+
     def test_disk_attractive_point(self):
         # circle of radius 2: curvature 1/2 against threshold 1/3
-        assert curvature_classify_2d(0.5, [3.0, 0.0]) == "attractive"
+        mu = BallDomain([1.0, 0.0], 2.0).tangent_eigenvalues([3.0, 0.0])
+        assert mu.tolist() == [2.0 / 3.0]
+        assert _tangent_label(mu) == "attractive"
 
     def test_disk_repelling_point(self):
-        assert curvature_classify_2d(0.5, [-1.0, 0.0]) == "repelling"
+        mu = BallDomain([1.0, 0.0], 2.0).tangent_eigenvalues([-1.0, 0.0])
+        assert mu.tolist() == [2.0]
+        assert _tangent_label(mu) == "repelling"
 
     def test_centered_circle_indeterminate(self):
-        assert curvature_classify_2d(1.0, [0.6, 0.8]) == "indeterminate"
+        mu = BallDomain([0.0, 0.0], 1.0).tangent_eigenvalues([0.6, 0.8])
+        assert _tangent_label(mu) == "indeterminate"
 
     def test_zero_point_rejected(self):
-        with pytest.raises(DomainError):
-            curvature_classify_2d(1.0, [0.0, 0.0])
+        for dom in (BallDomain([0.0, 0.0], 1.0),
+                    EllipsoidDomain(np.diag([4.0, 1.0]))):
+            with pytest.raises(DomainError, match="nonzero fixed point"):
+                dom.tangent_eigenvalues([0.0, 0.0])
 
     def test_matches_ellipse_curvature_formula(self):
+        # semi-axes 2 and 1: curvature 2 at (2, 0) and 1/4 at (0, 1)
         dom = EllipsoidDomain(np.diag([4.0, 1.0]))
-        assert abs(dom.boundary_curvature([2.0, 0.0]) - 2.0) < 1e-12
-        assert abs(dom.boundary_curvature([0.0, 1.0]) - 0.25) < 1e-12
+        assert dom.tangent_eigenvalues([2.0, 0.0]).tolist() == [1.0 / (2.0 * 2.0)]
+        assert dom.tangent_eigenvalues([0.0, 1.0]).tolist() == [1.0 / (0.25 * 1.0)]
+
+
+class TestTangentEigenvalues:
+    @pytest.mark.parametrize("mu, label", [
+        ([], "attractive"),  # a 1-d ball or ellipsoid: T is locally constant
+        ([0.5, 1.0 - 2 * CLASS_MARGIN], "attractive"),
+        ([2.0, 1.0 + 2 * CLASS_MARGIN], "repelling"),
+        ([0.5, 2.0], "not_attractive"),
+        ([1.0, 2.0], "not_attractive"),
+        ([0.5, 1.0], "indeterminate"),
+        ([1.0 - CLASS_MARGIN / 2, 1.0 + CLASS_MARGIN / 2], "indeterminate"),
+    ])
+    def test_rule(self, mu, label):
+        assert _tangent_label(np.array(mu)) == label
+
+    def test_ellipsoid_axes_in_3d(self):
+        dom = EllipsoidDomain(np.diag([4.0, 2.0, 1.0]))
+        cases = [([-2.0, 0.0, 0.0], [0.25, 0.5], "attractive"),
+                 ([0.0, 0.0, 1.0], [2.0, 4.0], "repelling")]
+        for x, mu, label in cases:
+            assert dom.tangent_eigenvalues(x).tolist() == mu
+            assert _tangent_label(dom.tangent_eigenvalues(x)) == label
+        mu = dom.tangent_eigenvalues([0.0, np.sqrt(2.0), 0.0])
+        assert np.allclose(mu, [0.5, 2.0], rtol=1e-15, atol=0)
+        assert _tangent_label(mu) == "not_attractive"
+
+    def test_ball_has_one_eigenvalue_of_multiplicity_dim_minus_1(self):
+        dom = BallDomain([0.0, 0.0, 0.0, 3.0], 1.0)
+        assert dom.tangent_eigenvalues([0.0, 0.0, 0.0, 4.0]).tolist() == [0.25] * 3
+        assert dom.tangent_eigenvalues([0.0, 0.0, 0.0, 2.0]).tolist() == [0.5] * 3
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_closed_forms_match_the_map_s_jacobian(self, dim):
+        # central differences of T at each closed-form fixed point: the
+        # eigenvalues besides the 0 along x are the tangent eigenvalues
+        rng = np.random.default_rng(dim)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        lam = np.sort(rng.uniform(0.5, 4.0, dim))
+        ell = EllipsoidDomain(q @ np.diag(lam) @ q.T)
+        w, v = np.linalg.eigh(ell.shape_matrix)
+        c = rng.standard_normal(dim)
+        ball = BallDomain(c, 2.0 * np.linalg.norm(c))
+        u = c / np.linalg.norm(c)
+        points = [(ell, s * np.sqrt(w[i]) * v[:, i])
+                  for i in range(dim) for s in (1.0, -1.0)]
+        points += [(ball, 3.0 * np.linalg.norm(c) * u),
+                   (ball, -np.linalg.norm(c) * u)]
+        h = 1e-6
+        for dom, x in points:
+            assert np.linalg.norm(dom.maximize(x) - x) <= 1e-12 * np.linalg.norm(x)
+            jac = np.column_stack([
+                (dom.maximize(x + h * e) - dom.maximize(x - h * e)) / (2 * h)
+                for e in np.eye(dim)])
+            eig = np.linalg.eigvalsh(0.5 * (jac + jac.T))
+            eig = np.delete(eig, np.argmin(np.abs(eig)))
+            assert np.allclose(eig, np.sort(dom.tangent_eigenvalues(x)),
+                               rtol=1e-6, atol=1e-6)
 
 
 class TestLoadDomain:

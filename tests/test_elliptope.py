@@ -25,7 +25,28 @@ from iterlinopt import (
     write_matrix_text,
 )
 from iterlinopt import classify_elliptope_fixed_point, elliptope
-from iterlinopt.elliptope import _components, _is_vertex, _rank
+from iterlinopt.elliptope import (
+    ESCAPE_TIE_TOL,
+    SIGN_TOL,
+    _components,
+    _is_vertex,
+    _rank,
+)
+
+
+def _escape_pair_loop(x):
+    """The reference for escape_pair: the first (i, j) in row-major order
+    with |x_ij| < 1 - SIGN_TOL and row i no heavier than row j."""
+    a = np.asarray(x, dtype=float)
+    d = np.sum(a * a, axis=1)
+    n = a.shape[0]
+    for i in range(n):
+        for j in range(n):
+            if i == j or abs(a[i, j]) >= 1.0 - SIGN_TOL:
+                continue
+            if d[i] <= d[j] + ESCAPE_TIE_TOL:
+                return i, j
+    raise ElliptopeError("no escape pair exists: the matrix is a vertex")
 
 J3 = np.ones((3, 3))
 PUFF = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
@@ -467,6 +488,41 @@ class TestVertices:
         s = np.array([1.0, -1.0, 1.0, 1.0])
         assert _is_vertex(np.outer(s, s))
         assert not _is_vertex(np.eye(3))
+
+    def test_escape_pair_is_the_loop_s_pair(self):
+        # random symmetric matrices, n = 2-40: generic ones; circulant ones,
+        # whose rows tie in sum of squares, also with one row made heavier
+        # or lighter by a fraction or a multiple of ESCAPE_TIE_TOL; and sign
+        # patterns with entries on both sides of 1 - SIGN_TOL
+        rng = np.random.default_rng(40)
+        found = raised = 0
+        for n in range(2, 41):
+            first = rng.uniform(-1.0, 1.0, n)
+            circ = np.array([np.roll(first, k) for k in range(n)])
+            s = rng.choice([-1.0, 1.0], n)
+            signs = np.outer(s, s)
+            for m in range(n):
+                signs[m, (m + 1) % n] *= 1.0 - rng.choice([0.5, 4.0]) * SIGN_TOL
+            g = rng.uniform(-1.0, 1.0, (n, n))
+            cases = [g + g.T, circ + circ.T, 0.5 * (signs + signs.T),
+                     np.outer(s, s)]
+            for scale in (0.5, 1.0, 2.0, -0.5, -1.0, -2.0):
+                x = 0.5 * (circ + circ.T)
+                k = int(rng.integers(n))
+                x[k, k] = np.sqrt(x[k, k] ** 2 + scale * ESCAPE_TIE_TOL)
+                cases.append(x)
+            for x in cases:
+                try:
+                    want = _escape_pair_loop(x)
+                except ElliptopeError:
+                    raised += 1
+                    with pytest.raises(ElliptopeError, match="is a vertex"):
+                        elliptope.escape_pair(x)
+                    continue
+                found += 1
+                got = elliptope.escape_pair(x)
+                assert got == want and all(type(v) is int for v in got)
+        assert found > 300 and raised > 39
 
     @pytest.mark.parametrize("gap", [1e-10, 1e-7])
     def test_a_sign_is_read_as_escape_pair_reads_it(self, gap):

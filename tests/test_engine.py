@@ -118,25 +118,6 @@ def test_trace_off_keeps_endpoints_only():
                    IterationConfig(record_trace=False))
     assert len(traj.points) == 2
     assert np.linalg.norm(traj.final - np.array([3.0, 0.0])) <= 1e-8
-    with pytest.raises(ValueError):
-        traj.export_csv("/dev/null")
-
-
-def test_csv_export_round_trips(tmp_path):
-    traj = iterate(BallDomain([1.0, 0.0], 2.0), [0.0, 1.9])
-    path = tmp_path / "trace.csv"
-    traj.export_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "iter,x0,x1,norm_sq,step_norm,residual"
-    assert len(lines) == len(traj.points) + 1
-    for i, line in enumerate(lines[1:]):
-        toks = line.split(",")
-        assert int(toks[0]) == i
-        assert float(toks[1]) == traj.points[i][0]
-        assert float(toks[2]) == traj.points[i][1]
-        assert float(toks[3]) == traj.norms_sq[i]
-    # last residual column is the endpoint certificate
-    assert float(lines[-1].split(",")[-1]) == traj.residual
 
 
 def test_monotone_property_random_runs():
