@@ -5,14 +5,20 @@ All numeric output is printed with 17 significant digits and every run is
 reproducible from its flags: the default seed is 0, never the clock.
 
 Exit codes: 0 success (verify: "fixed"), 1 file, parse or closed-stdout
-problems, 2 validation failures (bad flag values, infeasible start, matrix
-outside the feasible body, size caps), 3 a clean "not fixed" from verify.
+problems, 2 validation failures (bad flag values, infeasible or overflowing
+start, matrix outside the feasible body, size caps), 3 a clean "not fixed"
+from verify.
 ``main`` is the one place where errors become exit codes.
 
 Each command runs in a fresh interpreter, which compiles every module it
 imports, so this module imports at its top only what census and verify
 use; a command imports the engine, classify and maxcut modules, json and
 csv when it runs, and the parser adds the flags of the named command alone.
+The process entry, ``__main__.run``, freezes the garbage collector once
+``main`` returns, so that shutdown skips its full collections over what the
+imports built. ``main`` itself leaves the collector alone: tests and
+library callers run it in-process, where a frozen collector would keep
+their cyclic garbage.
 """
 
 from __future__ import annotations
@@ -154,9 +160,11 @@ def cmd_iterate(args) -> int:
     cfg = IterationConfig(tol=args.tol, max_iter=args.max_iter,
                           record_trace=args.trace is not None,
                           validate_start=args.validate_start)
+    # iterate rejects a start whose squared norm overflows and, under
+    # --validate-start, a start outside the domain
     try:
         traj = iterate(domain, x0, cfg)
-    except InfeasibleStartError as exc:  # raised under --validate-start only
+    except InfeasibleStartError as exc:
         raise CliError(EXIT_INVALID, str(exc))
     record = {"status": traj.status, "iterations": len(traj.step_norms)}
     final = traj.final
@@ -467,7 +475,3 @@ def main(argv=None) -> int:
         code, message = EXIT_PARSE, f"{exc.filename}: {exc.strerror}"
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

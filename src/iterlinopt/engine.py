@@ -26,7 +26,8 @@ STEP_TOL = 1e-10  # default tol of a run: it converges on a step this small
 
 
 class InfeasibleStartError(ValueError):
-    """Starting point failed domain validation."""
+    """Starting point rejected: its squared norm overflows, or it failed
+    domain validation."""
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,15 @@ def iterate(domain, x0, config: IterationConfig | None = None) -> Trajectory:
     """
     cfg = config or IterationConfig()
     x = np.array(x0, dtype=float)
+    norm_sq = float(np.vdot(x, x))  # vdot overflows to inf without a warning
+    # a finite start whose squared norm is inf has no monotone record and
+    # overflows the step norms; non-finite entries are the domain's to reject
+    if norm_sq == np.inf and np.all(np.isfinite(x)):
+        raise InfeasibleStartError("starting point's squared norm overflows")
     if cfg.validate_start and not domain.contains(x):
         raise InfeasibleStartError("starting point is not in the domain")
     points = [x.copy()]
-    norms_sq = [float(np.vdot(x, x))]
+    norms_sq = [norm_sq]
     step_norms = []
     status = "max_iter"
     stall = 0

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import os
 import subprocess
@@ -122,6 +123,25 @@ class TestIterate:
         assert "status: converged\n" in out
         assert "final: 8.6602540378443864e+153 8.6602540378443864e+153\n" in out
         assert "norm_sq: 1.5e+308\n" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--validate-start"]],
+                             ids=["plain", "validated"])
+    @pytest.mark.parametrize("domain, start", [
+        ("ELLIPSE", "1e300,1e300"),
+        ("ELLIPSE", "1e200,1e200"),
+        ("elliptope", "BIG"),
+    ], ids=["ellipse-1e300", "ellipse-1e200", "elliptope-1e200"])
+    def test_start_whose_squared_norm_overflows_exits_2(
+            self, ellipse_cfg, tmp_path, capsys, domain, start, flags):
+        big = tmp_path / "big.txt"
+        big.write_text("2\n1e200 0\n0 1e200\n")
+        argv = ["iterate", "--domain", ellipse_cfg if domain == "ELLIPSE" else
+                domain, "--start", str(big) if start == "BIG" else start,
+                *(["--n", "2"] if domain == "elliptope" else []), *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: starting point's squared norm overflows\n"
 
     def test_elliptope_run_prints_certificate(self, tmp_path, capsys):
         start = tmp_path / "x0.txt"
@@ -883,13 +903,101 @@ def test_file_not_in_utf8_gives_one_error_line(tmp_path, capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+def _checkout_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(iterlinopt.__file__))
+    return {**os.environ, "PYTHONPATH": src}
+
+
+def _python(*args, **kwargs):
+    return subprocess.run([sys.executable, *args], env=_checkout_env(),
+                          capture_output=True, **kwargs)
+
+
+NOT_FIXED = "3\n1 0.5 0\n0.5 1 0.5\n0 0.5 1\n"  # in the body, not fixed
+OUTPUT_FILES = ("out.json", "out.csv", "trace.csv")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["census", "--n", "3"], 0),
+    (["verify", "--matrix", "FACE", "--json", "out.json"], 0),
+    (["verify", "--matrix", "NOT_FIXED", "--json", "out.json"], 3),
+    (["verify", "--matrix", "DIM0"], 1),
+    (["classify", "--matrix", "NOT_FIXED", "--samples", "0"], 2),
+    (["iterate", "--domain", "DISK", "--start", "0,1.9", "--trace",
+      "trace.csv"], 0),
+    (["maxcut", "--graph", "K3", "--json", "out.json", "--csv", "out.csv"], 0),
+    (["--version"], 0),
+    (["census", "--n", "3", "--bogus"], 2),
+], ids=["census", "verify-fixed", "verify-not-fixed", "verify-parse-error",
+        "classify-invalid", "iterate-trace", "maxcut-json-csv", "version",
+        "bad-flag"])
+def test_process_entry_matches_main(tmp_path, capsys, monkeypatch, disk_cfg,
+                                    face_point, k3_file, argv, code):
+    """python -m iterlinopt exits with main's code and writes main's stdout,
+    stderr and files byte for byte: freezing the collector once the output
+    is written loses none of it. Each run writes its files into its own
+    working directory."""
+    (tmp_path / "not_fixed.txt").write_text(NOT_FIXED)
+    (tmp_path / "dim0.txt").write_text("0\n")
+    given = {"DISK": disk_cfg, "FACE": face_point, "K3": k3_file,
+             "NOT_FIXED": str(tmp_path / "not_fixed.txt"),
+             "DIM0": str(tmp_path / "dim0.txt")}
+    argv = [given.get(a, a) for a in argv]
+    for side in ("entry", "main"):
+        (tmp_path / side).mkdir()
+    p = _python("-m", "iterlinopt", *argv, cwd=tmp_path / "entry")
+    monkeypatch.chdir(tmp_path / "main")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert p.returncode == code
+    assert p.stdout == captured.out.encode()
+    assert p.stderr == captured.err.encode()
+    written = sorted(os.listdir(tmp_path / "entry"))
+    assert written == sorted(os.listdir(tmp_path / "main"))
+    assert written == sorted(a for a in argv if a in OUTPUT_FILES)
+    for name in written:
+        got = (tmp_path / "entry" / name).read_bytes()
+        assert got == (tmp_path / "main" / name).read_bytes()
+        if name.endswith(".json"):
+            json.loads(got)
+
+
+def test_process_entry_runs_atexit_handlers_after_freezing():
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n"
+             "sys.argv = ['iterlinopt', 'census', '--n', '3']\n"
+             "from iterlinopt.__main__ import run\n"
+             "run()\n")
+    p = _python("-c", probe, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.startswith("census n=3: complete")
+    assert p.stdout.endswith("\nfrozen: True\n")
+
+
+def test_profiling_the_process_entry_prints_its_table():
+    # cProfile prints its table when the profiled code raises SystemExit,
+    # which an os._exit would skip
+    p = _python("-m", "cProfile", "-m", "iterlinopt", "census", "--n", "3",
+                text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.startswith("census n=3: complete")
+    assert "function calls" in p.stdout and "ncalls" in p.stdout
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # the tests and the traced benchmark call main in-process, where a
+    # frozen collector would keep their cyclic garbage
+    assert main(["census", "--n", "3"]) == 0
+    assert main(["verify", "--matrix", "missing.txt"]) == 1
+    assert gc.get_freeze_count() == 0
+
+
 def test_reader_closing_stdout_early_gives_one_error_line():
     # census --n 7 prints far more than a pipe holds, so the command is
     # still writing when the reader closes the pipe after one line
-    src = os.path.dirname(os.path.dirname(iterlinopt.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
     argv = [sys.executable, "-m", "iterlinopt", "census", "--n", "7"]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+    with subprocess.Popen(argv, env=_checkout_env(), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline().startswith(b"census n=7: partial")
         proc.stdout.close()
@@ -901,11 +1009,8 @@ def test_reader_closing_stdout_early_gives_one_error_line():
 def test_package_import_leaves_scipy_out():
     # scipy serves only polytope membership, so a fresh interpreter that
     # imports the package and its CLI must not load it
-    src = os.path.dirname(os.path.dirname(iterlinopt.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
     probe = "import sys, iterlinopt, iterlinopt.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = _python("-c", probe, check=True, text=True).stdout
     assert out.strip() == "False"
 
 
@@ -928,10 +1033,7 @@ UNUSED_BY_ELLIPTOPE_COMMANDS = {"iterlinopt.engine", "iterlinopt.classify",
 def test_a_command_loads_only_the_modules_it_uses(argv, unloaded, face_point,
                                                    k3_file):
     argv = [{"FACE": face_point, "K3": k3_file}.get(a, a) for a in argv]
-    src = os.path.dirname(os.path.dirname(iterlinopt.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    p = subprocess.run([sys.executable, "-X", "importtime", "-m", "iterlinopt",
-                        *argv], env=env, capture_output=True, text=True)
+    p = _python("-X", "importtime", "-m", "iterlinopt", *argv, text=True)
     assert p.returncode == 0, p.stderr
     loaded = {line.rsplit("|", 1)[1].strip() for line in p.stderr.splitlines()
               if line.startswith("import time:")}

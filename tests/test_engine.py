@@ -4,6 +4,7 @@ import pytest
 from iterlinopt import (
     BallDomain,
     EllipsoidDomain,
+    ElliptopeDomain,
     InfeasibleStartError,
     IterationConfig,
     PolytopeDomain,
@@ -111,6 +112,25 @@ def test_infeasible_start_rejected_when_validation_on():
     # validation off (the default): exterior starts step into the domain
     traj = iterate(dom, [10.0, 10.0])
     assert dom.contains(traj.final)
+
+
+@pytest.mark.parametrize("validate", [False, True], ids=["plain", "validated"])
+@pytest.mark.parametrize("domain, start", [
+    (EllipsoidDomain([[4.0, 0.0], [0.0, 1.0]]), [1e300, 1e300]),
+    (EllipsoidDomain([[4.0, 0.0], [0.0, 1.0]]), [1e154, 1e154]),
+    (ElliptopeDomain(2), [[1e200, 0.0], [0.0, 1e200]]),
+], ids=["ellipse-1e300", "ellipse-1e154", "elliptope-1e200"])
+def test_start_whose_squared_norm_overflows_is_rejected(domain, start, validate):
+    # rejected before the domain's membership test, which would overflow
+    # too, and before a step norm overflows
+    with pytest.raises(InfeasibleStartError, match="squared norm overflows"):
+        iterate(domain, start, IterationConfig(validate_start=validate))
+
+
+def test_largest_starts_with_a_finite_squared_norm_still_run():
+    traj = iterate(EllipsoidDomain([[4.0, 0.0], [0.0, 1.0]]), [1e153, 1e153])
+    assert traj.status == "converged"
+    assert traj.norms_sq[0] == pytest.approx(2e306)
 
 
 def test_trace_off_keeps_endpoints_only():
