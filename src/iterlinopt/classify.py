@@ -68,32 +68,33 @@ class ExactClassification:
     witness: EscapeWitness | None
 
 
-def classify_empirical(domain, x, eps, samples=32, seed=0,
-                       tol=IterationConfig.tol,
-                       max_iter=IterationConfig.max_iter) -> ClassificationResult:
+def classify_empirical(domain, x, eps, samples=32, seed=0) -> ClassificationResult:
     """Sample feasible starts within eps of a fixed point and iterate each.
 
-    x must lie within FIXED_FACTOR * tol of its image. A sample counts as
-    returned when its endpoint lands that close to x, as escaped when some
-    iterate leaves the eps ball. The label is attractive only when every
-    sample returns, repelling only when every sample escapes, neither when
-    nothing returns and nothing escapes (connected sets of fixed points
-    behave this way), and indeterminate on mixed evidence. Per-sample seeds
-    derive from (seed, sample index), so the verdict does not depend on
-    scheduling. No evidence supports no label: samples must be positive.
+    Each run takes ``IterationConfig``'s defaults, and x must lie within
+    FIXED_FACTOR * tol of its image. A sample counts as returned when its
+    endpoint lands that close to x, as escaped when some iterate leaves
+    the eps ball. The label is attractive only when every sample returns,
+    repelling only when every sample escapes, neither when nothing returns
+    and nothing escapes (connected sets of fixed points behave this way),
+    and indeterminate on mixed evidence. Per-sample seeds derive from
+    (seed, sample index), so the verdict does not depend on scheduling. No
+    evidence supports no label: samples must be positive.
     """
     if samples < 1:
         raise ValueError("classification needs at least one sample")
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     x = np.asarray(x, dtype=float)
-    if fixed_point_residual(domain, x) > FIXED_FACTOR * tol:
+    if fixed_point_residual(domain, x) > FIXED_FACTOR * IterationConfig.tol:
         raise ValueError("x is not a fixed point of the domain")
-    return _sample_verdict(domain, x, eps, samples, seed, tol, max_iter)
+    return _sample_verdict(domain, x, eps, samples, seed, IterationConfig.tol,
+                           IterationConfig.max_iter)
 
 
 def _sample_verdict(domain, x, eps, samples, seed, tol, max_iter):
-    """``classify_empirical`` at a point already checked to be fixed."""
+    """``classify_empirical`` at a point already checked to be fixed, with
+    each run's tol and max_iter given."""
     cfg = IterationConfig(tol=tol, max_iter=max_iter, record_trace=True)
     returned = 0
     escaped = 0

@@ -119,12 +119,17 @@ def _write_csv(path, rows):
 
 
 def _parse_start_vector(text):
+    """Coordinates like '0,1.9', or a coordinate file: the coordinates over
+    one or more lines, with '#' comments."""
+    source = repr(text)
     if os.path.isfile(text):
-        text = "".join(read_lines(text, lambda m: CliError(EXIT_PARSE, m)))
+        source = text
+        text = " ".join(line for _, line in read_lines(
+            text, lambda m: CliError(EXIT_PARSE, m)))
     try:
         return _parse_vector(text)
     except ValueError:
-        raise CliError(EXIT_PARSE, f"could not parse start point {text!r}")
+        raise CliError(EXIT_PARSE, f"could not parse start point {source}")
 
 
 def _read_point(domain, text):
@@ -235,7 +240,8 @@ def cmd_census(args) -> int:
 
 def _fixed_residual(domain, x, tol):
     """How far the map moves x, which must be at most FIXED_FACTOR * tol:
-    the check ``classify_empirical`` makes, done before anything prints."""
+    the check ``classify_empirical`` makes at the default tol, done before
+    anything prints."""
     from .engine import FIXED_FACTOR, fixed_point_residual
     residual = fixed_point_residual(domain, x)
     if residual > FIXED_FACTOR * tol:

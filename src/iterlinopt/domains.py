@@ -23,18 +23,48 @@ class DomainError(ValueError):
 
 
 def read_lines(path, error):
-    """Yield the lines of a UTF-8 text file. A file that does not decode
-    raises ``error(message)`` naming the path, so that each parser reports
-    it as its own kind of error."""
+    """Yield (line number, text) for each line of a UTF-8 text file that
+    holds more than a '#' comment, with the comment and the surrounding
+    space removed. A file that does not decode raises ``error(message)``
+    naming the path, so that each parser reports it as its own kind of
+    error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from fh
+            for ln, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield ln, line
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _scaled(x):
+    """(u, e) with x = u 2^e exactly and u's largest entry in [1, 2), or
+    u = x = 0. No product or norm of u overflows or underflows, |u| >= 1,
+    and a map that ignores its query's scale reads u in place of x."""
+    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1]) - 1
+    return np.ldexp(x, -e), e
+
+
+def _norm(x) -> float:
+    """|x| over all entries, taken on x scaled by a power of two: finite
+    whenever the norm itself is."""
+    u, e = _scaled(np.ravel(x))
+    return float(np.ldexp(np.linalg.norm(u), e))
+
+
+def _check_extent(extent):
+    """Reject a domain whose points lie up to ``extent`` from the origin
+    when that distance's square overflows: a run in it would record inf
+    squared norms, which no monotone check can read, and ``engine.iterate``
+    rejects a start of that size for the same reason."""
+    if extent * extent == np.inf:
+        raise DomainError(f"domain reaches {extent!r} from the origin, "
+                          "whose square overflows")
+
+
 def _nonzero_norm(x, dim) -> float:
-    nx = float(np.linalg.norm(_point(x, dim)))
+    nx = _norm(_point(x, dim))
     if nx == 0.0:
         raise DomainError("tangent eigenvalues need a nonzero fixed point")
     return nx
@@ -82,7 +112,7 @@ class ConvexDomain:
                 continue
             rad = eps * rng.random() ** (1.0 / x.size)
             y = x + (rad / nu) * u
-            if np.linalg.norm(y - x) > 0.0 and self.contains(y):
+            if _norm(y - x) > 0.0 and self.contains(y):
                 return y
         raise DomainError("rejection sampling found no feasible point near x")
 
@@ -95,19 +125,20 @@ class BallDomain(ConvexDomain):
         self.radius = float(radius)
         if not 0.0 < self.radius < np.inf:
             raise DomainError("radius must be positive and finite")
+        _check_extent(_norm(self.center) + self.radius)
         self.dim = self.center.size
 
     def maximize(self, x):
         x = _point(x, self.dim)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
+        if not x.any():
             # T(0) is the whole ball; the center is the canonical pick.
             return self.center.copy()
-        return self.center + (self.radius / nx) * x
+        u = _scaled(x)[0]
+        return self.center + (self.radius / np.linalg.norm(u)) * u
 
     def contains(self, x):
         x = _point(x, self.dim)
-        return bool(np.linalg.norm(x - self.center) <= self.radius + FEAS_TOL)
+        return bool(_norm(x - self.center) <= self.radius + FEAS_TOL)
 
     def sample(self, rng):
         u = rng.standard_normal(self.dim)
@@ -127,6 +158,8 @@ class EllipsoidDomain(ConvexDomain):
         a = np.asarray(shape, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError("shape matrix must be square")
+        if a.shape[0] == 0:
+            raise DomainError("shape matrix is empty")
         if not np.all(np.isfinite(a)):
             raise DomainError("shape matrix has non-finite entries")
         h = 0.5 * a  # halved first, so that finite entries stay finite
@@ -146,12 +179,12 @@ class EllipsoidDomain(ConvexDomain):
         x = _point(x, self.dim)
         if not x.any():  # T(0) is the whole ellipsoid; T(e_1) is the pick
             x = np.eye(self.dim)[0]
-        # with x scaled into [-1, 1] and A to A / 4^k by powers of two, no
+        # with x scaled into [-2, 2] and A to A / 4^k by powers of two, no
         # product overflows, and T(x) = Ax / sqrt(x^T A x) comes out exactly
         # 2^k times smaller
-        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
-        ax = self._unit_shape @ x
-        return np.ldexp(ax / np.sqrt(x @ ax), self._half_exp)
+        u = _scaled(x)[0]
+        au = self._unit_shape @ u
+        return np.ldexp(au / np.sqrt(u @ au), self._half_exp)
 
     def quadratic_form(self, x) -> float:
         """y^T A^{-1} y, equal to 1 on the boundary."""
@@ -190,14 +223,14 @@ class PolytopeDomain(ConvexDomain):
             raise DomainError("vertices have non-finite entries")
         for i in range(len(v)):
             for j in range(i + 1, len(v)):
-                if np.linalg.norm(v[i] - v[j]) <= DEDUP_TOL:
+                if _norm(v[i] - v[j]) <= DEDUP_TOL:
                     raise DomainError(f"duplicate vertices {i} and {j}")
+        _check_extent(max(_norm(p) for p in v))
         self.vertices = v
         self.dim = v.shape[1]
 
     def maximize(self, x):
-        x = _point(x, self.dim)
-        scores = self.vertices @ x
+        scores = self.vertices @ _scaled(_point(x, self.dim))[0]
         return self.vertices[int(np.argmax(scores))].copy()
 
     def contains(self, x):
@@ -243,8 +276,10 @@ class ConeDomain(ConvexDomain):
         self.base_radius = float(base_radius)
         if not 0.0 < self.base_radius < np.inf:
             raise DomainError("base radius must be positive and finite")
+        _check_extent(max(_norm(self.apex),
+                          _norm(self.base_center) + self.base_radius))
         axis = self.apex - self.base_center
-        h = float(np.linalg.norm(axis))
+        h = _norm(axis)
         if h == 0.0:
             raise DomainError("apex coincides with base center")
         self.dim = 3
@@ -259,13 +294,17 @@ class ConeDomain(ConvexDomain):
         self._plane2 = np.cross(self._axis, u1)
 
     def maximize(self, x):
-        x = _point(x, 3)
+        x = _scaled(_point(x, 3))[0]  # the map ignores x's scale
         apex_val = float(x @ self.apex)
         xp = x - (x @ self._axis) * self._axis
-        npx = float(np.linalg.norm(xp))
-        if npx > 0.0:
-            base_pt = self.base_center + (self.base_radius / npx) * xp
-            base_val = float(x @ self.base_center) + self.base_radius * npx
+        if xp.any():
+            # the in-plane part is scaled too, so that neither |xp| nor
+            # base_radius / |xp| under- or overflows
+            v, e = _scaled(xp)
+            nv = float(np.linalg.norm(v))
+            base_pt = self.base_center + (self.base_radius / nv) * v
+            base_val = (float(x @ self.base_center)
+                        + self.base_radius * float(np.ldexp(nv, e)))
         else:
             base_pt = self.base_center + self.base_radius * self._plane1
             base_val = float(x @ self.base_center)
@@ -281,7 +320,7 @@ class ConeDomain(ConvexDomain):
             return False
         radial = d - (t * self._height) * self._axis
         limit = self.base_radius * (1.0 - min(max(t, 0.0), 1.0))
-        return bool(np.linalg.norm(radial) <= limit + FEAS_TOL)
+        return bool(_norm(radial) <= limit + FEAS_TOL)
 
     def sample(self, rng):
         t = rng.random()
@@ -337,10 +376,7 @@ def load_domain(path):
     the kind does not take is rejected.
     """
     spec = {}
-    for ln, raw in enumerate(read_lines(path, DomainError), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in read_lines(path, DomainError):
         if "=" not in line:
             raise DomainError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")

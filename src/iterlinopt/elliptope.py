@@ -656,9 +656,7 @@ def sign_kernel_fixed_point(w) -> np.ndarray:
 @dataclass(frozen=True)
 class CensusPoint:
     matrix: np.ndarray
-    rank: int
-    irreducible: bool
-    family: str  # vertex | edge | face
+    family: str  # vertex (rank 1) | edge (rank 2, reducible) | face (rank 2)
 
 
 _L3_VERTEX_SIGNS = ((1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1))
@@ -678,11 +676,11 @@ def l3_census() -> list:
     pts = []
     for s in _L3_VERTEX_SIGNS:
         v = np.array(s, dtype=float)
-        pts.append(CensusPoint(np.outer(v, v), 1, True, "vertex"))
+        pts.append(CensusPoint(np.outer(v, v), "vertex"))
     for w in _L3_EDGE_KERNELS:
-        pts.append(CensusPoint(sign_kernel_fixed_point(w), 2, False, "edge"))
+        pts.append(CensusPoint(sign_kernel_fixed_point(w), "edge"))
     for w in _L3_FACE_KERNELS:
-        pts.append(CensusPoint(sign_kernel_fixed_point(w), 2, True, "face"))
+        pts.append(CensusPoint(sign_kernel_fixed_point(w), "face"))
     return pts
 
 
@@ -780,9 +778,7 @@ def read_matrix_text(path) -> np.ndarray:
 
     Rejects ragged rows, asymmetry beyond SYM_TOL and files not in UTF-8.
     """
-    lines = [ln.split("#", 1)[0].strip()
-             for ln in read_lines(path, ElliptopeError)]
-    lines = [ln for ln in lines if ln]
+    lines = [line for _, line in read_lines(path, ElliptopeError)]
     if not lines:
         raise ElliptopeError(f"{path}: empty matrix file")
     try:

@@ -144,10 +144,7 @@ def load_graph(path) -> WeightedGraph:
     line number, and a file without edges or not in UTF-8 is rejected."""
     edges = {}
     nmax = -1
-    for ln, raw in enumerate(read_lines(path, GraphFormatError), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in read_lines(path, GraphFormatError):
         parts = line.split()
         if len(parts) not in (2, 3):
             raise GraphFormatError(f"{path}:{ln}: expected 'u v [w]'")

@@ -12,6 +12,7 @@ from iterlinopt import (
     ElliptopeError,
     EscapeWitness,
     ExactClassification,
+    IterationConfig,
     classify_elliptope_fixed_point,
     classify_empirical,
     escape_curve,
@@ -22,7 +23,7 @@ from iterlinopt import (
     l3_census,
     l4_family,
 )
-from iterlinopt.classify import ESCAPE_ALPHAS
+from iterlinopt.classify import ESCAPE_ALPHAS, _sample_verdict
 from iterlinopt.domains import _tangent_label
 from iterlinopt.elliptope import SIGN_TOL
 
@@ -308,6 +309,7 @@ class TestElliptopeClassification:
             if p.family == "vertex":
                 continue
             dom = ElliptopeDomain(3)
-            res = classify_empirical(dom, p.matrix, eps=0.25, samples=8, seed=3,
-                                     max_iter=500)
+            # a run budget of 500 keeps the creep along the continuum short
+            res = _sample_verdict(dom, p.matrix, 0.25, 8, 3,
+                                  IterationConfig.tol, 500)
             assert res.label != "attractive"

@@ -124,6 +124,35 @@ class TestIterate:
         assert "final: 8.6602540378443864e+153 8.6602540378443864e+153\n" in out
         assert "norm_sq: 1.5e+308\n" in out
 
+    def test_ball_whose_squared_extent_overflows_gives_one_error_line(
+            self, tmp_path, capsys):
+        # a run in it would record inf squared norms, as would a start
+        # whose squared norm overflows
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("kind=ball\ncenter=0,0\nradius=1e200\n")
+        assert main(["iterate", "--domain", str(cfg), "--start", "1,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: domain reaches 1e+200 from the origin, "
+                                "whose square overflows\n")
+
+    def test_coordinate_file_takes_comments(self, disk_cfg, tmp_path, capsys):
+        start = tmp_path / "start.txt"
+        start.write_text("# start\n0,1.9  # in the disk\n\n")
+        assert main(["iterate", "--domain", disk_cfg, "--start", str(start)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["iterate", "--domain", disk_cfg, "--start", "0,1.9"]) == 0
+        assert from_file == capsys.readouterr().out
+
+    def test_unparsable_coordinate_file_is_named(self, disk_cfg, tmp_path,
+                                                 capsys):
+        start = tmp_path / "start.txt"
+        start.write_text("# start\n0,x\n")
+        assert main(["iterate", "--domain", disk_cfg, "--start", str(start)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: could not parse start point {start}\n"
+
     @pytest.mark.parametrize("flags", [[], ["--validate-start"]],
                              ids=["plain", "validated"])
     @pytest.mark.parametrize("domain, start", [
@@ -506,6 +535,38 @@ class TestClassify:
 
     def test_non_fixed_point_exits_2(self, disk_cfg):
         assert main(["classify", "--domain", disk_cfg, "--point", "0,2"]) == 2
+
+    def test_huge_non_fixed_point_gives_one_error_line(self, ellipse_cfg,
+                                                       capsys):
+        # |T(x) - x| is about 1e200: its square overflows, not the residual
+        assert main(["classify", "--domain", ellipse_cfg, "--point", "1e200,0",
+                     "--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: point is not a fixed point (residual "
+                                "9.9999999999999997e+199)\n")
+
+    def test_ball_whose_squared_extent_overflows_gives_one_error_line(
+            self, tmp_path, capsys):
+        # sampled starts near (1e200, 0) would have inf squared norms
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("kind=ball\ncenter=0,0\nradius=1e200\n")
+        assert main(["classify", "--domain", str(cfg),
+                     "--point", "1e200,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: domain reaches 1e+200 from the origin, "
+                                "whose square overflows\n")
+
+    def test_coordinate_file_point_takes_comments(self, disk_cfg, tmp_path,
+                                                  capsys):
+        point = tmp_path / "point.txt"
+        point.write_text("# the disk's far point\n3\n0 # y\n")
+        argv = ["classify", "--domain", disk_cfg, "--samples", "2", "--point"]
+        assert main(argv + [str(point)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(argv + ["3,0"]) == 0
+        assert from_file == capsys.readouterr().out
 
     def test_elliptope_domain_file_takes_a_matrix_point(
             self, elliptope_cfg, face_point, capsys):

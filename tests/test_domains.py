@@ -7,6 +7,7 @@ from iterlinopt import (
     DomainError,
     EllipsoidDomain,
     PolytopeDomain,
+    check_monotone,
     iterate,
     load_domain,
 )
@@ -28,6 +29,40 @@ class TestBallOracle:
     def test_zero_input_returns_center(self):
         dom = BallDomain([1.0, 0.0], 2.0)
         assert np.array_equal(dom.maximize([0.0, 0.0]), [1.0, 0.0])
+
+    def test_query_whose_norm_over_or_underflows(self):
+        # |x|^2 is inf or 0, yet T ignores the scale of x; a RuntimeWarning
+        # would fail the test
+        dom = BallDomain([0.0, 0.0], 1.0)
+        for x in ([1e200, 0.0], [1e-200, 0.0], [5e-324, 0.0]):
+            assert np.array_equal(dom.maximize(x), [1.0, 0.0])
+
+    def test_radius_near_the_largest_with_a_finite_square(self):
+        # radius / |x| stays finite at any scale of x
+        dom = BallDomain([0.0, 0.0], 1e154)
+        t = dom.maximize([3.0, 4.0])
+        assert np.allclose(t, [0.6e154, 0.8e154], rtol=1e-15, atol=0)
+        for e in (-600, 600):
+            assert np.array_equal(dom.maximize(np.ldexp([3.0, 4.0], e)), t)
+
+    def test_largest_ball_run_keeps_a_monotone_record(self):
+        dom = BallDomain([0.0, 0.0], 1e154)
+        traj = iterate(dom, [1.0, 0.0])
+        assert traj.status == "converged" and traj.residual == 0.0
+        assert np.array_equal(traj.final, [1e154, 0.0])
+        assert traj.norms_sq[-1] == pytest.approx(1e308)
+        assert check_monotone(traj).passed
+
+    @pytest.mark.parametrize("center, radius", [
+        ([0.0, 0.0], 1e200),
+        ([1e308, 0.0], 1e308),  # center + radius overflows
+        ([1e154, 0.0], 1e154),  # each is fine, the sum's square is not
+    ], ids=["radius", "sum", "sum-squared"])
+    def test_ball_whose_squared_extent_overflows_is_rejected(self, center,
+                                                             radius):
+        # its boundary points would record inf squared norms in a run
+        with pytest.raises(DomainError, match="whose square overflows"):
+            BallDomain(center, radius)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
     def test_radius_must_be_positive_and_finite(self, radius):
@@ -139,6 +174,10 @@ class TestEllipsoidOracle:
         with pytest.raises(DomainError, match="must be symmetric"):
             EllipsoidDomain([[1e308, -1e308], [1e308, 1e308]])
 
+    def test_empty_shape_rejected(self):
+        with pytest.raises(DomainError, match="shape matrix is empty"):
+            EllipsoidDomain(np.zeros((0, 0)))
+
     def test_not_positive_definite_rejected(self):
         with pytest.raises(DomainError):
             EllipsoidDomain(np.diag([1.0, 0.0]))
@@ -167,6 +206,15 @@ class TestPolytopeOracle:
     def test_tie_goes_to_lowest_index(self):
         dom = PolytopeDomain(SQUARE)
         assert np.array_equal(dom.maximize([1.0, 0.0]), [1.0, 1.0])
+
+    def test_huge_vertices_and_query(self):
+        # each score overflows unscaled: T scales x by a power of two
+        dom = PolytopeDomain([(1e150, 0.0), (0.0, 1e150)])
+        assert np.array_equal(dom.maximize([1e199, 1e200]), [0.0, 1e150])
+
+    def test_vertex_whose_squared_norm_overflows_is_rejected(self):
+        with pytest.raises(DomainError, match="whose square overflows"):
+            PolytopeDomain([(0.0, 0.0), (1e200, 0.0), (0.0, 1.0)])
 
     def test_empty_and_duplicates_rejected(self):
         with pytest.raises(DomainError):
@@ -229,6 +277,40 @@ class TestConeOracle:
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             ConeDomain([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 1.0)
+
+    def test_query_whose_norm_overflows(self):
+        dom = ConeDomain([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], 1.0)
+        assert np.array_equal(dom.maximize([1e200, 1e200, 0.0]),
+                              dom.maximize([1.0, 1.0, 0.0]))
+
+    def test_in_plane_part_that_underflows(self):
+        # |xp| underflows to 0 and base_radius / |xp| overflows unscaled
+        dom = ConeDomain([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], 1e150)
+        assert np.allclose(dom.maximize([0.0, 1e-170, -1.0]),
+                           [0.0, 1e150, 0.0], rtol=1e-15, atol=0)
+        assert np.allclose(dom.maximize([3e-160, 4e-160, -1.0]),
+                           [0.6e150, 0.8e150, 0.0], rtol=1e-15, atol=0)
+
+    def test_largest_cone_has_a_finite_height(self):
+        # |apex - base_center|^2 overflows, though neither end's does
+        dom = ConeDomain([0.0, 0.0, 1e154], [0.0, 0.0, -1e154], 3e153)
+        assert dom._height == 2e154
+        assert np.array_equal(dom._axis, [0.0, 0.0, 1.0])
+        for point in ([0.0, 0.0, -1e154], [0.0, 0.0, 1e154],
+                      [3e153, 0.0, -1e154]):
+            assert dom.contains(point)
+        assert np.array_equal(dom.maximize([1.0, 0.0, -1.0]),
+                              [3e153, 0.0, -1e154])
+
+    @pytest.mark.parametrize("apex, base_center, base_radius", [
+        ([0.0, 0.0, 1e200], [0.0, 0.0, 0.0], 1e200),
+        ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], 1e200),
+        ([0.0, 0.0, 1.0], [1e154, 0.0, 0.0], 1e154),
+    ], ids=["apex", "base-radius", "base-center"])
+    def test_cone_whose_squared_extent_overflows_is_rejected(
+            self, apex, base_center, base_radius):
+        with pytest.raises(DomainError, match="whose square overflows"):
+            ConeDomain(apex, base_center, base_radius)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
     def test_base_radius_must_be_positive_and_finite(self, radius):

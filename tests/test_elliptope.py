@@ -606,10 +606,12 @@ class TestCensus:
         assert sum(p.family == "face" for p in pts) == 4
 
     def test_ranks_and_reducibility(self):
+        # the family gives both: vertices have rank one, edge and face
+        # points rank two, and only the edge points are reducible
         for p in l3_census():
-            assert _rank(p.matrix) == p.rank
+            assert _rank(p.matrix) == (1 if p.family == "vertex" else 2)
             comps = _components(p.matrix)
-            assert (len(comps) == 1) == p.irreducible
+            assert (len(comps) == 1) == (p.family != "edge")
 
     def test_certificates(self):
         for p in l3_census():

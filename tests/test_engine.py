@@ -76,6 +76,14 @@ def test_check_monotone_fails_on_reversed_run():
     assert rep.first_violation == 0
 
 
+def test_step_whose_square_overflows_is_a_violation():
+    # the squared step is inf, not an OverflowError
+    traj = Trajectory([np.zeros(2), np.array([1e200, 0.0])], [0.0, 1e300],
+                      [1e200], "max_iter", 0.0)
+    rep = check_monotone(traj)
+    assert not rep.passed and rep.first_violation == 0
+
+
 def test_check_monotone_needs_two_points():
     traj = Trajectory([np.zeros(2)], [0.0], [], "converged", 0.0)
     with pytest.raises(ValueError):

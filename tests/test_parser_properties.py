@@ -1,4 +1,4 @@
-"""Property tests for the three text parsers and the CLI around them.
+"""Property tests for the four text parsers and the CLI around them.
 
 On any text file a parser either returns a result or raises its own error
 class, and the CLI turns that error into exit 1 with a single ``error:``
@@ -26,7 +26,7 @@ from iterlinopt import (  # noqa: E402
     load_graph,
     read_matrix_text,
 )
-from iterlinopt.cli import main  # noqa: E402
+from iterlinopt.cli import CliError, _parse_start_vector, main  # noqa: E402
 
 NUMBERS = ["0", "1", "2", "3", "-1", "0.5", "-0.25", "1e308", "-1e308", "nan",
            "inf", "1e-320", "2049", "00", "+1", "1_0", "x", ""]
@@ -43,7 +43,8 @@ def _words(words, max_size=4):
     return st.lists(st.sampled_from(words), max_size=max_size).map(" ".join)
 
 
-GRAPH_TEXT = st.one_of(_lines(st.one_of(_words(NUMBERS), JUNK)), ANY)
+# graph and coordinate files: words of numbers on lines
+WORDS_TEXT = st.one_of(_lines(st.one_of(_words(NUMBERS), JUNK)), ANY)
 MATRIX_TEXT = st.one_of(_lines(st.one_of(_words(NUMBERS, 5), JUNK)), ANY)
 
 KEYS = ["kind", "center", "radius", "shape", "vertices", "apex", "base_center",
@@ -86,7 +87,7 @@ def _rejected_cleanly(code, err):
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=GRAPH_TEXT)
+@given(text=WORDS_TEXT)
 def test_load_graph_returns_or_raises_its_own_error(workdir, text):
     path = _write(workdir, text)
     try:
@@ -124,3 +125,24 @@ def test_load_domain_returns_or_raises_its_own_error(workdir, text):
             *_run(["iterate", "--domain", path, "--start", "0,1"]))
         return
     assert isinstance(domain, ConvexDomain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=WORDS_TEXT)
+def test_coordinate_file_returns_or_raises_its_own_error(workdir, text):
+    path = _write(workdir, text)
+    disk = _write(workdir, "kind=ball\ncenter=1,0\nradius=2\n")
+    argv = ["iterate", "--domain", disk, "--start", path]
+    try:
+        x = _parse_start_vector(path)
+    except CliError as exc:
+        assert exc.code == 1 and str(exc).endswith(path)
+        assert _rejected_cleanly(*_run(argv))
+        return
+    assert x.ndim == 1
+    # parsed coordinates run, or are rejected in one line: exit 1 for the
+    # domain's own error, 2 for a start whose squared norm overflows
+    code, err = _run(argv)
+    lines = err.strip().splitlines()
+    assert (code == 0 and not lines) or (
+        code in (1, 2) and len(lines) == 1 and lines[0].startswith("error: "))

@@ -7,7 +7,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "iterlinopt"
 
 # The settable values of the package, as the quality aim in ROADMAP.md
 # states them. Adding a knob means updating both numbers.
-SETTABLE_VALUES = 48
+SETTABLE_VALUES = 46
 
 
 def _is_dataclass(node):
@@ -47,7 +47,6 @@ def test_settable_value_count():
 # decision, listed in the README's Tolerances table.
 TOLERANCE_KEYWORDS = {
     "analyze_fixed_point.tol",
-    "classify_empirical.tol",
     "IterationConfig.tol",
     "OracleConfig.gap_tol",
 }
@@ -57,24 +56,34 @@ def _is_tolerance(name):
     return name == "tol" or name.endswith("_tol")
 
 
+def _defaulted(tree):
+    """(name, positional parameters, defaulted parameters) per function
+    and dataclass of a syntax tree with a default; a dataclass's
+    positional parameters are its fields, and a method's leave out self."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None]
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [st for st in node.body if isinstance(st, ast.AnnAssign)]
+            positional = [st.target.id for st in fields]
+            defaulted = [st.target.id for st in fields if st.value is not None]
+        else:
+            continue
+        if defaulted:
+            yield node.name, positional, defaulted
+
+
 def _tolerance_keywords(path):
     """The parameters and dataclass fields with a default that are named
     tol or *_tol."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults):] + [
-                a for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                if d is not None]
-            found |= {f"{node.name}.{a.arg}" for a in defaulted
-                      if _is_tolerance(a.arg)}
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            found |= {f"{node.name}.{st.target.id}" for st in node.body
-                      if isinstance(st, ast.AnnAssign) and st.value is not None
-                      and _is_tolerance(st.target.id)}
-    return found
+    return {f"{name}.{p}" for name, _, defaulted in _defaulted(
+        ast.parse(path.read_text())) for p in defaulted if _is_tolerance(p)}
 
 
 def test_tolerance_keyword_count():
@@ -83,6 +92,80 @@ def test_tolerance_keyword_count():
     found = set().union(*(_tolerance_keywords(p)
                           for p in sorted(PACKAGE.glob("*.py"))))
     assert found == TOLERANCE_KEYWORDS
+
+
+# Settable values that no production call sets, each with the benchmark
+# script that reads it back. ROADMAP item 4 deletes both once the run's
+# own telemetry replaces that script's wrappers.
+SETTER_ALLOWLIST = {
+    "OracleConfig.max_sweeps": "spans.py",  # counts the capped oracle calls
+    "elliptope_oracle.warm_start": "spans.py",  # counts the warm starts
+}
+
+
+def _calls(node, inside=()):
+    """(callee name, positional argument count, keyword names, enclosing
+    definitions) per call under a syntax tree node. Positional arguments
+    after a starred one are not counted, since their positions are
+    unknown."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside += (node.name,)
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        positional = 0
+        for arg in node.args:
+            if isinstance(arg, ast.Starred):
+                break
+            positional += 1
+        yield name, positional, {kw.arg for kw in node.keywords}, inside
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, inside)
+
+
+def test_every_settable_value_has_a_production_setter():
+    """Every parameter and dataclass field with a default under the package
+    is passed, by keyword or by position, by a call in the package outside
+    its own definition or by a call in a benchmark script under perfbench/,
+    or is on SETTER_ALLOWLIST and read back by the script it names: a
+    default that only the tests change is a knob that does nothing. The
+    command-line flags are the CLI's to set. Callees are matched by bare
+    name, so each defaulted name must be unique in the package."""
+    bench_dir = PACKAGE.parents[1] / "perfbench"
+    paths = sorted(PACKAGE.glob("*.py"))
+    package = [ast.parse(p.read_text()) for p in paths]
+    found = [entry for tree in package for entry in _defaulted(tree)]
+    signatures = {name: (positional, defaulted)
+                  for name, positional, defaulted in found}
+    assert len(signatures) == len(found), sorted(name for name, _, _ in found)
+    # a lambda's defaults have no name to set them by: there are none, so
+    # that this walk and _settable's count the same values
+    assert not [node for tree in package for node in ast.walk(tree)
+                if isinstance(node, ast.Lambda) and (node.args.defaults or any(
+                    d is not None for d in node.args.kw_defaults))]
+    calls = [call for tree in package for call in _calls(tree)] + [
+        call for p in sorted(bench_dir.glob("*.py"))
+        for call in _calls(ast.parse(p.read_text()))]
+    settable = {f"{name}.{p}" for name, (_, defaulted) in signatures.items()
+                for p in defaulted}
+    flags = sum(isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"
+                for node in ast.walk(package[paths.index(PACKAGE / "cli.py")]))
+    assert len(settable) + flags == sum(_settable(p) for p in paths)
+    passed = set()
+    for name, count, keywords, inside in calls:
+        if name in signatures and name not in inside:
+            positional, defaulted = signatures[name]
+            passed |= {f"{name}.{p}" for p in defaulted
+                       if p in keywords or p in positional[:count]}
+    assert sorted(settable - passed - set(SETTER_ALLOWLIST)) == []
+    # an allowlisted value is still unset, and its reader still reads it
+    for value, reader in SETTER_ALLOWLIST.items():
+        assert value in settable - passed, value
+        tree = ast.parse((bench_dir / reader).read_text())
+        assert value.split(".")[1] in _referenced(tree), value
 
 
 def test_every_dataclass_is_frozen():
