@@ -427,13 +427,30 @@ def _maxcut_flags(p):
     p.add_argument("--csv", help="write one CSV row per instance to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a value that starts with a minus sign as an option
+    unless it is one number, so '--start -0.5,0.2' would exit 2: each
+    value after --start or --point that starts with a minus sign and a
+    digit or '.' is joined to its flag first, as '--start=-0.5,0.2'."""
+
+    def parse_known_args(self, args, namespace):  # parse_args passes both
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if (joined and joined[-1] in ("--start", "--point")
+                    and arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == ".")):
+                joined[-1] = f"{joined[-1]}={arg}"
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for the command line ``argv``: every command with its
     short help, and the flags of the one command that argv names, since
     the defaults of the others' flags live in modules this run need not
     import. The first argument that is not an option names the command,
     because the top-level options take no value."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iterlinopt",
         description="Fixed-point iteration of linear maximization over convex "
                     "bodies: run it, certify its fixed points, classify them, "

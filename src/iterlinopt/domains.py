@@ -84,9 +84,14 @@ def _point(x, dim=None) -> np.ndarray:
 class ConvexDomain:
     """Base class: a compact convex set plus its linear-maximization rule.
 
-    Subclasses implement ``maximize`` (the map T), ``contains`` and
-    ``sample``. All methods are pure functions of their inputs, so domain
-    objects are safe to share across threads.
+    A domain offers what the process and its classification call:
+    ``maximize``, the map T that the engine iterates; ``contains``; and
+    ``sample_near``, a random feasible point near a fixed point, from which
+    ``classify_empirical`` iterates. Subclasses implement the first two,
+    and the rejection sampler below serves them all but the elliptope.
+    Balls and ellipsoids also give ``tangent_eigenvalues``, which the
+    theorem label reads. All methods are pure functions of their inputs,
+    so domain objects are safe to share across threads.
     """
 
     dim: int
@@ -96,10 +101,6 @@ class ConvexDomain:
         raise NotImplementedError
 
     def contains(self, x):
-        raise NotImplementedError
-
-    def sample(self, rng):
-        """Random feasible point (coverage sampling, not exactly uniform)."""
         raise NotImplementedError
 
     def sample_near(self, x, eps, rng):
@@ -139,11 +140,6 @@ class BallDomain(ConvexDomain):
     def contains(self, x):
         x = _point(x, self.dim)
         return bool(_norm(x - self.center) <= self.radius + FEAS_TOL)
-
-    def sample(self, rng):
-        u = rng.standard_normal(self.dim)
-        u /= np.linalg.norm(u)
-        return self.center + self.radius * rng.random() ** (1.0 / self.dim) * u
 
     def tangent_eigenvalues(self, x) -> np.ndarray:
         """The map's tangent eigenvalues at a fixed point x: r/|x|, dim - 1
@@ -193,12 +189,6 @@ class EllipsoidDomain(ConvexDomain):
 
     def contains(self, x):
         return self.quadratic_form(x) <= 1.0 + FEAS_TOL
-
-    def sample(self, rng):
-        u = rng.standard_normal(self.dim)
-        u /= np.linalg.norm(u)
-        u *= rng.random() ** (1.0 / self.dim)
-        return self._eigvecs @ (np.sqrt(self._eigvals) * (self._eigvecs.T @ u))
 
     def tangent_eigenvalues(self, x) -> np.ndarray:
         """The map's tangent eigenvalues at a fixed point x = +-sqrt(lambda_i)
@@ -253,10 +243,6 @@ class PolytopeDomain(ConvexDomain):
                       options={"primal_feasibility_tolerance": LP_TOL / 10})
         return bool(res.success)
 
-    def sample(self, rng):
-        w = rng.dirichlet(np.ones(len(self.vertices)))
-        return w @ self.vertices
-
 
 class ConeDomain(ConvexDomain):
     """Solid cone: convex hull of an apex and a disk orthogonal to the axis.
@@ -291,7 +277,6 @@ class ConeDomain(ConvexDomain):
         u1 = e - (e @ self._axis) * self._axis
         u1 /= np.linalg.norm(u1)
         self._plane1 = u1
-        self._plane2 = np.cross(self._axis, u1)
 
     def maximize(self, x):
         x = _scaled(_point(x, 3))[0]  # the map ignores x's scale
@@ -321,13 +306,6 @@ class ConeDomain(ConvexDomain):
         radial = d - (t * self._height) * self._axis
         limit = self.base_radius * (1.0 - min(max(t, 0.0), 1.0))
         return bool(_norm(radial) <= limit + FEAS_TOL)
-
-    def sample(self, rng):
-        t = rng.random()
-        rad = self.base_radius * (1.0 - t) * np.sqrt(rng.random())
-        ang = 2.0 * np.pi * rng.random()
-        return (self.base_center + t * self._height * self._axis
-                + rad * (np.cos(ang) * self._plane1 + np.sin(ang) * self._plane2))
 
 
 def _tangent_label(mu) -> str:

@@ -470,10 +470,6 @@ class ElliptopeDomain(ConvexDomain):
     def contains(self, x):
         return is_in_elliptope(self._order(x))
 
-    def sample(self, rng):
-        return gram_to_matrix(
-            random_gram(self.n, default_rank_budget(self.n), rng))
-
     def sample_near(self, x, eps, rng):
         """Perturb the Gram rows and renormalize, shrinking the perturbation
         until the result lands strictly inside the eps ball. Stays feasible

@@ -387,11 +387,12 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
     rounds X alike, and a narrow one (the relaxation's) makes each step
     cheaper. A non-vertex fixed point triggers a norm-increasing escape
     step, ``escape_curve``'s move of one row of V, and the run resumes, up
-    to ESCAPE_RETRIES times; after that, or if MAX_ROUNDS pass without a
-    vertex, hyperplane rounding of V against graph, seeded with seed,
-    supplies the partition and the provenance is flagged. graph must have
-    one vertex per row of gram, and the report carries its cut. The
-    squared norm never decreases across accepted iterates.
+    to ESCAPE_RETRIES times; after that, or if MAX_ROUNDS pass and the
+    last leaves no vertex either, hyperplane rounding of V against graph,
+    seeded with seed, supplies the partition and the provenance is
+    flagged. graph must have one vertex per row of gram, and the report
+    carries its cut. The squared norm never decreases across accepted
+    iterates.
     """
     x = gram_to_matrix(gram)
     if graph.n != x.shape[0]:
@@ -401,7 +402,6 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
     norms = [float(np.vdot(x, x))]
     escapes = 0
     iterations = 0
-    status = "max_rounds"
     for _ in range(MAX_ROUNDS):
         if _is_vertex(x):
             status = "vertex"
@@ -418,6 +418,8 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
         v, x = _power_step(x, v)
         iterations += 1
         norms.append(float(np.vdot(x, x)))
+    else:  # the budget ran out; its last round may have reached a vertex
+        status = "vertex" if _is_vertex(x) else "max_rounds"
     if status == "vertex":
         partition, source = vertex_signs(x), "vertex_row"
     else:

@@ -35,6 +35,8 @@ from iterlinopt import (
 )
 from iterlinopt.elliptope import SIGN_TOL, _components, _is_vertex, _rank
 
+from feasible_points import random_feasible_point
+
 SEED = 20250809
 
 
@@ -118,7 +120,7 @@ def suite_monotone(seed):
             else:
                 n = int(rng.integers(2, 11))
                 dom = ElliptopeDomain(n)
-            x0 = dom.sample(rng)
+            x0 = random_feasible_point(dom, rng)
             traj = iterate(dom, x0, ell_cfg if kind == "elliptope" else cfg)
             mono = check_monotone(traj)
             assert mono.passed, f"{kind} run {k} violates monotonicity"
@@ -144,7 +146,7 @@ def suite_disk(seed):
     lines = []
     done = 0
     while done < 100:
-        x0 = dom.sample(rng)
+        x0 = random_feasible_point(dom, rng)
         if np.linalg.norm(x0 - repel) < 1e-6:
             continue
         traj = iterate(dom, x0, cfg)
@@ -167,7 +169,7 @@ def suite_ellipse(seed):
     targets = np.array([[2.0, 0.0], [-2.0, 0.0]])
     lines = []
     for k in range(100):
-        x0 = dom.sample(rng)
+        x0 = random_feasible_point(dom, rng)
         traj = iterate(dom, x0, cfg)
         assert traj.status == "converged"
         dist = float(np.min(np.linalg.norm(targets - traj.final, axis=1)))

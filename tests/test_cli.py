@@ -12,14 +12,18 @@ import pytest
 
 import iterlinopt
 from iterlinopt import (
+    ElliptopeDomain,
     OracleConfig,
     WeightedGraph,
+    classify_empirical,
     cli,
     elliptope_oracle,
     engine,
     l3_census,
     l4_family,
+    load_domain,
     maxcut,
+    read_matrix_text,
     relaxation_cost,
     sign_kernel_fixed_point,
     write_matrix_text,
@@ -171,6 +175,20 @@ class TestIterate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: starting point's squared norm overflows\n"
+
+    def test_step_from_a_far_exterior_start_is_finite(self, tmp_path, capsys):
+        # the step's square overflows, but the step is 2e154
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("kind=ball\ncenter=-1e154,0\nradius=1\n")
+        trace = tmp_path / "far.csv"
+        assert main(["iterate", "--domain", str(cfg), "--start", "1e154,0",
+                     "--trace", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "final: -1e+154 0\n" in captured.out
+        rows = trace.read_text().splitlines()
+        assert rows[2].split(",")[4] == "2.0000000000000001e+154"  # iter 1
+        assert "inf" not in trace.read_text()
 
     def test_elliptope_run_prints_certificate(self, tmp_path, capsys):
         start = tmp_path / "x0.txt"
@@ -446,6 +464,35 @@ class TestClassify:
         assert captured.out == ""
         assert captured.err.startswith("error: could not sample a nearby")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags, eps, samples, seed, label, returned", [
+        (["--domain", "DISK", "--point", "-1,0", "--eps", "0.3",
+          "--samples", "8", "--seed", "2"], 0.3, 8, 2, "repelling", 0),
+        # the default --eps and --seed
+        (["--matrix", "VERTEX", "--samples", "4"], 0.1, 4, 0, "attractive", 4),
+    ], ids=["disk-near-point", "order-4-vertex"])
+    def test_the_sampled_verdict_is_the_library_one(
+            self, disk_cfg, tmp_path, capsys, flags, eps, samples, seed,
+            label, returned):
+        # the command checks the point and samples on its own path; at the
+        # default --tol and --max-iter it prints classify_empirical's fields
+        s = np.array([1.0, -1.0, -1.0, 1.0])
+        vertex = tmp_path / "vertex.txt"
+        write_matrix_text(np.outer(s, s), vertex)
+        flags = [{"DISK": disk_cfg, "VERTEX": str(vertex)}.get(f, f)
+                 for f in flags]
+        assert main(["classify", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if "--matrix" in flags:
+            domain, x = ElliptopeDomain(4), read_matrix_text(vertex)
+        else:
+            domain, x = load_domain(disk_cfg), [-1.0, 0.0]
+        r = classify_empirical(domain, x, eps, samples, seed)
+        assert (r.label, r.returned) == (label, returned)
+        assert lines[-6:] == [
+            f"empirical label: {r.label}", f"eps: {r.eps:.17g}",
+            f"samples: {r.samples}", f"returned: {r.returned}",
+            f"escaped: {r.escaped}", f"undecided: {r.undecided}"]
 
     def test_ellipse_minor_axis_repelling(self, ellipse_cfg, capsys):
         code = main(["classify", "--domain", ellipse_cfg, "--point", "0,1",
@@ -1100,6 +1147,34 @@ def test_a_command_loads_only_the_modules_it_uses(argv, unloaded, face_point,
               if line.startswith("import time:")}
     assert {"iterlinopt.cli", "iterlinopt.elliptope"} <= loaded
     assert sorted(loaded & (unloaded | {"scipy"})) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--domain", "DISK", "--start", "-0.5,0.2"],
+    ["iterate", "--domain", "DISK", "--start", "-.5 .2", "--tol", "1e-9"],
+    ["classify", "--domain", "DISK", "--point", "-1,0", "--samples", "0"],
+], ids=["iterate", "iterate-spaced", "classify"])
+def test_coordinates_that_start_with_a_minus_sign_are_a_value(
+        disk_cfg, capsys, argv):
+    """argparse reads '-0.5,0.2' after a flag as an option unless it is
+    one number; the commands read it as the value, as in the form
+    '--start=-0.5,0.2'."""
+    argv = [disk_cfg if a == "DISK" else a for a in argv]
+    flag = argv.index("--start" if "--start" in argv else "--point")
+    joined = [*argv[:flag], f"{argv[flag]}={argv[flag + 1]}", *argv[flag + 2:]]
+    assert main(joined) == 0
+    expected = capsys.readouterr().out
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out == expected
+    if argv[0] == "classify":  # the disk's near point
+        assert "theorem label: repelling\n" in expected
+
+
+def test_a_flag_still_takes_no_flag_for_its_value(disk_cfg, capsys):
+    assert main(["iterate", "--domain", disk_cfg, "--start", "--tol",
+                 "1e-9"]) == 2
+    assert "argument --start: expected one argument" in capsys.readouterr().err
 
 
 class TestReproducibility:

@@ -13,6 +13,8 @@ from iterlinopt import (
     iterate,
 )
 
+from feasible_points import random_feasible_point
+
 SQUARE = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
 
@@ -82,6 +84,15 @@ def test_step_whose_square_overflows_is_a_violation():
                       [1e200], "max_iter", 0.0)
     rep = check_monotone(traj)
     assert not rep.passed and rep.first_violation == 0
+
+
+def test_step_whose_square_overflows_is_recorded_finite():
+    # the exterior start is 2e154 from its image, whose square overflows
+    traj = iterate(BallDomain([-1e154, 0.0], 1.0), [1e154, 0.0])
+    assert traj.step_norms == [2e154, 0.0]
+    assert traj.status == "converged"
+    # the start lies outside the ball: transition 0 need not climb
+    assert check_monotone(traj).first_violation == 0
 
 
 def test_check_monotone_needs_two_points():
@@ -164,7 +175,7 @@ def test_monotone_property_random_runs():
             dom = EllipsoidDomain(0.5 * (a + a.T))
         else:
             dom = PolytopeDomain(rng.standard_normal((6, 3)))
-        traj = iterate(dom, dom.sample(rng))
+        traj = iterate(dom, random_feasible_point(dom, rng))
         assert check_monotone(traj).passed
         if traj.status == "converged":
             assert traj.residual <= 10.0 * 1e-10

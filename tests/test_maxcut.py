@@ -458,6 +458,36 @@ class TestRounding:
                                            HYPERPLANES, seed)
             assert np.array_equal(report.partition, signs)
 
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_the_last_round_allowed_is_checked_for_a_vertex(self, monkeypatch,
+                                                          budget):
+        # K5's relaxation reaches its vertex in one power step: a budget of
+        # one round still reads the partition off it, without a warning,
+        # and a chain that meets its vertex inside the budget checks twice
+        g = complete_graph(5)
+        calls = []
+        is_vertex = maxcut._is_vertex
+        monkeypatch.setattr(maxcut, "MAX_ROUNDS", budget)
+        monkeypatch.setattr(maxcut, "_is_vertex",
+                            lambda x: calls.append(1) or is_vertex(x))
+        report = round_by_iteration(solve_relaxation(g, seed=0).gram, graph=g)
+        assert (report.iterations, report.terminal_status,
+                report.partition_source, report.cut_value) == (
+            1, "vertex", "vertex_row", 6.0)
+        assert len(calls) == 2
+
+    def test_a_chain_out_of_rounds_falls_back(self, monkeypatch):
+        # the face point's escape spends the one round allowed, and the
+        # escaped point is no vertex
+        face = [p.matrix for p in l3_census() if p.family == "face"][0]
+        monkeypatch.setattr(maxcut, "MAX_ROUNDS", 1)
+        with pytest.warns(UserWarning, match="did not reach a vertex"):
+            report = round_by_iteration(gram_factor(face), seed=3, graph=K3)
+        assert (report.iterations, report.escapes, report.terminal_status,
+                report.partition_source) == (
+            0, 1, "max_rounds", "hyperplane_fallback")
+        assert len(report.norms_sq) == 2  # the start's and the escape's
+
     def test_a_factor_of_the_start_rounds_it_alike(self):
         # power steps map V Q to W Q: the relaxation's narrow factor and the
         # full factor of gram_factor give the same chain

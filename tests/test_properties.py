@@ -44,6 +44,8 @@ from iterlinopt.elliptope import (
 )
 from iterlinopt.maxcut import _power_step
 
+from feasible_points import random_feasible_point
+
 
 def _ball_case(rng):
     d = int(rng.integers(2, 5))
@@ -85,21 +87,28 @@ def _cone_case(rng):
     t = rng.random((1000, 1))
     rad = dom.base_radius * (1.0 - t) * np.sqrt(rng.random((1000, 1)))
     ang = 2.0 * np.pi * rng.random((1000, 1))
+    plane2 = np.cross(dom._axis, dom._plane1)
     ys = (dom.base_center + t * (apex - base)
-          + rad * (np.cos(ang) * dom._plane1 + np.sin(ang) * dom._plane2))
+          + rad * (np.cos(ang) * dom._plane1 + np.sin(ang) * plane2))
     return dom, ys
 
 
 @pytest.mark.parametrize("case", [_ball_case, _ellipsoid_case,
                                   _polytope_case, _cone_case])
 def test_oracle_beats_1000_feasible_points_per_query(case):
-    # 250 (domain, x) pairs per domain kind, 1000 feasible points each
+    # 250 (domain, x) pairs per domain kind, 1000 feasible points each; a
+    # ball's maximizer lies on its sphere, and a cone's, apex or base
+    # circle, is feasible
     rng = np.random.default_rng(hash(case.__name__) % 2**32)
     for _ in range(250):
         dom, ys = case(rng)
         x = rng.standard_normal(dom.dim)
         t = dom.maximize(x)
         assert np.max(ys @ x) <= float(x @ t) + 1e-9
+        if case is _ball_case:
+            assert abs(np.linalg.norm(t - dom.center) - dom.radius) <= 1e-10
+        elif case is _cone_case:
+            assert dom.contains(t)
 
 
 def test_elliptope_oracle_beats_random_members():
@@ -111,7 +120,7 @@ def test_elliptope_oracle_beats_random_members():
         res = elliptope_oracle(c, OracleConfig(seed=int(rng.integers(2**31))))
         dom = ElliptopeDomain(n)
         for _ in range(40):
-            y = dom.sample(rng)
+            y = random_feasible_point(dom, rng)
             assert float(np.vdot(c, y)) <= res.objective + 1e-9
 
 

@@ -185,8 +185,9 @@ def test_every_dataclass_is_frozen():
     assert not unfrozen
 
 
-# Exported names that no module of the package and no benchmark script
-# calls, each with the reason it stays exported.
+# Public definitions, by module-qualified name, that no other definition
+# of the package and no benchmark script uses, each with the reason it
+# stays.
 EXPORT_ALLOWLIST = {}
 
 
@@ -206,33 +207,55 @@ def _referenced(tree):
     return names
 
 
-def _statements(path):
-    """(defined name, referenced names) per top-level statement of a
-    module; the name is a def or class statement's, else None."""
+def _definitions(path):
+    """(qualified name, defined name, owner, referenced names) per
+    top-level statement of a module and per method of its classes, whose
+    owner is its class's qualified name. A class keeps the references its
+    methods leave out; a statement that defines nothing has no names."""
     for node in ast.parse(path.read_text()).body:
-        name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                else None)
-        yield name, _referenced(node)
+        if isinstance(node, ast.ClassDef):
+            qualified = f"{path.stem}.{node.name}"
+            rest = node.bases + node.keywords + node.decorator_list
+            for st in node.body:
+                if isinstance(st, ast.FunctionDef):
+                    yield f"{qualified}.{st.name}", st.name, qualified, _referenced(st)
+                else:
+                    rest.append(st)
+            yield qualified, node.name, None, set().union(*map(_referenced, rest))
+        elif isinstance(node, ast.FunctionDef):
+            yield f"{path.stem}.{node.name}", node.name, None, _referenced(node)
+        else:
+            yield None, None, None, _referenced(node)
 
 
 def test_every_export_has_a_production_caller():
-    """Every name the package exports is used by the package's other
-    modules or by the benchmark scripts under perfbench/, or is on
+    """Every public function, class, method and property of the package,
+    the exported names among them, is used by the package's other
+    definitions or by the benchmark scripts under perfbench/, or is on
     EXPORT_ALLOWLIST: a function only the tests call belongs in the tests.
-    A definition's use of itself does not count, nor a use inside an
-    export that is itself unused (a result type only its unused producer
-    builds)."""
+    Methods are matched by bare name, so one call of maximize serves every
+    domain's. A definition's use of itself does not count, nor a use inside
+    a definition that is itself unused (a result type only its unused
+    producer builds) or inside a method of an unused class."""
     init = PACKAGE / "__init__.py"
-    exported = set(iterlinopt.__all__)  # built from the package's export table
-    statements = [st for path in sorted(PACKAGE.glob("*.py")) if path != init
-                  for st in _statements(path)]
+    definitions = [d for path in sorted(PACKAGE.glob("*.py")) if path != init
+                   for d in _definitions(path)]
+    # public: no part of the name is private, so a private class's override
+    # of a library method, which the library calls, is not checked
+    public = {qualified: name for qualified, name, _, _ in definitions
+              if qualified and not any(part.startswith("_") for part
+                                       in qualified.split(".")[1:])}
+    # every exported name is one of the walked definitions
+    assert set(iterlinopt.__all__) <= {name for qualified, name in public.items()
+                                       if qualified.count(".") == 1}
     bench = set().union(*(_referenced(ast.parse(path.read_text())) for path
                           in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))))
     unused = set()
     while True:
-        used = bench.union(*(refs - {name} for name, refs in statements
-                             if name not in unused))
-        now = exported - used - set(EXPORT_ALLOWLIST)
+        used = bench.union(*(refs - {name} for qualified, name, owner, refs
+                             in definitions if not {qualified, owner} & unused))
+        now = {qualified for qualified, name in public.items()
+               if name not in used} - set(EXPORT_ALLOWLIST)
         if now == unused:
             break
         unused = now
