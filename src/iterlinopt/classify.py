@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import _fast_norm
 from .elliptope import (
     CERT_TOL,
     ElliptopeError,
@@ -102,7 +103,7 @@ def _sample_verdict(domain, x, eps, samples, seed, tol, max_iter):
         rng = np.random.default_rng([seed, k])
         y0 = domain.sample_near(x, eps, rng)
         traj = iterate(domain, y0, cfg)
-        dists = [float(np.linalg.norm(np.ravel(p - x))) for p in traj.points]
+        dists = [_fast_norm(p - x) for p in traj.points]
         if dists[-1] <= FIXED_FACTOR * tol:
             returned += 1
         elif max(dists) > eps:

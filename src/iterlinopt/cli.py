@@ -429,14 +429,16 @@ def _maxcut_flags(p):
 
 class _Parser(argparse.ArgumentParser):
     """argparse reads a value that starts with a minus sign as an option
-    unless it is one number, so '--start -0.5,0.2' would exit 2: each
-    value after --start or --point that starts with a minus sign and a
-    digit or '.' is joined to its flag first, as '--start=-0.5,0.2'."""
+    unless it is one number, so '--start -0.5,0.2' would exit 2: each value
+    after --start or --point, or a prefix of three or more characters, that
+    starts with a minus sign and a digit or '.' is joined to its flag first,
+    as '--start=-0.5,0.2'. argparse rejects a prefix of several flags."""
 
     def parse_known_args(self, args, namespace):  # parse_args passes both
         joined = []
         for arg in sys.argv[1:] if args is None else args:
-            if (joined and joined[-1] in ("--start", "--point")
+            flag = joined[-1] if joined else ""
+            if (len(flag) > 2 and ("--start".startswith(flag) or "--point".startswith(flag))
                     and arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == ".")):
                 joined[-1] = f"{joined[-1]}={arg}"
             else:

@@ -53,6 +53,29 @@ def _norm(x) -> float:
     return float(np.ldexp(np.linalg.norm(u), e))
 
 
+def _fast_norm(d) -> float:
+    """|d| from one vdot, which overflows to inf unwarned, then by ``_norm``."""
+    n = float(np.sqrt(np.vdot(d, d)))
+    return _norm(d) if n == np.inf else n
+
+
+def _symmetrized(m, name, error) -> np.ndarray:
+    """m symmetrized, raising ``error(message)`` naming it when it is not
+    square, is empty, has non-finite entries or is asymmetric beyond
+    SYM_TOL; halving first keeps every finite input finite."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise error(f"{name} must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise error(f"{name} is empty")
+    if not np.all(np.isfinite(a)):
+        raise error(f"{name} has non-finite entries")
+    h = 0.5 * a
+    if np.max(np.abs(h - h.T)) > 0.5 * SYM_TOL:
+        raise error(f"{name} is not symmetric within {SYM_TOL}")
+    return h + h.T
+
+
 def _check_extent(extent):
     """Reject a domain whose points lie up to ``extent`` from the origin
     when that distance's square overflows: a run in it would record inf
@@ -151,17 +174,7 @@ class EllipsoidDomain(ConvexDomain):
     """{y : y^T A^{-1} y <= 1} for a symmetric positive definite matrix A."""
 
     def __init__(self, shape):
-        a = np.asarray(shape, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError("shape matrix must be square")
-        if a.shape[0] == 0:
-            raise DomainError("shape matrix is empty")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("shape matrix has non-finite entries")
-        h = 0.5 * a  # halved first, so that finite entries stay finite
-        if np.max(np.abs(h - h.T)) > 0.5 * SYM_TOL:
-            raise DomainError("shape matrix must be symmetric")
-        self.shape_matrix = h + h.T
+        self.shape_matrix = _symmetrized(shape, "shape matrix", DomainError)
         w, q = np.linalg.eigh(self.shape_matrix)
         if w[0] <= PD_TOL * max(1.0, w[-1]):
             raise DomainError("shape matrix must be positive definite")
@@ -169,7 +182,7 @@ class EllipsoidDomain(ConvexDomain):
         self._eigvecs = q
         self._half_exp = np.frexp(w[-1])[1] // 2  # A / 4^k has entries below 2
         self._unit_shape = np.ldexp(self.shape_matrix, -2 * self._half_exp)
-        self.dim = a.shape[0]
+        self.dim = w.size
 
     def maximize(self, x):
         x = _point(x, self.dim)

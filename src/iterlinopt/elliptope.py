@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import SYM_TOL, ConvexDomain, read_lines
+from .domains import ConvexDomain, _symmetrized, read_lines
 
 PSD_TOL = 1e-9  # most negative eigenvalue of a feasible matrix
 DIAG_TOL = 1e-8  # how far a feasible matrix's diagonal may stray from 1
@@ -55,19 +55,8 @@ class ElliptopeError(ValueError):
 # ---------------------------------------------------------------------------
 
 def check_symmetric(m, name="matrix") -> np.ndarray:
-    """Return a symmetrized copy, rejecting an empty matrix and asymmetry
-    beyond SYM_TOL; halving first keeps every finite input finite."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ElliptopeError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ElliptopeError(f"{name} is empty")
-    if not np.all(np.isfinite(a)):
-        raise ElliptopeError(f"{name} has non-finite entries")
-    h = 0.5 * a
-    if np.max(np.abs(h - h.T)) > 0.5 * SYM_TOL:
-        raise ElliptopeError(f"{name} is not symmetric within {SYM_TOL}")
-    return h + h.T
+    """A symmetrized copy of m, as ``domains._symmetrized`` checks it."""
+    return _symmetrized(m, name, ElliptopeError)
 
 
 def is_in_elliptope(m) -> bool:
@@ -220,16 +209,17 @@ def _ascend(c, c_off, v0, cfg):
     sweep to sweep.
 
     The run stops once its largest row move in a sweep falls below
-    SWEEP_TOL, after cfg.max_sweeps sweeps, or when ``_certify`` certifies
-    its rounded vertex s, a test taken after sweeps 1, 2, 4, 8, .... A
-    certified run ends with the factor s (x) e_1 and its vertex's
-    objective. Only sweeps whose decisions read the objective score it:
-    checkpoints, gap checks, step stops, the last. With cfg.gap_tol > 0 the
-    run also stops when ``_gap_certified`` proves its duality gap below the
-    tolerance, at those checkpoints and every GAP_SWEEPS sweeps. From the
-    first check on a multiple of GAP_SWEEPS, such a call over-relaxes: each
-    check sets the diagonal of the permuted cost the class products use to
-    -gamma, gamma_i = OVER_RELAX max(0, <g_i, v_i>), so that a row goes to
+    SWEEP_TOL, after cfg.max_sweeps sweeps, or when its rounded vertex s
+    beats it (``_better_vertex``) and ``_dual_certified`` certifies s
+    optimal, a test taken after sweeps 1, 2, 4, 8, .... A certified run
+    ends with the factor s (x) e_1 and its vertex's objective. Only sweeps
+    whose decisions read the objective score it: checkpoints, gap checks,
+    step stops, the last. With cfg.gap_tol > 0 the run also stops when
+    ``_dual_certified`` proves its duality gap below the tolerance, at
+    those checkpoints and every GAP_SWEEPS sweeps. From the first check on
+    a multiple of GAP_SWEEPS, such a call over-relaxes: each check sets the
+    diagonal of the permuted cost the class products use to -gamma,
+    gamma_i = OVER_RELAX max(0, <g_i, v_i>), so that a row goes to
     rownorm(g_i - gamma_i v_i). That moves the same fixed points, but no
     longer ascends sweep by sweep; the stop tests decide as before.
     Returns (factor, sweeps, objective, status), status being "step_tol",
@@ -274,16 +264,17 @@ def _ascend(c, c_off, v0, cfg):
             break
         if checkpoint:
             # in index order: a permuted SVD can flip a sign of s
-            cert = _certify(c, _top_signs(v[inv]), objective)
-            if cert is not None:
+            better = _better_vertex(c, v[inv], objective)
+            if better is not None and _dual_certified(
+                    c, better[0] * (c @ better[0]), NORMAL_CONE_TOL):
                 v[:] = 0.0
-                v[:, 0] = cert[0][perm]
-                objective = cert[1]
+                v[:, 0] = better[0][perm]
+                objective = better[1]
                 status = "certified_vertex"
                 break
         if gap_check:
             y = terms.sum(axis=1)
-            if _gap_certified(pc, y, objective, cfg.gap_tol):
+            if _dual_certified(pc, y, cfg.gap_tol * max(1.0, abs(objective)) / len(y)):
                 status = "certified_gap"
                 break
             if not sweep % GAP_SWEEPS:
@@ -295,27 +286,22 @@ def _ascend(c, c_off, v0, cfg):
     return v[inv], sweep, objective, status
 
 
-def _gap_certified(c, y, obj, tol) -> bool:
-    """Whether the duality gap of a factor with row terms y, objective
-    obj = sum(y), is proven below tol * max(1, |obj|).
+def _dual_certified(c, y, delta) -> bool:
+    """Whether lambda_min(M) > -delta, M = Diag(y) - C: exactly when
+    M + delta I has a Cholesky factor. Both stops of the ascent ask this.
 
-    For any unit-diagonal PSD X and any y, C . X = sum(y) - M . X with
-    M = Diag(y) - C, and M . X >= n lambda_min(M), so
-    UB = sum(y) - n min(0, lambda_min(M)) bounds C . X over the whole body
-    (``_upper_bound``). A Cholesky factor of M + delta I, delta =
-    tol * max(1, |obj|) / n, exists exactly when lambda_min(M) > -delta,
-    which puts UB - obj below n delta: one factorization decides, cheaper
-    than the eigenvalue itself.
-    """
-    delta = tol * max(1.0, abs(obj)) / len(y)
-    return _positive_definite(np.diag(y + delta) - c)
+    Gap stop, by weak duality: for any unit-diagonal PSD X and any y,
+    C . X = sum(y) - M . X <= sum(y) - n min(0, lambda_min(M)) = UB
+    (``_upper_bound``). With a factor's row terms y_i = <(C V)_i, v_i> and
+    delta = gap_tol * max(1, |obj|) / n, a pass puts UB - obj below n delta.
 
-
-def _positive_definite(m) -> bool:
-    """Whether the symmetric m has a Cholesky factor, which exists exactly
-    when its smallest eigenvalue is positive."""
+    Vertex stop, by the normal cone: s s^T maximizes C . X over the body
+    when C = D - M with D diagonal, M >= 0 and M s = 0. D is forced to
+    Diag(s * Cs), which gives D s = Cs exactly, also in floating point, so
+    M s = 0 by construction, and y = s * Cs with delta = NORMAL_CONE_TOL
+    decides M >= 0."""
     try:
-        np.linalg.cholesky(m)
+        np.linalg.cholesky(np.diag(y + delta) - c)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -324,9 +310,9 @@ def _positive_definite(m) -> bool:
 def _upper_bound(c, v) -> float:
     """sum(y) - n min(0, lambda_min(Diag(y) - C)) with y_i = <(C V)_i, v_i>:
     a bound on C . X over the whole body for any unit-row factor V, and
-    within the gap tolerance of V's objective when ``_gap_certified``
-    passed on it. Any y gives a bound, so only the sum and the eigenvalue
-    round: each is allowed n eps of its scale (sum |y|, and n |M|_F for
+    within the gap tolerance of V's objective when the gap stop passed on
+    it. Any y gives a bound, so only the sum and the eigenvalue round:
+    each is allowed n eps of its scale (sum |y|, and n |M|_F for
     n lambda_min), so that the bound holds in floating point too."""
     y = np.vecdot(c @ v, v)
     m = np.diag(y) - c
@@ -336,11 +322,6 @@ def _upper_bound(c, v) -> float:
     return float(y.sum() - n * min(0.0, lam) + rounding)
 
 
-def _tie_tol(obj) -> float:
-    """Objective gaps below this count as ties: numerical resolution."""
-    return TIE_TOL * max(1.0, abs(obj))
-
-
 def _top_signs(v):
     """The sign of v's top left singular vector, the top eigenvector of
     V V^T."""
@@ -348,35 +329,27 @@ def _top_signs(v):
     return np.where(u >= 0.0, 1.0, -1.0)
 
 
-def _polish(c, v, x, obj, tie_tol):
-    """(v, x, obj), or (s, s s^T, s^T C s) for the vertex rounded from the
-    unit-row factor v of x when it beats obj = C . x by more than tie_tol:
-    the ascent creeps sublinearly toward an optimal vertex, and the exactly
-    rounded vertex is feasible and stationary."""
+def _better_vertex(c, v, obj):
+    """(s, s^T C s) for the vertex s rounded from the factor v when it
+    beats obj by more than a tie, TIE_TOL * max(1, |obj|), else None: a
+    run at a maximizer is not moved to a vertex that only ties it."""
     s = _top_signs(v)
     vertex_obj = float(s @ c @ s)
-    if vertex_obj > obj + tie_tol:
-        return s[:, None], gram_to_matrix(s[:, None]), vertex_obj
-    return v, x, obj
-
-
-def _certify(c, s, obj):
-    """(s, s^T C s) when the vertex s s^T scores strictly better than obj
-    and maximizes C . X over the whole body, else None.
-    Optimality is C in the normal cone at X = s s^T: C = D - M with D
-    diagonal, M >= 0 and M X = 0. D is forced to Diag(s * Cs), which gives
-    D s = s * Cs * s = Cs exactly, also in floating point, so M X = 0 holds
-    by construction, and one Cholesky factor of M + NORMAL_CONE_TOL I
-    decides whether lambda_min(M) > -NORMAL_CONE_TOL.
-    The strictly-better test comes first and keeps a run that already sits
-    at a maximizer, a non-vertex fixed point say, from being moved to a
-    vertex that only ties it.
-    """
-    vertex_obj = float(s @ c @ s)
-    if vertex_obj > obj + _tie_tol(obj) and _positive_definite(
-            np.diag(s * (c @ s) + NORMAL_CONE_TOL) - c):
+    if vertex_obj > obj + TIE_TOL * max(1.0, abs(obj)):
         return s, vertex_obj
     return None
+
+
+def _polish(c, v, x, obj):
+    """(v, x, obj), or (s, s s^T, s^T C s) for the vertex rounded from the
+    unit-row factor v of x when it beats obj = C . x (``_better_vertex``):
+    the ascent creeps sublinearly toward an optimal vertex, and the exactly
+    rounded vertex is feasible and stationary."""
+    better = _better_vertex(c, v, obj)
+    if better is None:
+        return v, x, obj
+    s = better[0][:, None]
+    return s, gram_to_matrix(s), better[1]
 
 
 def elliptope_oracle(c, config: OracleConfig | None = None,
@@ -417,11 +390,10 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
     ascent, sweeps, ascent_obj, status = _ascend(c, c_off, start, cfg)
     # from the ascent factor: the polished vertex below may bound worse
     upper = _upper_bound(c, ascent) if cfg.gap_tol else None
-    v = ascent
-    x = gram_to_matrix(v)
-    obj = float(np.vdot(c, x))
+    x = gram_to_matrix(ascent)
+    v, obj = ascent, float(np.vdot(c, x))
     if status != "certified_vertex":  # else already at its vertex
-        v, x, obj = _polish(c, v, x, obj, _tie_tol(ascent_obj))
+        v, x, obj = _polish(c, v, x, obj)
     return OracleResult(
         matrix=x,
         gram=v,

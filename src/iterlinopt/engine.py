@@ -9,12 +9,11 @@ at the final iterate is reported separately.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import _norm
+from .domains import _fast_norm, _norm
 
 
 # A run stalls when the step norm stays above tol for STALL_WINDOW
@@ -99,10 +98,7 @@ def iterate(domain, x0, config: IterationConfig | None = None) -> Trajectory:
     stall = 0
     for _ in range(cfg.max_iter):
         xn = domain.maximize(x)
-        d = xn - x
-        step = math.sqrt(np.vdot(d, d))  # vdot overflows to inf without a warning
-        if step == math.inf:  # a step from far outside: its square overflows
-            step = _norm(d)
+        step = _fast_norm(xn - x)
         norm_sq = float(np.vdot(xn, xn))
         gain = norm_sq - norms_sq[-1]
         step_norms.append(step)

@@ -33,7 +33,6 @@ from .elliptope import (
     _is_vertex,
     _polish,
     _row_norms,
-    _tie_tol,
     elliptope_oracle,
     escape_pair,
     gram_to_matrix,
@@ -371,7 +370,7 @@ def _power_step(x, v):
     y = gram_to_matrix(w)
     obj = float(np.vdot(x, y))
     # the vertex polish of elliptope_oracle: s^T X s = |V^T s|^2
-    return _polish(x, w, y, obj, _tie_tol(obj))[:2]
+    return _polish(x, w, y, obj)[:2]
 
 
 def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:

@@ -86,6 +86,14 @@ class TestEmpirical2D:
             assert _tangent_label(dom.tangent_eigenvalues(x)) == label
             assert emp.label == label
 
+    def test_distances_whose_square_overflows_are_measured(self):
+        # the samples leave for the far point 2e154 away, whose squared
+        # distance overflows: each distance is taken scaled, without a warning
+        dom = BallDomain([0.3e154, 0.0], 1e154)
+        res = classify_empirical(dom, np.array([-0.7e154, 0.0]), eps=1e150,
+                                 samples=2)
+        assert res.label == "repelling" and res.escaped == 2
+
     def test_needs_at_least_one_sample(self):
         dom = BallDomain([1.0, 0.0], 2.0)
         for samples in (0, -2):

@@ -367,6 +367,17 @@ class TestCensus:
 
 
 class TestClassify:
+    def test_samples_far_from_their_point_warn_nothing(
+            self, tmp_path, capsys):
+        # a sample's distance from the point reaches 2e154
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("kind=ball\ncenter=0.3e154,0\nradius=1e154\n")
+        assert main(["classify", "--domain", str(cfg), "--point",
+                     "-0.7e154,0", "--samples", "2", "--eps", "1e150"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "empirical label: repelling\n" in captured.out
+
     def test_vertex_attractive(self, tmp_path, capsys):
         path = tmp_path / "j.txt"
         write_matrix_text(np.ones((3, 3)), path)
@@ -1153,15 +1164,19 @@ def test_a_command_loads_only_the_modules_it_uses(argv, unloaded, face_point,
     ["iterate", "--domain", "DISK", "--start", "-0.5,0.2"],
     ["iterate", "--domain", "DISK", "--start", "-.5 .2", "--tol", "1e-9"],
     ["classify", "--domain", "DISK", "--point", "-1,0", "--samples", "0"],
-], ids=["iterate", "iterate-spaced", "classify"])
+    ["iterate", "--domain", "DISK", "--sta", "-0.5,0.2"],
+    ["classify", "--domain", "DISK", "--poi", "-1,0", "--samples", "0"],
+], ids=["iterate", "iterate-spaced", "classify", "iterate-abbreviated",
+        "classify-abbreviated"])
 def test_coordinates_that_start_with_a_minus_sign_are_a_value(
         disk_cfg, capsys, argv):
     """argparse reads '-0.5,0.2' after a flag as an option unless it is
     one number; the commands read it as the value, as in the form
-    '--start=-0.5,0.2'."""
+    '--start=-0.5,0.2', also after an abbreviated flag."""
     argv = [disk_cfg if a == "DISK" else a for a in argv]
-    flag = argv.index("--start" if "--start" in argv else "--point")
-    joined = [*argv[:flag], f"{argv[flag]}={argv[flag + 1]}", *argv[flag + 2:]]
+    flag = next(i for i, a in enumerate(argv) if a.startswith(("--st", "--po")))
+    full = "--start" if argv[0] == "iterate" else "--point"
+    joined = [*argv[:flag], f"{full}={argv[flag + 1]}", *argv[flag + 2:]]
     assert main(joined) == 0
     expected = capsys.readouterr().out
     assert main(argv) == 0
@@ -1175,6 +1190,9 @@ def test_a_flag_still_takes_no_flag_for_its_value(disk_cfg, capsys):
     assert main(["iterate", "--domain", disk_cfg, "--start", "--tol",
                  "1e-9"]) == 2
     assert "argument --start: expected one argument" in capsys.readouterr().err
+    # a prefix of --point that also names --seed and --samples
+    assert main(["classify", "--domain", disk_cfg, "--s", "-1,0"]) == 2
+    assert "ambiguous option: --s" in capsys.readouterr().err
 
 
 class TestReproducibility:

@@ -33,12 +33,12 @@ from iterlinopt.elliptope import (
     NORMAL_CONE_TOL,
     SWEEP_TOL,
     _ascend,
-    _certify,
+    _better_vertex,
     _color_classes,
     _components,
+    _dual_certified,
     _is_vertex,
     _row_norms,
-    _top_signs,
     default_rank_budget,
     random_gram,
 )
@@ -225,8 +225,9 @@ def _cyclic_reference(c, c_off, v0, cfg):
             status = "step_tol"
             break
         if not sweep & (sweep - 1):
-            cert = _certify(c, _top_signs(v), objs[-1])
-            if cert is not None:
+            cert = _better_vertex(c, v, objs[-1])
+            if cert is not None and _dual_certified(
+                    c, cert[0] * (c @ cert[0]), NORMAL_CONE_TOL):
                 v[:] = 0.0
                 v[:, 0] = cert[0]
                 objs.append(cert[1])
@@ -386,10 +387,34 @@ def test_capped_run_is_polished_to_a_vertex_outside_the_cone():
 
 
 def _certifies(c, s):
-    """Whether ``_certify`` certifies s s^T for a run whose factor is s and
-    whose objective is one below the vertex's, so that only the optimality
-    test decides."""
-    return _certify(c, _top_signs(s[:, None]), float(s @ c @ s) - 1.0) is not None
+    """Whether the vertex stop certifies s s^T for a run whose factor is s
+    and whose objective is one below the vertex's, so that only the
+    optimality test decides."""
+    better = _better_vertex(c, s[:, None], float(s @ c @ s) - 1.0)
+    return better is not None and _dual_certified(
+        c, better[0] * (c @ better[0]), NORMAL_CONE_TOL)
+
+
+def test_dual_test_agrees_with_the_spectrum():
+    # lambda_min(Diag(y) - C) is put at a random offset in [-1, 1], and
+    # delta is drawn from [0, 1] or put 1e-6 |C| to either side of
+    # -lambda_min, so both verdicts occur; a case whose lambda_min + delta
+    # is within rounding of 0 decides nothing
+    rng = np.random.default_rng(37)
+    verdicts = []
+    for n in range(1, 16):
+        for _ in range(40):
+            a = rng.standard_normal((n, n))
+            c = a + a.T
+            y = rng.standard_normal(n)
+            y += rng.uniform(-1.0, 1.0) - np.linalg.eigvalsh(np.diag(y) - c)[0]
+            lam = np.linalg.eigvalsh(np.diag(y) - c)[0]
+            near = 1e-6 * np.linalg.norm(c)
+            for delta in (rng.uniform(0.0, 1.0), -lam - near, -lam + near):
+                if abs(lam + delta) > 1e-8 * np.linalg.norm(c):
+                    assert _dual_certified(c, y, delta) == (lam > -delta)
+                    verdicts.append(lam > -delta)
+    assert len(verdicts) > 1790 and 0.4 < np.mean(verdicts) < 0.7
 
 
 def test_vertex_test_agrees_with_normal_cone_membership():
