@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ConvexDomain, _symmetrized, read_lines
+from .domains import ConvexDomain, _scaled, _symmetrized, read_lines
 
 PSD_TOL = 1e-9  # most negative eigenvalue of a feasible matrix
 DIAG_TOL = 1e-8  # how far a feasible matrix's diagonal may stray from 1
@@ -133,7 +133,8 @@ class OracleConfig:
     seed: at that width the factored problem has no spurious second-order
     critical points, so further starts would not raise the bound. gap_tol
     > 0 also stops the run once its duality gap is certified below
-    gap_tol * max(1, |objective|), and has the result carry that bound; 0
+    gap_tol * max(1, |objective|), both of the cost scaled so that its
+    largest entry lies in [1, 2), and has the result carry that bound; 0
     keeps the exact map, which the fixed-point iteration relies on.
     """
 
@@ -364,14 +365,20 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     reports the proven upper bound, and its distance above the objective
     is how far the output may fall short of the maximum. A run that ends
     off a vertex is replaced by its rounded vertex when that scores
-    better (``_polish``).
+    better (``_polish``). Every tolerance applies to the cost divided by
+    the power of two that puts its largest entry in [1, 2), so a cost
+    scaled by 2^k gives the same matrix and factor, and figures scaled
+    by exactly 2^k.
     """
     return _oracle(check_symmetric(c, name="cost matrix"),
                    config or OracleConfig(), warm_start)
 
 
 def _oracle(c, cfg, warm_start) -> OracleResult:
-    """``elliptope_oracle`` of a cost already checked by ``check_symmetric``."""
+    """``elliptope_oracle`` of a cost already checked by ``check_symmetric``:
+    the run takes C / 2^e, its largest entry in [1, 2) (``_scaled``), and
+    the objectives and the bound are scaled back by 2^e."""
+    c, e = _scaled(c)
     n = c.shape[0]
     c_off = c.copy()
     np.fill_diagonal(c_off, 0.0)
@@ -389,7 +396,7 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
                             np.random.default_rng(cfg.seed))
     ascent, sweeps, ascent_obj, status = _ascend(c, c_off, start, cfg)
     # from the ascent factor: the polished vertex below may bound worse
-    upper = _upper_bound(c, ascent) if cfg.gap_tol else None
+    upper = float(np.ldexp(_upper_bound(c, ascent), e)) if cfg.gap_tol else None
     x = gram_to_matrix(ascent)
     v, obj = ascent, float(np.vdot(c, x))
     if status != "certified_vertex":  # else already at its vertex
@@ -397,8 +404,8 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
     return OracleResult(
         matrix=x,
         gram=v,
-        objective=obj,
-        restart_objectives=[ascent_obj],
+        objective=float(np.ldexp(obj, e)),
+        restart_objectives=[float(np.ldexp(ascent_obj, e))],
         best_index=0,
         sweeps=sweeps,
         upper_bound=upper,
@@ -431,8 +438,9 @@ class ElliptopeDomain(ConvexDomain):
         return a
 
     def maximize(self, x):
-        # checked once: the factor and the oracle take the symmetrized query
-        x = check_symmetric(self._order(x))
+        # checked and scaled once: the factor and the oracle take the
+        # symmetrized query, its largest entry in [1, 2)
+        x = _scaled(check_symmetric(self._order(x)))[0]
         try:
             start = _gram_factor(x)
         except ElliptopeError:  # zero row: the start of a default cold call

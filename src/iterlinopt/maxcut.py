@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import read_lines
+from .domains import _scaled, read_lines
 from .elliptope import (
     CERT_TOL,
     GRAD_TOL,
@@ -282,35 +282,23 @@ def gw_hyperplane_round(v, g: WeightedGraph, samples=HYPERPLANES, seed=0):
     return best, cut_value(g, best)
 
 
-def _weight_exponent(g: WeightedGraph) -> int:
-    """The e with the largest |weight| in [2^e, 2^(e + 1)), or 0 when no
-    weight is nonzero."""
-    top = float(np.max(np.abs(g._w), initial=0.0))
-    return int(np.frexp(top)[1]) - 1 if top else 0
-
-
 def solve_relaxation(g: WeightedGraph, seed=0) -> OracleResult:
     """Maximize the relaxed cut over the unit-diagonal PSD body, from one
     seeded start, stopping once the duality gap is proven below GAP_TOL;
-    the result carries the proven upper bound. The oracle sees -W exactly
-    divided by 2^e, e = ``_weight_exponent(g)``, so that its tolerances,
-    the gap stop among them, are relative to the largest weight; the
-    objectives and the bound are scaled back, so weights scaled by a power
-    of two give the same factors and scaled figures. A run that reaches
-    the sweep cap before its gap is certified says so in a warning; its
-    bound still holds."""
+    the result carries the proven upper bound. The oracle scales the cost
+    -W by a power of two (``elliptope._oracle``), so that its tolerances,
+    the gap stop among them, are relative to the largest weight, and
+    weights scaled by a power of two give the same factors and scaled
+    figures. A run that reaches the sweep cap before its gap is certified
+    says so in a warning; its bound still holds."""
     if g.n < 1:
         raise ValueError("graph has no vertices")
-    e = _weight_exponent(g)
-    res = elliptope_oracle(np.ldexp(relaxation_cost(g), -e),
+    res = elliptope_oracle(relaxation_cost(g),
                            OracleConfig(seed=seed, gap_tol=GAP_TOL))
     if res.status == "max_sweeps":
         warnings.warn(f"relaxation stopped at its {res.sweeps}-sweep cap "
                       "before its duality gap was certified", stacklevel=2)
-    unit = 2.0 ** e
-    return replace(res, objective=res.objective * unit,
-                   upper_bound=res.upper_bound * unit,
-                   restart_objectives=[o * unit for o in res.restart_objectives])
+    return res
 
 
 @dataclass(frozen=True)
@@ -471,8 +459,9 @@ def maxcut_pipeline(g: WeightedGraph, seed=0, baseline_samples=0,
     few flips short of the best cut; the search recovers those. The
     relaxed cut is the certified bound: (sum over ordered pairs of W + UB)
     / 4, at least the maximum cut by weak duality. The relative gap is
-    taken in the relaxation's unit, 2^``_weight_exponent(g)``, so that it
-    does not depend on the unit of the weights. The report also carries
+    taken in the relaxation's unit, the power of two 2^e with the largest
+    |weight| in [2^e, 2^(e + 1)) (``domains._scaled``), so that it does
+    not depend on the unit of the weights. The report also carries
     how the relaxation stopped and after how many sweeps.
     """
     res = solve_relaxation(g, seed)
@@ -488,7 +477,7 @@ def maxcut_pipeline(g: WeightedGraph, seed=0, baseline_samples=0,
         relaxation_objective=res.objective,
         relaxed_cut=float((np.sum(w) + res.upper_bound) / 4.0),
         relative_gap=((res.upper_bound - res.objective)
-                      / max(2.0 ** _weight_exponent(g), abs(res.objective))),
+                      / max(2.0 ** _scaled(g._w)[1], abs(res.objective))),
         relaxation_status=res.status,
         relaxation_sweeps=res.sweeps,
         rounded_cut=chain.cut_value,

@@ -1,4 +1,5 @@
-"""Property tests for the closed-form maps of the low-dimensional domains.
+"""Property tests for the maps of the domains: the closed-form maps of the
+low-dimensional domains and the ascent oracle's map on the elliptope.
 
 Each map ignores the scale of its query, T(2^k x) = T(x), including where
 the squared norm of 2^k x overflows or underflows, and its image lies in
@@ -16,6 +17,7 @@ from iterlinopt import (  # noqa: E402
     BallDomain,
     ConeDomain,
     EllipsoidDomain,
+    ElliptopeDomain,
     PolytopeDomain,
 )
 
@@ -42,6 +44,24 @@ ENTRY = st.one_of(st.just(0.0),
 def test_map_ignores_the_scale_of_its_query(name, x, k):
     dom = DOMAINS[name]
     x = np.array(x)
+    t = dom.maximize(x)
+    assert np.array_equal(dom.maximize(np.ldexp(x, k)), t)
+    assert dom.contains(t)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(2, 5))
+    x = np.zeros((n, n))
+    x[np.triu_indices(n)] = draw(st.lists(ENTRY, min_size=n * (n + 1) // 2,
+                                          max_size=n * (n + 1) // 2))
+    return x + np.triu(x, 1).T
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=symmetric_matrices(), k=st.integers(-1000, 1000))
+def test_elliptope_map_ignores_the_scale_of_its_query(x, k):
+    dom = ElliptopeDomain(x.shape[0])
     t = dom.maximize(x)
     assert np.array_equal(dom.maximize(np.ldexp(x, k)), t)
     assert dom.contains(t)

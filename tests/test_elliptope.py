@@ -33,6 +33,8 @@ from iterlinopt.elliptope import (
     _rank,
 )
 
+from iterlinopt.maxcut import GAP_TOL
+
 from feasible_points import random_feasible_point
 
 
@@ -222,6 +224,36 @@ class TestOracle:
         x = res.matrix
         d = np.diag(c @ x).copy()
         assert np.linalg.norm(c @ x - d[:, None] * x) <= 1e-6
+
+    @staticmethod
+    def _scale_costs():
+        c = np.random.default_rng(3).standard_normal((20, 20))
+        path = np.zeros((20, 20))
+        path[np.arange(19), np.arange(1, 20)] = -1.0
+        return {"random": (c + c.T) / 2,
+                "K20": -(np.ones((20, 20)) - np.eye(20)),  # relaxation costs
+                "P20": path + path.T}
+
+    @pytest.mark.parametrize("gap_tol", [0.0, GAP_TOL])
+    @pytest.mark.parametrize("name", ["random", "K20", "P20"])
+    def test_the_scale_of_the_cost_changes_nothing(self, name, gap_tol):
+        # the ascent runs on the cost over the power of two of its largest
+        # entry, so 2^k C gives the same run and figures scaled by exactly
+        # 2^k; on the absolute tolerances, the random cost at 2^-30 was
+        # certified after 1 sweep with a relative gap of 0.33
+        c = self._scale_costs()[name]
+        cfg = OracleConfig(gap_tol=gap_tol)
+        base = elliptope_oracle(c, cfg)
+        for k in (-900, -40, -30, 1, 7, 900):
+            res = elliptope_oracle(np.ldexp(c, k), cfg)
+            assert (res.status, res.sweeps) == (base.status, base.sweeps)
+            assert np.array_equal(res.matrix, base.matrix)
+            assert np.array_equal(res.gram, base.gram)
+            assert res.objective == base.objective * 2.0 ** k
+            if gap_tol:
+                assert res.upper_bound == base.upper_bound * 2.0 ** k
+            else:
+                assert res.upper_bound is base.upper_bound is None
 
     def test_zero_gradient_rows_stay_frozen(self):
         c = np.zeros((3, 3))
