@@ -162,7 +162,8 @@ class OracleResult:
     best_index: int  # always 0
     sweeps: int
     # a proven bound on C . X over the whole body, from the ascent factor
-    # (``_upper_bound``); None when config.gap_tol is 0
+    # and the Cholesky test of the gap stop (``_upper_bound``); None when
+    # config.gap_tol is 0
     upper_bound: float | None
     candidate_grams: list  # the ascent factor
     # how the ascent stopped:
@@ -216,15 +217,16 @@ def _ascend(c, c_off, v0, cfg):
     ends with the factor s (x) e_1 and its vertex's objective. Only sweeps
     whose decisions read the objective score it: checkpoints, gap checks,
     step stops, the last. With cfg.gap_tol > 0 the run also stops when
-    ``_dual_certified`` proves its duality gap below the tolerance, at
-    those checkpoints and every GAP_SWEEPS sweeps. From the first check on
-    a multiple of GAP_SWEEPS, such a call over-relaxes: each check sets the
-    diagonal of the permuted cost the class products use to -gamma,
-    gamma_i = OVER_RELAX max(0, <g_i, v_i>), so that a row goes to
-    rownorm(g_i - gamma_i v_i). That moves the same fixed points, but no
-    longer ascends sweep by sweep; the stop tests decide as before.
-    Returns (factor, sweeps, objective, status), status being "step_tol",
-    "max_sweeps", "certified_vertex" or "certified_gap".
+    ``_dual_certified`` proves its duality gap below the tolerance
+    (``_gap_delta``), at those checkpoints and every GAP_SWEEPS sweeps.
+    From the first check on a multiple of GAP_SWEEPS, such a call
+    over-relaxes: each check sets the diagonal of the permuted cost the
+    class products use to -gamma, gamma_i = OVER_RELAX max(0, <g_i,
+    v_i>), so that a row goes to rownorm(g_i - gamma_i v_i). That moves
+    the same fixed points, but no longer ascends sweep by sweep; the stop
+    tests decide as before. Returns (factor, sweeps, objective, status),
+    status being "step_tol", "max_sweeps", "certified_vertex" or
+    "certified_gap".
     """
     perm, bounds = _color_classes(c_off)
     inv = np.argsort(perm)
@@ -235,6 +237,7 @@ def _ascend(c, c_off, v0, cfg):
               for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     v = v0[perm]
     status = "max_sweeps"
+    abs_sum = float(np.abs(c).sum()) if cfg.gap_tol else 0.0
     for sweep in range(1, cfg.max_sweeps + 1):
         start = v.copy()
         for a, b, blk in blocks:
@@ -275,7 +278,8 @@ def _ascend(c, c_off, v0, cfg):
                 break
         if gap_check:
             y = terms.sum(axis=1)
-            if _dual_certified(pc, y, cfg.gap_tol * max(1.0, abs(objective)) / len(y)):
+            if _dual_certified(pc, y, _gap_delta(cfg.gap_tol, objective,
+                                                 abs_sum, v.shape)):
                 status = "certified_gap"
                 break
             if not sweep % GAP_SWEEPS:
@@ -287,40 +291,113 @@ def _ascend(c, c_off, v0, cfg):
     return v[inv], sweep, objective, status
 
 
-def _dual_certified(c, y, delta) -> bool:
-    """Whether lambda_min(M) > -delta, M = Diag(y) - C: exactly when
-    M + delta I has a Cholesky factor. Both stops of the ascent ask this.
+def _gap_delta(gap_tol, obj, abs_sum, shape) -> float:
+    """The gap test's delta for a run with factor of shape (n, r) and
+    objective obj, as the run summed it, on a cost whose entries have
+    absolute sum abs_sum: gap_tol * max(1, |obj|) / n less a reserve, so
+    that a bound ``_upper_bound`` certifies at it lies within gap_tol *
+    max(1, |obj|) of obj in floating point, as a caller computes that.
 
-    Gap stop, by weak duality: for any unit-diagonal PSD X and any y,
-    C . X = sum(y) - M . X <= sum(y) - n min(0, lambda_min(M)) = UB
-    (``_upper_bound``). With a factor's row terms y_i = <(C V)_i, v_i> and
-    delta = gap_tol * max(1, |obj|) / n, a pass puts UB - obj below n delta.
+    The bound sums its own y_i = <(C V)_i, v_i>; that sum and obj each
+    lie within gamma_{nr + n + 1} sum_ij |c_ij| <|v_i|, |v_j|> <= (n + 1)
+    (r + 1) eps abs_sum of the exact objective (gamma_k <= 2ku, u = eps /
+    2), and 2 (n + 1)(r + 2) eps abs_sum covers both and the rounding of
+    abs_sum and of the unit rows. 8u (1 + gap_tol) max(1, |obj|) covers
+    the rounding of delta, of the bound's sum and its rounding up, and of
+    the caller's product. A gap_tol within the reserve gives delta <= 0,
+    a gap too small to prove."""
+    n, r = shape
+    eps = 2.0**-52
+    m = max(1.0, abs(obj))
+    return (gap_tol * m - eps * (4.0 * (1.0 + gap_tol) * m
+                                 + 2 * (n + 1) * (r + 2) * abs_sum)) / n
+
+
+def _dual_certified(c, y, delta) -> bool:
+    """Whether lambda_min(M) > -delta, M = Diag(y) - C, is proven: the
+    Cholesky factorization of A = Diag(y + delta) - C, as stored, with its
+    diagonal lowered by the shift s below, runs to completion. Both stops
+    of the ascent ask this, and ``_upper_bound`` proves its bound with it.
+
+    The shift. If floating-point Cholesky of a symmetric B of order n
+    runs to completion, R^T R = B + dB with |dB| <= g |R^T| |R|, g =
+    gamma_{n+1} = (n + 1) u / (1 - (n + 1) u) and u = eps / 2, in any
+    summation order and without Strassen (Demmel; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3). Column i of R
+    has |r_i|^2 <= b_ii / (1 - g), so |dB|_2 <= a tr(B) with a = g /
+    (1 - g) = (n + 1) u / (1 - 2 (n + 1) u), and lambda_min(B) >
+    -a tr(B). As Rump uses it ("Verification of positive definiteness",
+    BIT 46, 2006), the factorization of B = A - s I then proves
+    Diag(y + delta) - C positive definite when s >= a sum|a_ii| +
+    u (max|y_i| + |delta| + 2 max|a_ii|): the second term covers the
+    rounding of A's diagonal, y_i + delta - c_ii, and of the subtraction
+    of s. s is computed from n, u, y and A's diagonal, on nonnegative
+    numbers, in at most four rounded steps along any path, each low by a
+    factor 1 - u at most; the factor 1 + 8u, itself rounded, lifts it
+    past them. The theorem excludes underflow, as Rump's does; the cost's
+    largest entry lies in [1, 2) (``_oracle``), which keeps it away.
+
+    Gap stop, by weak duality: for any unit-diagonal PSD X and any y, a
+    pass gives C . X = sum(y + delta) - (Diag(y + delta) - C) . X <
+    sum(y) + n delta (``_upper_bound``). With a factor's row terms y_i =
+    <(C V)_i, v_i> and delta from ``_gap_delta``, that bound is within
+    the gap tolerance of the factor's objective.
 
     Vertex stop, by the normal cone: s s^T maximizes C . X over the body
     when C = D - M with D diagonal, M >= 0 and M s = 0. D is forced to
     Diag(s * Cs), which gives D s = Cs exactly, also in floating point, so
     M s = 0 by construction, and y = s * Cs with delta = NORMAL_CONE_TOL
     decides M >= 0."""
+    n = len(y)
+    u = 2.0**-53  # eps / 2
+    d = y + delta - c.diagonal()  # A's diagonal, as Diag(y + delta) - C has it
+    ad = np.abs(d)
+    shift = ((n + 1) * u / (1.0 - 2 * (n + 1) * u) * math.fsum(ad.tolist())
+             + u * (float(np.abs(y).max()) + abs(delta)
+                    + 2.0 * float(ad.max())))
+    a = -c
+    np.fill_diagonal(a, d - shift * (1.0 + 8.0 * u))
     try:
-        np.linalg.cholesky(np.diag(y + delta) - c)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def _upper_bound(c, v) -> float:
-    """sum(y) - n min(0, lambda_min(Diag(y) - C)) with y_i = <(C V)_i, v_i>:
-    a bound on C . X over the whole body for any unit-row factor V, and
-    within the gap tolerance of V's objective when the gap stop passed on
-    it. Any y gives a bound, so only the sum and the eigenvalue round:
-    each is allowed n eps of its scale (sum |y|, and n |M|_F for
-    n lambda_min), so that the bound holds in floating point too."""
+def _sum_up(values) -> float:
+    """The least float at least the exact sum of the list of floats
+    values: ``math.fsum``'s correctly rounded sum, moved up one step when
+    the exact remainder it leaves, itself a multiple of the smallest
+    subnormal, is positive."""
+    total = math.fsum(values)
+    if math.fsum(values + [-total]) > 0.0:
+        return math.nextafter(total, math.inf)
+    return total
+
+
+def _upper_bound(c, v, delta) -> float:
+    """A proven bound on C . X over the body from the unit-row factor V,
+    on a cost whose largest entry lies in [1, 2): sum(y) + n delta',
+    y_i = <(C V)_i, v_i>, summed exactly and rounded up (``_sum_up``),
+    for delta' the first of delta, 2 delta, 4 delta, ... (doubling from
+    eps at least) that ``_dual_certified(c, y, delta')`` passes (its weak
+    duality). After a gap stop on V its own delta normally passes at
+    once, these y differing from the stop's only by rounding, and the
+    bound is within the gap tolerance of the objective (``_gap_delta``).
+    No X in the body scores above sum_ij |c_ij|, |x_ij| being at most 1,
+    so that sum, rounded up by the factor 1 + n^2 eps past the rounding
+    of its n^2 terms, is a bound too, below 2n^2 (1 + n^2 eps): the
+    doubling, which passes once delta' exceeds -lambda_min(Diag(y) - C)
+    plus the shift, stops there at the latest."""
     y = np.vecdot(c @ v, v)
-    m = np.diag(y) - c
-    n = len(y)
-    lam = np.linalg.eigvalsh(m)[0]
-    rounding = n * np.finfo(float).eps * (np.abs(y).sum() + n * np.linalg.norm(m))
-    return float(y.sum() - n * min(0.0, lam) + rounding)
+    terms = y.tolist()
+    n = len(terms)
+    cap = float(np.abs(c).sum()) * (1.0 + c.size * np.finfo(float).eps)
+    while not _dual_certified(c, y, delta):
+        delta = max(2.0 * delta, np.finfo(float).eps)
+        if math.fsum(terms) + n * delta >= cap:
+            return cap
+    return min(_sum_up(terms + [delta] * n), cap)
 
 
 def _top_signs(v):
@@ -362,13 +439,18 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
     on a small step, on cfg.max_sweeps, as soon as its rounded vertex is
     certified optimal, or, when cfg.gap_tol > 0, as soon as its duality
     gap is certified below that tolerance (``_ascend``); such a call also
-    reports the proven upper bound, and its distance above the objective
-    is how far the output may fall short of the maximum. A run that ends
-    off a vertex is replaced by its rounded vertex when that scores
-    better (``_polish``). Every tolerance applies to the cost divided by
-    the power of two that puts its largest entry in [1, 2), so a cost
-    scaled by 2^k gives the same matrix and factor, and figures scaled
-    by exactly 2^k.
+    reports the upper bound, proven by the same Cholesky test
+    (``_upper_bound``), and its distance above the objective is how far
+    the output may fall short of the maximum. The objective is the one
+    the run's own stop tests read. A run that ends off a vertex is
+    replaced by its rounded vertex when that scores better (``_polish``).
+    Every tolerance applies to the cost divided by the power of two that
+    puts its largest entry in [1, 2), so a cost scaled by 2^k gives the
+    same matrix and factor, and figures scaled by exactly 2^k. A cost
+    whose figures could overflow once scaled back is rejected before the
+    run (``_oracle``); ``ElliptopeDomain.maximize`` passes an already
+    scaled cost, and ``maxcut.WeightedGraph`` rejects weights that large,
+    so neither reaches that case.
     """
     return _oracle(check_symmetric(c, name="cost matrix"),
                    config or OracleConfig(), warm_start)
@@ -377,9 +459,14 @@ def elliptope_oracle(c, config: OracleConfig | None = None,
 def _oracle(c, cfg, warm_start) -> OracleResult:
     """``elliptope_oracle`` of a cost already checked by ``check_symmetric``:
     the run takes C / 2^e, its largest entry in [1, 2) (``_scaled``), and
-    the objectives and the bound are scaled back by 2^e."""
+    the objectives and the bound are scaled back by 2^e. On C / 2^e both
+    are below 4n^2 in size (``_upper_bound``), so a cost whose 4n^2 2^e
+    overflows is rejected before the first sweep."""
     c, e = _scaled(c)
     n = c.shape[0]
+    if not math.isfinite(4.0 * n * n * 2.0**e):  # Python floats: no warning
+        raise ElliptopeError("cost matrix too large: 4 n^2 times the power "
+                             "of two of its largest entry overflows")
     c_off = c.copy()
     np.fill_diagonal(c_off, 0.0)
 
@@ -396,9 +483,11 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
                             np.random.default_rng(cfg.seed))
     ascent, sweeps, ascent_obj, status = _ascend(c, c_off, start, cfg)
     # from the ascent factor: the polished vertex below may bound worse
-    upper = float(np.ldexp(_upper_bound(c, ascent), e)) if cfg.gap_tol else None
+    upper = (float(np.ldexp(_upper_bound(c, ascent, _gap_delta(
+        cfg.gap_tol, ascent_obj, float(np.abs(c).sum()), ascent.shape)), e))
+        if cfg.gap_tol else None)
     x = gram_to_matrix(ascent)
-    v, obj = ascent, float(np.vdot(c, x))
+    v, obj = ascent, ascent_obj
     if status != "certified_vertex":  # else already at its vertex
         v, x, obj = _polish(c, v, x, obj)
     return OracleResult(

@@ -33,6 +33,7 @@ from .elliptope import (
     _is_vertex,
     _polish,
     _row_norms,
+    _sum_up,
     elliptope_oracle,
     escape_pair,
     gram_to_matrix,
@@ -89,12 +90,15 @@ class WeightedGraph:
     ``total_weight`` read; the graph is frozen and ``edges`` is stored as a
     tuple of triples, so that they cannot drift from ``edges``.
 
-    Every figure ``maxcut_pipeline`` forms is at most (n + 3) S in
-    magnitude, S the sum of |w_ij| over ordered pairs: cuts, objectives and
-    sum(W) are at most S, and the relaxation's bound UB at most (n + 1) S
-    plus its rounding allowance (``elliptope._upper_bound``: |y_i| and the
-    spectral norm of W are at most the largest row sum, S / 2). A graph
-    whose (n + 3) S overflows is rejected, so that every figure is finite.
+    Every figure ``maxcut_pipeline`` forms is at most 3 n^2 |w|_max in
+    magnitude, |w|_max the largest |w|: cuts, objectives and sum(W) are at
+    most S, the sum of |w_ij| over ordered pairs, which is below n^2
+    |w|_max, and the relaxation's bound UB at most S rounded up by a factor
+    1 + n^2 eps (``elliptope._upper_bound``), so that UB - objective and
+    sum(W) + UB are below 3 n^2 |w|_max. A graph whose 4 n^2 |w|_max
+    overflows is rejected, so that every figure is finite and the
+    oracle's own guard, on 4 n^2 2^e <= 4 n^2 |w|_max for 2^e the power
+    of two of |w|_max, never rejects its cost.
     """
 
     n: int
@@ -116,9 +120,10 @@ class WeightedGraph:
             seen.add((u, v))
         u, v, w = zip(*self.edges) if self.edges else ((), (), ())
         # Python floats: an overflow gives inf, not a warning
-        if not math.isfinite((self.n + 3) * 2.0 * sum(abs(float(x)) for x in w)):
-            raise ValueError("edge weights too large: (n + 3) times the sum "
-                             "of |w| over ordered pairs overflows")
+        if not math.isfinite(4.0 * self.n * self.n
+                             * max((abs(float(x)) for x in w), default=0.0)):
+            raise ValueError("edge weights too large: 4 n^2 times the "
+                             "largest |w| overflows")
         object.__setattr__(self, "_u", np.array(u, dtype=np.intp))
         object.__setattr__(self, "_v", np.array(v, dtype=np.intp))
         # 0 + w, as a sum from 0 gives it: a weight of -0.0 is stored as 0.0
@@ -289,8 +294,11 @@ def solve_relaxation(g: WeightedGraph, seed=0) -> OracleResult:
     -W by a power of two (``elliptope._oracle``), so that its tolerances,
     the gap stop among them, are relative to the largest weight, and
     weights scaled by a power of two give the same factors and scaled
-    figures. A run that reaches the sweep cap before its gap is certified
-    says so in a warning; its bound still holds."""
+    figures. The bound is proven by the Cholesky test that decides the
+    gap stop (``elliptope._dual_certified``), and on a certified gap it
+    lies within GAP_TOL max(1, |objective|) of the objective, in the
+    relaxation's unit. A run that reaches the sweep cap before its gap is
+    certified says so in a warning; its bound still holds."""
     if g.n < 1:
         raise ValueError("graph has no vertices")
     res = elliptope_oracle(relaxation_cost(g),
@@ -458,11 +466,14 @@ def maxcut_pipeline(g: WeightedGraph, seed=0, baseline_samples=0,
     point the solver lands on decides the chain's vertex, which can be a
     few flips short of the best cut; the search recovers those. The
     relaxed cut is the certified bound: (sum over ordered pairs of W + UB)
-    / 4, at least the maximum cut by weak duality. The relative gap is
-    taken in the relaxation's unit, the power of two 2^e with the largest
-    |weight| in [2^e, 2^(e + 1)) (``domains._scaled``), so that it does
-    not depend on the unit of the weights. The report also carries
-    how the relaxation stopped and after how many sweeps.
+    / 4, summed exactly and rounded up, at least the maximum cut by weak
+    duality. The relative gap, (UB - objective) / max(2^e, |objective|),
+    is what the relaxation's factorization proved, about GAP_TOL on a
+    certified run (``elliptope._gap_delta``). It is taken in the
+    relaxation's unit, the power of two 2^e with the largest |weight| in
+    [2^e, 2^(e + 1)) (``domains._scaled``), so that it does not depend on
+    the unit of the weights. The report also carries how the relaxation
+    stopped and after how many sweeps.
     """
     res = solve_relaxation(g, seed)
     w = g.weight_matrix()
@@ -475,7 +486,9 @@ def maxcut_pipeline(g: WeightedGraph, seed=0, baseline_samples=0,
         **{**vars(chain), "partition": partition,
            "cut_value": cut_value(g, partition)},
         relaxation_objective=res.objective,
-        relaxed_cut=float((np.sum(w) + res.upper_bound) / 4.0),
+        # (sum(W) + UB) / 4 = (sum of the edge weights + UB / 2) / 2,
+        # summed exactly and rounded up; halving is exact
+        relaxed_cut=_sum_up(g._w.tolist() + [0.5 * res.upper_bound]) / 2.0,
         relative_gap=((res.upper_bound - res.objective)
                       / max(2.0 ** _scaled(g._w)[1], abs(res.objective))),
         relaxation_status=res.status,

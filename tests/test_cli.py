@@ -764,14 +764,15 @@ class TestMaxcut:
 
     def test_rank_one_reports_the_gap_it_could_not_close(self):
         # a rank-one factor of K3's relaxation sits at a vertex it cannot
-        # leave: its objective is 2, its proven bound 5, and the gap the
-        # maxcut record would print is (5 - 2) / 2
+        # leave: its objective is 2, its proven bound 5.36 (Diag(y) - C's
+        # Cholesky test passes after the gap stop's delta doubled), and the
+        # gap the maxcut record would print is (5.36 - 2) / 2
         k3 = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
         res = elliptope_oracle(relaxation_cost(k3), OracleConfig(gap_tol=GAP_TOL),
                                warm_start=random_gram(3, 1, np.random.default_rng(0)))
         assert res.objective == 2.0
-        assert res.upper_bound == 5.000000000000008
-        assert (res.upper_bound - res.objective) / res.objective == 1.500000000000004
+        assert res.upper_bound == 5.355442633755872
+        assert (res.upper_bound - res.objective) / res.objective == 1.677721316877936
 
     def test_weights_just_under_the_sum_bound_print_finite_figures(
             self, tmp_path, capsys):
@@ -1217,6 +1218,7 @@ class TestReproducibility:
         out = capsys.readouterr().out
         line = [ln for ln in out.split("\n") if ln.startswith("relaxed_cut:")][0]
         # the certified bound on K3's relaxation, whose value is 2.25, and
-        # the gap of that bound over the relaxation's objective
-        assert line == "relaxed_cut: 2.2500000019423347"
-        assert "\nrelative_gap: 2.5897795019602654e-09\n" in out
+        # the gap of that bound over the relaxation's objective: the
+        # tolerance the gap stop's factorization proved
+        assert line == "relaxed_cut: 2.2500000749999862"
+        assert "\nrelative_gap: 9.9999981480654768e-08\n" in out

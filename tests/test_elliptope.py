@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -380,9 +381,9 @@ class TestGapStop:
         # K3's relaxation: every off-diagonal entry -1/2, value 3
         res = elliptope_oracle(np.eye(3) - J3, OracleConfig(gap_tol=self.GAP))
         assert 3.0 <= res.upper_bound <= 3.0 + 3.0 * self.GAP
+        # from the optimum's own factor, the first delta passes
         v = gram_factor(PUFF)
-        assert elliptope._upper_bound(np.eye(3) - J3, v) == pytest.approx(
-            3.0, abs=1e-12)
+        assert 3.0 <= elliptope._upper_bound(np.eye(3) - J3, v, 1e-13) <= 3.0 + 1e-12
 
     def test_a_default_config_keeps_the_exact_stop(self):
         for k, c in enumerate(_gap_costs()):
@@ -428,6 +429,70 @@ class TestGapStop:
         shifted = [fields(elliptope_oracle(*call)) for call in calls]
         monkeypatch.setattr(elliptope, "OVER_RELAX", 0.0)
         assert shifted == [fields(elliptope_oracle(*call)) for call in calls]
+
+    def test_figures_that_could_overflow_are_rejected_before_the_run(self):
+        # the objective and the bound, scaled back by the cost's power of
+        # two 2^e, stay below 4 n^2 2^e; at 1e306 the objective overflows
+        with pytest.raises(ElliptopeError, match="too large"):
+            elliptope_oracle(np.full((20, 20), 1e306), OracleConfig(gap_tol=1e-7))
+        res = elliptope_oracle(np.full((20, 20), 1e305), OracleConfig(gap_tol=1e-7))
+        assert np.isfinite(res.objective) and np.isfinite(res.upper_bound)
+        assert res.objective <= 4e307 <= res.upper_bound
+
+
+def _near_singular(seed):
+    """A = (M + M^T) / 2 for M = (Q Lambda) Q^T, Q orthogonal from a seeded
+    QR, Lambda uniform in [0.5, 2] but for one eigenvalue -5e-17."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    lam = rng.uniform(0.5, 2.0, 12)
+    lam[0] = -5e-17
+    m = (q * lam) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def _exactly_positive_definite(a, delta=0.0):
+    """Whether a + delta I, taken exactly from the stored doubles of the
+    symmetric a and of delta, is positive definite: every pivot of its
+    LDL^T, in exact rationals, is positive."""
+    f = [[Fraction(x) for x in row] for row in a.tolist()]
+    for k in range(len(f)):
+        f[k][k] += Fraction(delta)
+    for k in range(len(f)):
+        if f[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(f)):
+            l = f[i][k] / f[k][k]
+            for j in range(k + 1, len(f)):
+                f[i][j] -= l * f[k][j]
+    return True
+
+
+class TestDualCertified:
+    # C = Diag(d) - A, d = diag(A), is formed without rounding, so with
+    # y = d the matrix Diag(y + delta) - C whose definiteness the test
+    # decides is exactly A + delta I. With this seed, plain
+    # np.linalg.cholesky factors A under OpenBLAS, though A's exact
+    # lambda_min is about -1.6e-17
+    A = _near_singular(2)
+
+    def _certified(self, delta):
+        d = np.diag(self.A).copy()
+        return elliptope._dual_certified(np.diag(d) - self.A, d, delta)
+
+    def test_an_indefinite_matrix_is_refused(self):
+        assert not _exactly_positive_definite(self.A)
+        assert not self._certified(0.0)
+
+    def test_a_delta_that_leaves_it_indefinite_is_refused(self):
+        delta = 1e-17
+        assert not _exactly_positive_definite(self.A, delta)
+        assert not self._certified(delta)
+
+    def test_a_clearly_positive_definite_matrix_passes(self):
+        delta = 1e-9
+        assert _exactly_positive_definite(self.A, delta)
+        assert self._certified(delta)
 
 
 class TestCertificate:

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -641,7 +642,7 @@ class TestPipeline:
             report = maxcut_pipeline(g, seed=0, brute_force=True)
             assert report.brute_force_cut == n * n // 4
             assert report.cut_value == n * n // 4
-            assert report.relaxed_cut >= report.brute_force_cut - 1e-9
+            assert report.relaxed_cut >= report.brute_force_cut
 
     @staticmethod
     def _float_graphs():
@@ -680,13 +681,16 @@ class TestPipeline:
             report = maxcut_pipeline(g, seed=k, brute_force=True)
             res = solve_relaxation(g, seed=k)
             assert report.relaxed_cut >= report.brute_force_cut
-            assert report.relaxed_cut == (
-                np.sum(g.weight_matrix()) + res.upper_bound) / 4.0
+            # (sum over ordered pairs of W + UB) / 4, rounded up
+            exact = (2 * sum(Fraction(w) for _, _, w in g.edges)
+                     + Fraction(res.upper_bound)) / 4
+            assert Fraction(report.relaxed_cut) >= exact
+            assert Fraction(math.nextafter(report.relaxed_cut, -math.inf)) < exact
 
     def test_relative_gap_is_the_proven_gap(self, monkeypatch):
         # (UB - objective) / max(1, |objective|) of the relaxation the
-        # pipeline ran: below GAP_TOL on a gap stop, and at rounding level
-        # on a certified vertex, whose bound is exact
+        # pipeline ran: below GAP_TOL, what the factorization proved, on a
+        # gap stop and on a certified vertex alike
         relaxations = []
 
         def recorded(g, seed):
@@ -707,8 +711,7 @@ class TestPipeline:
             res = relaxations[-1]
             assert report.relative_gap == (
                 (res.upper_bound - res.objective) / max(1.0, abs(res.objective)))
-            bound = GAP_TOL if res.status == "certified_gap" else 1e-12
-            assert 0.0 <= report.relative_gap <= bound
+            assert 0.0 <= report.relative_gap <= GAP_TOL
             statuses.append(res.status)
         assert statuses == ["certified_gap"] * 6 + ["certified_vertex"] * 3
 
@@ -744,7 +747,7 @@ class TestPipeline:
             g = path_graph(n)
             report = maxcut_pipeline(g, seed=0, brute_force=True)
             assert report.brute_force_cut == n - 1
-            assert report.relaxed_cut >= n - 1 - 1e-9
+            assert report.relaxed_cut >= n - 1
             assert report.cut_value == n - 1
 
     def test_random_graphs_valid_and_dominated_by_relaxation(self):
@@ -764,7 +767,7 @@ class TestPipeline:
             recount = sum(w for u, v, w in g.edges
                           if report.partition[u] != report.partition[v])
             assert report.cut_value == recount
-            assert report.relaxed_cut >= report.brute_force_cut - 1e-9
+            assert report.relaxed_cut >= report.brute_force_cut
 
     def test_determinism(self):
         a = maxcut_pipeline(complete_graph(6), seed=3,
