@@ -20,7 +20,7 @@ from .elliptope import (
     _certificate,
     _escape_factor,
     _gram_factor,
-    _is_vertex,
+    _vertex_signs,
     check_symmetric,
     escape_curve,  # noqa: F401  perfbench/spans.py traces this name here
     escape_pair,
@@ -134,7 +134,7 @@ def classify_elliptope_fixed_point(x) -> ExactClassification:
     cert = _certificate(a, CERT_TOL)
     if not cert.is_fixed:
         raise ElliptopeError(f"not a fixed point (residual {cert.residual:.17g})")
-    if _is_vertex(a):
+    if _vertex_signs(a) is not None:
         return ExactClassification("attractive", None)
     i, j = escape_pair(a)
     v = _gram_factor(a)

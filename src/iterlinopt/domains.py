@@ -62,7 +62,11 @@ def _fast_norm(d) -> float:
 def _symmetrized(m, name, error) -> np.ndarray:
     """m symmetrized, raising ``error(message)`` naming it when it is not
     square, is empty, has non-finite entries or is asymmetric beyond
-    SYM_TOL; halving first keeps every finite input finite."""
+    SYM_TOL. Each entry is (a_ij + a_ji) / 2, added first, so that no
+    subnormal entry is halved away, and halved first only where the sum
+    overflows, so that every finite input stays finite. Where both entries
+    halve exactly, as every entry of size at least 2^-1021 does, both
+    orders round the same exact (a_ij + a_ji) / 2 once: the same bits."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise error(f"{name} must be square, got shape {a.shape}")
@@ -73,7 +77,9 @@ def _symmetrized(m, name, error) -> np.ndarray:
     h = 0.5 * a
     if np.max(np.abs(h - h.T)) > 0.5 * SYM_TOL:
         raise error(f"{name} is not symmetric within {SYM_TOL}")
-    return h + h.T
+    with np.errstate(over="ignore"):
+        s = a + a.T
+    return np.where(np.isinf(s), h + h.T, 0.5 * s)
 
 
 def _check_extent(extent):

@@ -622,18 +622,47 @@ def _components(a) -> list:
     return comps
 
 
-def _is_vertex(a) -> bool:
-    """Rank-one sign matrix test: every entry within SIGN_TOL of +-1 and
-    no second eigenvalue above RANK_TOL."""
-    return bool(np.max(np.abs(np.abs(a) - 1.0)) <= SIGN_TOL and (
-        a.shape[0] == 1 or np.linalg.eigvalsh(a)[-2] <= RANK_TOL))
+def _vertex_signs(a):
+    """The sign vector s of the vertex a is, or None when a is no vertex.
 
+    s is read off row 0 (s_j = +1 where a_0j >= 0), and a is the vertex
+    s s^T when every entry has |a_ij - s_i s_j| <= SIGN_TOL. Row 0 is
+    first tested for entries within SIGN_TOL of +-1, which the rule
+    implies, so most non-vertices are rejected in O(n). This one rule
+    decides the rounding chain's stop and reads its partition, and gives
+    ``analyze_fixed_point``'s label and the exact dichotomy.
 
-def vertex_signs(m) -> np.ndarray:
-    """Sign vector of a vertex, read off row 0 (rows agree up to global
-    sign, so the choice of row is immaterial)."""
-    a = np.asarray(m, dtype=float)
-    return np.where(a[0] >= 0.0, 1, -1).astype(int)
+    It decides as the test "every entry within SIGN_TOL of +-1 and the
+    second eigenvalue at most RANK_TOL" does, on every PSD matrix of order
+    n <= 1000 (eigenvalues taken exactly):
+    - If that test passes, at any order, this rule passes: the sign
+      pattern is consistent. The diagonal of a PSD matrix is
+      nonnegative, so it lies near +1 and s_0 = +1; row 0 and the
+      diagonal then agree with s s^T. Any other entry with
+      sign(a_ij) != s_i s_j would make the triangle (0, i, j) frustrated:
+      its principal block lies within SIGN_TOL entrywise, so within
+      3 SIGN_TOL in norm, of a +-1 block similar to 2I - J, whose
+      eigenvalues are {2, 2, -1}. By Cauchy interlacing the second
+      eigenvalue of a would be at least 2 - 3 SIGN_TOL, above RANK_TOL.
+      So |a_ij - s_i s_j| = ||a_ij| - 1| <= SIGN_TOL for every entry.
+    - If this rule passes, that test passes for n <= 1000. Every entry
+      is within SIGN_TOL of +-1, and
+      a = s s^T + E with |E_ij| <= SIGN_TOL, so Gershgorin bounds the top
+      eigenvalue of E by n SIGN_TOL and Weyl the second of a by the same.
+      That is at most RANK_TOL for n <= 1000 (n <= 1001 on an exactly
+      unit diagonal, where E_ii = 0).
+    Above that order this rule is the definition. The eigenvalue test also
+    took some non-PSD +-1 patterns for vertices, such as [[1, 1], [1, -1]]
+    (second eigenvalue -sqrt(2)); this rule rejects them.
+    """
+    # |a_0j - s_0 s_j| >= ||a_0j| - 1|: a row 0 this far from signs fails
+    if not np.max(np.abs(np.abs(a[0]) - 1.0)) <= SIGN_TOL:
+        return None
+    s = np.where(a[0] >= 0.0, 1, -1)
+    t = a * s[:, None]  # one temporary, worked in place
+    t *= s
+    t -= 1.0
+    return s if np.abs(t, out=t).max() <= SIGN_TOL else None
 
 
 def escape_pair(x):
@@ -820,17 +849,12 @@ def analyze_fixed_point(m, tol=CERT_TOL) -> FixedPointReport:
             gammas.append(None)
             continue
         # a rank costs an eigendecomposition: only blocks that got here pay
-        if len(comps) == 1:
-            block_rank = rank
-        elif k == 1:
-            block_rank = int(a[comp[0], comp[0]] > RANK_TOL)
-        else:
-            block_rank = _rank(a[np.ix_(comp, comp)])
+        block_rank = rank if len(comps) == 1 else _rank(a[np.ix_(comp, comp)])
         gammas.append(gamma if abs(gamma * block_rank - k) <= GAMMA_RANK_TOL * k
                       else None)
     if not cert.is_fixed:
         label = "not_fixed"
-    elif _is_vertex(a):
+    elif _vertex_signs(a) is not None:
         label = "attractive"
     else:
         label = "not_attractive"

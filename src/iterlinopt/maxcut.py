@@ -30,14 +30,13 @@ from .elliptope import (
     OracleResult,
     _certificate,
     _escape_factor,
-    _is_vertex,
     _polish,
     _row_norms,
     _sum_up,
+    _vertex_signs,
     elliptope_oracle,
     escape_pair,
     gram_to_matrix,
-    vertex_signs,
 )
 
 BRUTE_FORCE_CAP = 22
@@ -398,8 +397,8 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
     escapes = 0
     iterations = 0
     for _ in range(MAX_ROUNDS):
-        if _is_vertex(x):
-            status = "vertex"
+        partition = _vertex_signs(x)
+        if partition is not None:
             break
         if _certificate(x, CERT_TOL).is_fixed:
             if escapes < ESCAPE_RETRIES:
@@ -414,9 +413,9 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
         iterations += 1
         norms.append(float(np.vdot(x, x)))
     else:  # the budget ran out; its last round may have reached a vertex
-        status = "vertex" if _is_vertex(x) else "max_rounds"
-    if status == "vertex":
-        partition, source = vertex_signs(x), "vertex_row"
+        partition, status = _vertex_signs(x), "max_rounds"
+    if partition is not None:
+        status, source = "vertex", "vertex_row"
     else:
         partition, _ = gw_hyperplane_round(v, graph, seed=seed)
         source = "hyperplane_fallback"

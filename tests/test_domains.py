@@ -134,7 +134,7 @@ class TestEllipsoidOracle:
         assert np.allclose(y, [2.0, 0.0], atol=0)
 
     def test_large_finite_shape_stays_finite(self):
-        # halving before the sum keeps 1.5e308 + 1.5e308 from overflowing
+        # halving where the sum overflows keeps 1.5e308 + 1.5e308 finite
         dom = EllipsoidDomain([[1.5e308, 0.0], [0.0, 1.5e308]])
         assert np.array_equal(dom.shape_matrix, np.diag([1.5e308, 1.5e308]))
         assert np.array_equal(dom._eigvals, [1.5e308, 1.5e308])

@@ -28,10 +28,11 @@ from iterlinopt import (
 from iterlinopt import classify_elliptope_fixed_point, elliptope
 from iterlinopt.elliptope import (
     ESCAPE_TIE_TOL,
+    RANK_TOL,
     SIGN_TOL,
     _components,
-    _is_vertex,
     _rank,
+    _vertex_signs,
 )
 
 from iterlinopt.maxcut import GAP_TOL
@@ -52,6 +53,14 @@ def _escape_pair_loop(x):
             if d[i] <= d[j] + ESCAPE_TIE_TOL:
                 return i, j
     raise ElliptopeError("no escape pair exists: the matrix is a vertex")
+
+
+def _vertex_by_eigenvalues(a):
+    """The reference for _vertex_signs: every entry within SIGN_TOL of +-1
+    and no second eigenvalue above RANK_TOL."""
+    return bool(np.max(np.abs(np.abs(a) - 1.0)) <= SIGN_TOL and (
+        a.shape[0] == 1 or np.linalg.eigvalsh(a)[-2] <= RANK_TOL))
+
 
 J3 = np.ones((3, 3))
 PUFF = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
@@ -323,7 +332,7 @@ class TestOracle:
         c = 0.5 * (c + c.T)
         res = elliptope_oracle(c, OracleConfig(max_sweeps=3))
         assert res.status == "max_sweeps"
-        assert _is_vertex(res.matrix)
+        assert _vertex_signs(res.matrix) is not None
         assert res.objective > res.restart_objectives[res.best_index]
         s = res.gram[:, 0]
         assert res.objective == float(s @ c @ s)
@@ -523,7 +532,14 @@ class TestCertificate:
         np.full((3, 3), 1.5e308), -np.full((3, 3), 1.7e308),
         np.array([[0.0, 1.7e308], [1.7e308, 0.0]])])
     def test_symmetrizing_large_entries_keeps_them_finite(self, x):
-        # halving before the sum: no overflow to inf and no RuntimeWarning
+        # halving where the sum overflows: no inf and no RuntimeWarning
+        assert np.array_equal(elliptope.check_symmetric(x), x)
+
+    @pytest.mark.parametrize("x", [
+        np.array([[0.0, 5e-324], [5e-324, 0.0]]),
+        np.array([[1.7e308, 5e-324], [5e-324, -1.5e-323]])])
+    def test_symmetrizing_subnormal_entries_keeps_them(self, x):
+        # adding before halving: 5e-324 / 2 would round to 0
         assert np.array_equal(elliptope.check_symmetric(x), x)
 
     def test_asymmetry_of_large_entries_is_rejected_without_overflow(self):
@@ -582,11 +598,50 @@ class TestStructure:
 
 class TestVertices:
     def test_is_vertex(self):
-        assert _is_vertex(J3)
-        assert not _is_vertex(PUFF)
+        assert _vertex_signs(J3) is not None
+        assert _vertex_signs(PUFF) is None
         s = np.array([1.0, -1.0, 1.0, 1.0])
-        assert _is_vertex(np.outer(s, s))
-        assert not _is_vertex(np.eye(3))
+        assert _vertex_signs(np.outer(s, s)) is not None
+        assert _vertex_signs(np.eye(3)) is None
+
+    def test_the_sign_rule_decides_as_the_eigenvalue_test(self):
+        # enumerated vertices; unit-diagonal Gram matrices (1 - t) s s^T +
+        # t Y, Y a random point, whose entries lie 0.5 or 2 SIGN_TOL from
+        # s s^T at most; +-1 patterns with a frustrated triangle; and the
+        # catalogued fixed points
+        rng = np.random.default_rng(41)
+        cases = [v for n in range(1, 11) for v in enumerate_vertices(n)]
+        for n in range(2, 61):
+            s = rng.choice([-1.0, 1.0], n)
+            y = gram_to_matrix(elliptope.random_gram(n, 3, rng))
+            for move in (0.5 * SIGN_TOL, 2.0 * SIGN_TOL):
+                t = move / np.max(np.abs(y - np.outer(s, s)))
+                cases.append((1.0 - t) * np.outer(s, s) + t * y)
+            if n >= 3:
+                f = np.outer(s, s)
+                i, j = sorted(rng.choice(n, 2, replace=False))
+                f[i, j] = f[j, i] = -f[i, j]
+                cases.append(f)
+        cases += [p.matrix for p in l3_census()]
+        cases += [x for n in range(2, 9) for x in elliptope.sign_kernel_census(n)]
+        cases += [l4_family(c) for c in np.linspace(-0.9, 0.9, 19)]
+        vertices = 0
+        for x in cases:
+            signs = _vertex_signs(x)
+            assert (signs is not None) == _vertex_by_eigenvalues(x)
+            if signs is not None:
+                vertices += 1
+                assert np.max(np.abs(x - np.outer(signs, signs))) <= SIGN_TOL
+        # the enumerated ones, the 59 moved by 0.5 SIGN_TOL, L3's four and
+        # the two of order 2 among the sign-kernel points
+        assert vertices == 2 ** 10 - 1 + 59 + 4 + 2
+
+    def test_a_sign_pattern_that_is_not_psd_is_no_vertex(self):
+        # the eigenvalue reference takes it (second eigenvalue -sqrt(2)):
+        # its entries are signs, but no s s^T is within SIGN_TOL of it
+        x = np.array([[1.0, 1.0], [1.0, -1.0]])
+        assert _vertex_by_eigenvalues(x)
+        assert _vertex_signs(x) is None
 
     def test_escape_pair_is_the_loop_s_pair(self):
         # random symmetric matrices, n = 2-40: generic ones; circulant ones,
@@ -632,9 +687,9 @@ class TestVertices:
         try:
             elliptope.escape_pair(x)
         except ElliptopeError:
-            assert _is_vertex(x)
+            assert _vertex_signs(x) is not None
         else:
-            assert not _is_vertex(x)
+            assert _vertex_signs(x) is None
 
     def test_enumeration_counts(self):
         assert len(enumerate_vertices(2)) == 2
@@ -648,7 +703,7 @@ class TestVertices:
     def test_all_enumerated_are_vertices_and_distinct(self):
         vs = enumerate_vertices(4)
         for v in vs:
-            assert _is_vertex(v)
+            assert _vertex_signs(v) is not None
         for a, b in itertools.combinations(vs, 2):
             assert np.max(np.abs(a - b)) > 1.0
 

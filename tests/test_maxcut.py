@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,18 @@ def complete_graph(n, w=1.0):
 
 def path_graph(n, w=1.0):
     return WeightedGraph(n, [(k, k + 1, w) for k in range(n - 1)])
+
+
+def _benchmark_graphs(seed):
+    """The maxcut workload's first pass of graphs at seed (perfbench/)."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [WeightedGraph(n, edges) for _, (n, edges) in
+            workloads.maxcut_instances(np.random.default_rng([seed, 1, 0]))]
 
 
 K3 = complete_graph(3)
@@ -467,10 +480,10 @@ class TestRounding:
         # and a chain that meets its vertex inside the budget checks twice
         g = complete_graph(5)
         calls = []
-        is_vertex = maxcut._is_vertex
+        vertex_signs = maxcut._vertex_signs
         monkeypatch.setattr(maxcut, "MAX_ROUNDS", budget)
-        monkeypatch.setattr(maxcut, "_is_vertex",
-                            lambda x: calls.append(1) or is_vertex(x))
+        monkeypatch.setattr(maxcut, "_vertex_signs",
+                            lambda x: calls.append(1) or vertex_signs(x))
         report = round_by_iteration(solve_relaxation(g, seed=0).gram, graph=g)
         assert (report.iterations, report.terminal_status,
                 report.partition_source, report.cut_value) == (
@@ -523,15 +536,23 @@ class TestRounding:
                 assert np.array_equal(b.partition, a.partition)
 
     def test_the_chain_takes_no_eigendecomposition(self, monkeypatch):
-        # escapes and steps act on the carried factor: no refactoring
-        def no_eigh(a):
-            raise AssertionError("eigh called")
-
+        # escapes and steps act on the carried factor, with no refactoring,
+        # and a vertex is told by its signs, with no eigenvalue: on the
+        # escaping starts and on the benchmark's seed-1 instances, each of
+        # whose chains ends at a vertex
         starts = [(gram_factor(x), g) for x, g in ESCAPING_STARTS]
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        bench = [(solve_relaxation(g).gram, g) for g in _benchmark_graphs(1)]
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, f=f:
+                                calls.append(name) or f(a))
         for v, g in starts:
             report = round_by_iteration(v, graph=g)
             assert report.terminal_status == "vertex" and report.escapes >= 1
+        for v, g in bench:
+            assert round_by_iteration(v, graph=g).terminal_status == "vertex"
+        assert len(bench) == 11 and calls == []
 
     def test_a_bad_factor_is_rejected(self):
         v = gram_factor(l4_family(0.3))
@@ -734,6 +755,19 @@ class TestPipeline:
         for name in ("cut_value", "relaxed_cut", "relaxation_objective",
                      "brute_force_cut"):
             assert getattr(report, name) == getattr(base, name) * 2.0 ** k
+
+    def test_subnormal_weights_are_the_unit_triangle_scaled(self):
+        # weights 2^-1074: the symmetrized cost keeps them, where halving
+        # each entry first would leave a zero cost and the step stop
+        base = maxcut_pipeline(K3)
+        report = maxcut_pipeline(complete_graph(3, 5e-324))
+        assert report.relaxation_objective == 1.5e-323 == 3.0 * 2.0 ** -1074
+        assert report.relaxation_objective == base.relaxation_objective * 2.0 ** -1074
+        assert (report.relaxation_status, report.relaxation_sweeps,
+                report.terminal_status, report.cut_value) == (
+            base.relaxation_status, base.relaxation_sweeps,
+            base.terminal_status, base.cut_value * 2.0 ** -1074)
+        assert np.array_equal(report.partition, base.partition)
 
     def test_huge_weights_do_not_overflow(self):
         # at 1e160 the unscaled row norms overflowed; any warning fails here

@@ -37,8 +37,8 @@ from iterlinopt.elliptope import (
     _color_classes,
     _components,
     _dual_certified,
-    _is_vertex,
     _row_norms,
+    _vertex_signs,
     default_rank_budget,
     random_gram,
 )
@@ -382,7 +382,7 @@ def test_capped_run_is_polished_to_a_vertex_outside_the_cone():
     c = rng.standard_normal((6, 6))
     c = 0.5 * (c + c.T)
     res = elliptope_oracle(c, OracleConfig(max_sweeps=3))
-    assert res.status == "max_sweeps" and _is_vertex(res.matrix)
+    assert res.status == "max_sweeps" and _vertex_signs(res.matrix) is not None
     assert not normal_cone_membership(res.matrix, c)
 
 
@@ -485,7 +485,7 @@ def test_non_tight_relaxations_are_never_certified(n):
     for seed in range(4):
         res = elliptope_oracle(c, OracleConfig(seed=seed))
         assert res.status != "certified_vertex"
-        assert not _is_vertex(res.matrix)
+        assert _vertex_signs(res.matrix) is None
         assert res.objective > best_vertex + 1e-6
 
 
