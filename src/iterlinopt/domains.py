@@ -74,6 +74,8 @@ def _symmetrized(m, name, error) -> np.ndarray:
         raise error(f"{name} is empty")
     if not np.all(np.isfinite(a)):
         raise error(f"{name} has non-finite entries")
+    if (a == a.T).all():  # (a_ij + a_ij) / 2 is a_ij: the same bits
+        return a.copy()
     h = 0.5 * a
     if np.max(np.abs(h - h.T)) > 0.5 * SYM_TOL:
         raise error(f"{name} is not symmetric within {SYM_TOL}")

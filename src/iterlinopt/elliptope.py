@@ -86,7 +86,13 @@ def gram_to_matrix(v) -> np.ndarray:
         raise ElliptopeError("Gram factor has a zero row")
     if np.max(np.abs(norms - 1.0)) > ROW_TOL:
         raise ElliptopeError(f"Gram rows must be unit vectors within {ROW_TOL}")
-    v = v / norms[:, None]
+    return _gram(v)
+
+
+def _gram(v) -> np.ndarray:
+    """``gram_to_matrix`` of a factor the package built, without its
+    checks: the rows renormalized, V V^T, the diagonal set to 1."""
+    v = v / np.linalg.norm(v, axis=1)[:, None]
     x = v @ v.T
     np.fill_diagonal(x, 1.0)
     return x
@@ -161,9 +167,9 @@ class OracleResult:
     restart_objectives: list
     best_index: int  # always 0
     sweeps: int
-    # a proven bound on C . X over the whole body, from the ascent factor
-    # and the Cholesky test of the gap stop (``_upper_bound``); None when
-    # config.gap_tol is 0
+    # a proven bound on C . X over the whole body (``_upper_bound``): a
+    # gap stop's own certified test, or one more Cholesky test on the
+    # ascent factor after any other stop; None when config.gap_tol is 0
     upper_bound: float | None
     candidate_grams: list  # the ascent factor
     # how the ascent stopped:
@@ -187,14 +193,19 @@ def _color_classes(c_off):
     between them. A dense cost gives n singleton classes in index order.
     """
     n = c_off.shape[0]
-    adj = c_off != 0.0
-    if np.count_nonzero(adj) - np.count_nonzero(adj.diagonal()) == n * (n - 1):
+    rows, cols = np.nonzero(np.tril(c_off != 0.0, -1))  # row by row, j < i
+    if len(rows) == n * (n - 1) // 2:
         return np.arange(n), np.arange(n + 1)  # complete: the loop's result
-    colour = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        taken = np.zeros(i + 1, dtype=bool)
-        taken[colour[:i][adj[i, :i]]] = True
-        colour[i] = taken.argmin()  # the lowest colour no earlier neighbour has
+    earlier = [[] for _ in range(n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        earlier[i].append(j)
+    colour = []
+    for nbrs in earlier:
+        taken = {colour[j] for j in nbrs}
+        k = 0
+        while k in taken:  # the lowest colour no earlier neighbour has
+            k += 1
+        colour.append(k)
     perm = np.argsort(colour, kind="stable")
     return perm, np.concatenate(([0], np.cumsum(np.bincount(colour))))
 
@@ -218,15 +229,17 @@ def _ascend(c, c_off, v0, cfg):
     whose decisions read the objective score it: checkpoints, gap checks,
     step stops, the last. With cfg.gap_tol > 0 the run also stops when
     ``_dual_certified`` proves its duality gap below the tolerance
-    (``_gap_delta``), at those checkpoints and every GAP_SWEEPS sweeps.
+    (``_gap_delta``), at those checkpoints and every GAP_SWEEPS sweeps,
+    unless ``_gap_hopeless`` refutes the check from the gradient first.
     From the first check on a multiple of GAP_SWEEPS, such a call
     over-relaxes: each check sets the diagonal of the permuted cost the
     class products use to -gamma, gamma_i = OVER_RELAX max(0, <g_i,
     v_i>), so that a row goes to rownorm(g_i - gamma_i v_i). That moves
     the same fixed points, but no longer ascends sweep by sweep; the stop
-    tests decide as before. Returns (factor, sweeps, objective, status),
-    status being "step_tol", "max_sweeps", "certified_vertex" or
-    "certified_gap".
+    tests decide as before. Returns (factor, sweeps, objective, status,
+    proof), status being "step_tol", "max_sweeps", "certified_vertex" or
+    "certified_gap", and proof the (y, delta) a gap stop certified, y in
+    the permuted order, else None.
     """
     perm, bounds = _color_classes(c_off)
     inv = np.argsort(perm)
@@ -236,8 +249,10 @@ def _ascend(c, c_off, v0, cfg):
     blocks = [(a, b, pc_off[a] if b - a == 1 else pc_off[a:b])
               for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     v = v0[perm]
-    status = "max_sweeps"
-    abs_sum = float(np.abs(c).sum()) if cfg.gap_tol else 0.0
+    status, proof = "max_sweeps", None
+    if cfg.gap_tol:
+        mag = np.abs(c)
+        abs_sum, row_max = float(mag.sum()), float(mag.sum(axis=1).max())
     for sweep in range(1, cfg.max_sweeps + 1):
         start = v.copy()
         for a, b, blk in blocks:
@@ -261,7 +276,8 @@ def _ascend(c, c_off, v0, cfg):
         if not (checkpoint or gap_check or done or sweep == cfg.max_sweeps):
             continue  # no decision reads this sweep's objective
         # the row sums of terms are the y_i = <(C V)_i, v_i> of the gap test
-        terms = (pc @ v) * v
+        cv = pc @ v
+        terms = cv * v
         objective = float(terms.sum())
         if done:
             status = "step_tol"
@@ -278,9 +294,10 @@ def _ascend(c, c_off, v0, cfg):
                 break
         if gap_check:
             y = terms.sum(axis=1)
-            if _dual_certified(pc, y, _gap_delta(cfg.gap_tol, objective,
-                                                 abs_sum, v.shape)):
-                status = "certified_gap"
+            delta = _gap_delta(cfg.gap_tol, objective, abs_sum, v.shape)
+            if (not _gap_hopeless(cv, v, y, delta, row_max)
+                    and _dual_certified(pc, y, delta)):
+                status, proof = "certified_gap", (y, delta)
                 break
             if not sweep % GAP_SWEEPS:
                 # the class blocks are views of pc_off, so every later
@@ -288,7 +305,7 @@ def _ascend(c, c_off, v0, cfg):
                 # on unit rows
                 np.fill_diagonal(pc_off, -OVER_RELAX * np.maximum(
                     0.0, y - pc.diagonal()))
-    return v[inv], sweep, objective, status
+    return v[inv], sweep, objective, status, proof
 
 
 def _gap_delta(gap_tol, obj, abs_sum, shape) -> float:
@@ -298,7 +315,8 @@ def _gap_delta(gap_tol, obj, abs_sum, shape) -> float:
     that a bound ``_upper_bound`` certifies at it lies within gap_tol *
     max(1, |obj|) of obj in floating point, as a caller computes that.
 
-    The bound sums its own y_i = <(C V)_i, v_i>; that sum and obj each
+    The bound sums y_i = <(C V)_i, v_i>, the stop's own row sums or, after
+    another stop, its own product's; that sum and obj each
     lie within gamma_{nr + n + 1} sum_ij |c_ij| <|v_i|, |v_j|> <= (n + 1)
     (r + 1) eps abs_sum of the exact objective (gamma_k <= 2ku, u = eps /
     2), and 2 (n + 1)(r + 2) eps abs_sum covers both and the rounding of
@@ -317,7 +335,8 @@ def _dual_certified(c, y, delta) -> bool:
     """Whether lambda_min(M) > -delta, M = Diag(y) - C, is proven: the
     Cholesky factorization of A = Diag(y + delta) - C, as stored, with its
     diagonal lowered by the shift s below, runs to completion. Both stops
-    of the ascent ask this, and ``_upper_bound`` proves its bound with it.
+    of the ascent ask this, and the reported bound rests on it
+    (``_upper_bound``).
 
     The shift. If floating-point Cholesky of a symmetric B of order n
     runs to completion, R^T R = B + dB with |dB| <= g |R^T| |R|, g =
@@ -364,6 +383,47 @@ def _dual_certified(c, y, delta) -> bool:
     return True
 
 
+def _gap_hopeless(cv, v, y, delta, row_max) -> bool:
+    """Whether the gap test ``_dual_certified(C, y, delta)`` on the factor V
+    of shape (n, r) is refuted before its factorization, cv being the
+    computed C V, y the row sums of cv * V and row_max the largest sum_j
+    |c_ij|: delta >= (n + 2r) row_max 2^-44 and |R|_F^2 > 2 n delta rho
+    for the gradient R = C V - Diag(y) V, where rho = max(y) + delta +
+    row_max bounds lambda_max(A), A = Diag(y + delta) - C, by Weyl and
+    Gershgorin's |C|_2 <= row_max. Only factorizations that would fail
+    are skipped, so a skip changes no stop and no figure.
+
+    Exactly. A pass proves A > 0. Let g_i = (C V)_i, y*_i = <g_i, v_i> /
+    |v_i|^2, eta = max |y_i - y*_i| and A' = Diag(y* + d) - C with d =
+    delta + eta, so that A' >= A > 0 and lambda' = lambda_max(A') <=
+    lambda_max(A) + 2 eta. R* = C V - Diag(y*) V has <r*_i, v_i> = 0, so
+    A'V = d V - R* gives <V, A'V> = d N, N = |V|_F^2, and |A'V|_F^2 =
+    d^2 N + |R*|_F^2. As A'^2 <= lambda' A', |A'V|_F^2 <= lambda' d N:
+    |R*|_F^2 <= d N lambda', and lambda' >= d, the Rayleigh quotient of V.
+
+    Rounding, in the model of ``_dual_certified``, with n r <= 2^40 so that
+    every gamma_k taken is at most 1.01 k u. cv has |cv - C V| <= gamma_n
+    |C| |V| entrywise, in any summation order; y_i sums r rounded
+    products; the rows, divided by their rounded norms, have ||v_i|^2 -
+    1| <= (r + 5) u. So eta <= 3 (n + 2r) u row_max, and the computed R,
+    two rounded operations from cv and y, has |R|_F <= (1 + u)(|R*|_F +
+    kappa sqrt(N)), kappa = 5 (n + 2r) u row_max, since |C|_2 <= row_max
+    bounds |(|C| |V|)|_F by row_max sqrt(N). The guard delta >= 512 (n + 2r) u row_max
+    gives delta > 100 kappa and rho >= lambda_max(A) >= d - 2 eta >= 0.98
+    delta, so (delta + eta)(rho + 2 eta) <= 1.031 delta rho and kappa <=
+    sqrt(delta rho) / 100: after a pass the computed |R|_F^2 is below
+    1.06 n delta rho, while the computed 2 n delta rho, rho summed in two
+    rounded steps from figures below 2.1 row_max + delta, exceeds 1.99 n
+    delta rho. Below the guard the cancellation in <V, A'V> ~ n delta can
+    hide a gap, and the factorization decides, at delta <= 0 too."""
+    n, r = v.shape
+    if not delta >= (n + 2 * r) * row_max * 2.0**-44:
+        return False
+    g = cv - y[:, None] * v
+    return (float(np.vdot(g, g))
+            > 2.0 * n * delta * (float(y.max()) + delta + row_max))
+
+
 def _sum_up(values) -> float:
     """The least float at least the exact sum of the list of floats
     values: ``math.fsum``'s correctly rounded sum, moved up one step when
@@ -375,29 +435,31 @@ def _sum_up(values) -> float:
     return total
 
 
-def _upper_bound(c, v, delta) -> float:
-    """A proven bound on C . X over the body from the unit-row factor V,
-    on a cost whose largest entry lies in [1, 2): sum(y) + n delta',
-    y_i = <(C V)_i, v_i>, summed exactly and rounded up (``_sum_up``),
-    for delta' the first of delta, 2 delta, 4 delta, ... (doubling from
-    eps at least) that ``_dual_certified(c, y, delta')`` passes (its weak
-    duality). After a gap stop on V its own delta normally passes at
-    once, these y differing from the stop's only by rounding, and the
-    bound is within the gap tolerance of the objective (``_gap_delta``).
-    No X in the body scores above sum_ij |c_ij|, |x_ij| being at most 1,
-    so that sum, rounded up by the factor 1 + n^2 eps past the rounding
-    of its n^2 terms, is a bound too, below 2n^2 (1 + n^2 eps): the
-    doubling, which passes once delta' exceeds -lambda_min(Diag(y) - C)
-    plus the shift, stops there at the latest."""
-    y = np.vecdot(c @ v, v)
-    terms = y.tolist()
-    n = len(terms)
+def _upper_bound(c, v, delta, y) -> float:
+    """A proven bound on C . X over the body, on a cost whose largest
+    entry lies in [1, 2): sum(y) + n delta', summed exactly and rounded up
+    (``_sum_up``), where ``_dual_certified(c, y, delta')`` passes (its weak
+    duality). After a gap stop, y and delta are the stop's own, its pass
+    is the proof, and no product or factorization is taken: the bound is
+    within the gap tolerance of the objective (``_gap_delta``), and the
+    order of the y_i, permuted or not, changes neither the sum nor the
+    spectrum. Otherwise y is None, y_i = <(C V)_i, v_i> is taken from the
+    unit-row factor V, and delta' is the first of delta, 2 delta, 4
+    delta, ... (doubling from eps at least) that passes. No X in the body
+    scores above sum_ij |c_ij|, |x_ij| being at most 1, so that sum,
+    rounded up by the factor 1 + n^2 eps past the rounding of its n^2
+    terms, is a bound too, below 2n^2 (1 + n^2 eps): the doubling, which
+    passes once delta' exceeds -lambda_min(Diag(y) - C) plus the shift,
+    stops there at the latest, and it caps either bound."""
+    n = len(c)
     cap = float(np.abs(c).sum()) * (1.0 + c.size * np.finfo(float).eps)
-    while not _dual_certified(c, y, delta):
-        delta = max(2.0 * delta, np.finfo(float).eps)
-        if math.fsum(terms) + n * delta >= cap:
-            return cap
-    return min(_sum_up(terms + [delta] * n), cap)
+    if y is None:
+        y = np.vecdot(c @ v, v)
+        while not _dual_certified(c, y, delta):
+            delta = max(2.0 * delta, np.finfo(float).eps)
+            if math.fsum(y.tolist()) + n * delta >= cap:
+                return cap
+    return min(_sum_up(y.tolist() + [delta] * n), cap)
 
 
 def _top_signs(v):
@@ -427,7 +489,7 @@ def _polish(c, v, x, obj):
     if better is None:
         return v, x, obj
     s = better[0][:, None]
-    return s, gram_to_matrix(s), better[1]
+    return s, _gram(s), better[1]
 
 
 def elliptope_oracle(c, config: OracleConfig | None = None,
@@ -481,12 +543,13 @@ def _oracle(c, cfg, warm_start) -> OracleResult:
     else:
         start = random_gram(n, default_rank_budget(n),
                             np.random.default_rng(cfg.seed))
-    ascent, sweeps, ascent_obj, status = _ascend(c, c_off, start, cfg)
-    # from the ascent factor: the polished vertex below may bound worse
-    upper = (float(np.ldexp(_upper_bound(c, ascent, _gap_delta(
-        cfg.gap_tol, ascent_obj, float(np.abs(c).sum()), ascent.shape)), e))
-        if cfg.gap_tol else None)
-    x = gram_to_matrix(ascent)
+    ascent, sweeps, ascent_obj, status, proof = _ascend(c, c_off, start, cfg)
+    upper = None
+    if cfg.gap_tol:  # from the ascent: the polished vertex may bound worse
+        y, delta = proof or (None, _gap_delta(
+            cfg.gap_tol, ascent_obj, float(np.abs(c).sum()), ascent.shape))
+        upper = float(np.ldexp(_upper_bound(c, ascent, delta, y), e))
+    x = _gram(ascent)
     v, obj = ascent, ascent_obj
     if status != "certified_vertex":  # else already at its vertex
         v, x, obj = _polish(c, v, x, obj)

@@ -16,6 +16,7 @@ single-flip local search.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .elliptope import (
     OracleResult,
     _certificate,
     _escape_factor,
+    _gram,
     _polish,
     _row_norms,
     _sum_up,
@@ -194,16 +196,19 @@ def cut_value(g: WeightedGraph, signs) -> float:
     return math.fsum(g._w[s[g._u] != s[g._v]].tolist())
 
 
+@functools.cache
 def _signs(bits, count):
     """The 2^bits sign vectors of a counter, row i flipping entry k when bit
     k of i is set, each padded on the left by ``count - bits`` entries +1.
     Built by doubling: rows [2^k, 2^(k + 1)) are rows [0, 2^k) with
-    counter entry k flipped."""
+    counter entry k flipped. Built once per (bits, count) and read-only:
+    brute force up to BRUTE_FORCE_CAP reads 23 tables, 0.5 MB together."""
     s = np.ones((1 << bits, count))
     for k in range(bits):
         half = 1 << k
         s[half:2 * half] = s[:half]
         s[half:2 * half, count - bits + k] = -1.0
+    s.flags.writeable = False
     return s
 
 
@@ -343,26 +348,26 @@ class MaxcutReport(RoundingReport):
     brute_force_cut: float | None
 
 
-def _power_product(v, w):
-    """One generalized power step W <- rownorm(V (V^T W)), in place.
+def _power_product(x, w):
+    """One generalized power step W <- rownorm(X W), in place.
 
-    f(W) = |V^T W|_F^2 = <V V^T, W W^T> is convex in W, so the maximizer
-    of its linearization at W over unit rows, the row-normalized gradient
+    f(W) = <X, W W^T> is convex in W for X = V V^T, so the maximizer of
+    its linearization at W over unit rows, the row-normalized gradient
     X W, scores at least f(W). A row whose product has norm below
     GRAD_TOL stays as it is."""
-    g = v @ (v.T @ w)
+    g = x @ w
     ng = _row_norms(g)[:, None]
     np.divide(g, ng, out=w, where=ng >= GRAD_TOL)
 
 
 def _power_step(x, v):
-    """One rounding step from X = V V^T: ROUND_STEPS power products from V,
-    then the rounded-vertex polish. Returns (W, W W^T), with
+    """One rounding step from X = V V^T: ROUND_STEPS power products on X
+    from V, then the rounded-vertex polish. Returns (W, W W^T), with
     <X, W W^T> >= <X, X>."""
     w = v.copy()
     for _ in range(ROUND_STEPS):
-        _power_product(v, w)
-    y = gram_to_matrix(w)
+        _power_product(x, w)
+    y = _gram(w)
     obj = float(np.vdot(x, y))
     # the vertex polish of elliptope_oracle: s^T X s = |V^T s|^2
     return _polish(x, w, y, obj)[:2]
@@ -403,7 +408,7 @@ def round_by_iteration(gram, seed=0, *, graph: WeightedGraph) -> RoundingReport:
         if _certificate(x, CERT_TOL).is_fixed:
             if escapes < ESCAPE_RETRIES:
                 v = _escape_factor(v, x, *escape_pair(x), ESCAPE_ALPHA)
-                x = gram_to_matrix(v)
+                x = _gram(v)
                 escapes += 1
                 norms.append(float(np.vdot(x, x)))
                 continue

@@ -776,8 +776,8 @@ class TestMaxcut:
 
     def test_weights_just_under_the_sum_bound_print_finite_figures(
             self, tmp_path, capsys):
-        # a triangle's figures stay below (n + 3) times the sum of |w| over
-        # ordered pairs, 36 w, which the loader holds to the largest float
+        # a triangle's figures stay below 4 n^2 |w|_max, 36 w, which the
+        # loader holds to the largest float
         w = float(np.finfo(float).max) / 37.0
         p = tmp_path / "k3.txt"
         p.write_text(f"0 1 {w!r}\n1 2 {w!r}\n0 2 {w!r}\n")

@@ -212,9 +212,9 @@ class TestOracle:
                 runs = [elliptope._ascend(c, c_off, v0,
                                           OracleConfig(max_sweeps=cap))
                         for v0 in starts]
-                assert all(sweeps == cap for _, sweeps, _, status in runs
+                assert all(sweeps == cap for _, sweeps, _, status, _ in runs
                            if status == "max_sweeps")
-                objs.append([obj for _, _, obj, _ in runs])
+                objs.append([obj for _, _, obj, _, _ in runs])
             assert np.all(np.diff(objs, axis=0) >= -1e-9)
 
     def test_full_rank_budget_output_is_rank_deficient(self):
@@ -303,7 +303,7 @@ class TestOracle:
         assert res.objective == pytest.approx(res.restart_objectives[0])
         start = elliptope.random_gram(7, default_rank_budget(7),
                                       np.random.default_rng(7))
-        v, sweeps, obj, status = elliptope._ascend(
+        v, sweeps, obj, status, _ = elliptope._ascend(
             c, c - np.diag(np.diag(c)), start, OracleConfig(seed=7))
         assert (res.sweeps, res.restart_objectives, res.status) == (
             sweeps, [obj], status)
@@ -392,7 +392,39 @@ class TestGapStop:
         assert 3.0 <= res.upper_bound <= 3.0 + 3.0 * self.GAP
         # from the optimum's own factor, the first delta passes
         v = gram_factor(PUFF)
-        assert 3.0 <= elliptope._upper_bound(np.eye(3) - J3, v, 1e-13) <= 3.0 + 1e-12
+        assert 3.0 <= elliptope._upper_bound(np.eye(3) - J3, v, 1e-13, None) <= 3.0 + 1e-12
+
+    def test_a_gap_stop_factors_nothing_after_it(self, monkeypatch):
+        # a certified gap's pass is the bound; after a vertex stop,
+        # _upper_bound factors once more, from the ascent factor's own y
+        factored, at_stop = [], []
+        cholesky, ascend = np.linalg.cholesky, elliptope._ascend
+
+        def counting_cholesky(a):
+            factored.append(len(a))
+            return cholesky(a)
+
+        def counting_ascend(*args):
+            out = ascend(*args)
+            at_stop.append(len(factored))
+            return out
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(elliptope, "_ascend", counting_ascend)
+        p20 = -(np.eye(20, k=1) + np.eye(20, k=-1))
+        statuses = []
+        for k, c in enumerate([np.eye(3) - J3, p20, *_gap_costs()]):
+            exact = elliptope_oracle(c, OracleConfig(seed=k))
+            factored.clear()
+            at_stop.clear()
+            res = elliptope_oracle(c, OracleConfig(seed=k, gap_tol=self.GAP))
+            statuses.append(res.status)
+            assert res.upper_bound >= exact.objective
+            if res.status == "certified_gap":
+                assert at_stop == [len(factored)]
+            else:
+                assert at_stop[0] < len(factored)
+        assert statuses[:2] == ["certified_gap", "certified_vertex"]
 
     def test_a_default_config_keeps_the_exact_stop(self):
         for k, c in enumerate(_gap_costs()):

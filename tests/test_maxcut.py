@@ -79,8 +79,7 @@ class TestGraphIO:
 
     @pytest.mark.parametrize("w", [1e308, float(np.finfo(float).max) / 35.0])
     def test_weights_whose_sums_overflow_rejected(self, tmp_path, w):
-        # a triangle forms figures up to 36 w, (n + 3) times the sum of |w|
-        # over ordered pairs
+        # a triangle is rejected once 4 n^2 |w|_max, 36 w, overflows
         p = tmp_path / "k3.txt"
         p.write_text(f"0 1 {w!r}\n1 2 {w!r}\n0 2 {w!r}\n")
         with pytest.raises(GraphFormatError, match="k3.txt: edge weights too large"):
@@ -328,6 +327,14 @@ class TestBruteForce:
         for count in (bits, bits + 2):
             assert np.array_equal(maxcut._signs(bits, count),
                                   counter_signs(bits, count))
+
+    def test_signs_tables_are_cached_read_only(self):
+        # one table per (bits, count), shared by every call: a write to it
+        # raises instead of changing the next brute force
+        s = maxcut._signs(5, 7)
+        assert maxcut._signs(5, 7) is s
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0] = -1.0
 
     @pytest.mark.parametrize("n", range(2, 23))
     def test_real_weights_match_the_chunked_float64_table(self, n):

@@ -37,6 +37,7 @@ from iterlinopt.elliptope import (
     _color_classes,
     _components,
     _dual_certified,
+    _gap_hopeless,
     _row_norms,
     _vertex_signs,
     default_rank_budget,
@@ -264,6 +265,33 @@ def test_colour_classes_are_valid_on_random_patterns():
         _classes(_gnp(n, float(rng.uniform(0.05, 0.9)), rng))
 
 
+def _greedy_reference(c_off):
+    """Greedy colouring in index order, read off the whole pattern: each
+    index takes the lowest colour that no lower index it shares a nonzero
+    cost entry with has. Returns the classes, indices ascending."""
+    n = c_off.shape[0]
+    colour = []
+    for i in range(n):
+        taken = {colour[j] for j in range(i) if c_off[i, j] != 0.0}
+        colour.append(min(set(range(i + 1)) - taken))
+    return [[i for i in range(n) if colour[i] == k]
+            for k in range(max(colour, default=-1) + 1)]
+
+
+def test_colour_classes_match_the_index_order_greedy_reference():
+    rng = np.random.default_rng(19)
+    k6 = -np.ones((6, 6))  # the diagonal is no edge
+    patterns = [np.zeros((0, 0)), np.zeros((1, 1)), np.zeros((7, 7)), k6,
+                _complete(9), _path(15), _torus(4, 5), _torus(6, 10, rng)]
+    for _ in range(60):
+        c = _gnp(int(rng.integers(2, 40)), float(rng.uniform(0.02, 0.95)), rng)
+        patterns.append(c + np.diag(rng.choice((0.0, 1.0), len(c))))
+    for c in patterns:
+        perm, bounds = _color_classes(c)
+        assert [perm[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])
+                ] == _greedy_reference(c)
+
+
 @pytest.mark.parametrize("cost", [
     lambda rng: _path(20),
     lambda rng: _torus(4, 6, rng),
@@ -278,7 +306,7 @@ def test_colour_class_sweep_matches_cyclic_reference(cost):
     assert len(bounds) - 1 < n  # a sparse pattern: some class holds two rows
     pc = c[np.ix_(perm, perm)]
     for v0 in starts:
-        v, sweeps, obj, status = _ascend(c, c, v0, cfg)
+        v, sweeps, obj, status, _ = _ascend(c, c, v0, cfg)
         w, ref_sweeps, objs, ref_status = _cyclic_reference(pc, pc, v0[perm], cfg)
         assert (sweeps, status) == (ref_sweeps, ref_status)
         assert np.max(np.abs(v[perm] - w)) <= 1e-12
@@ -293,7 +321,7 @@ def test_dense_cost_sweeps_bitwise_as_the_reference():
     c_off = c - np.diag(np.diag(c))
     cfg = OracleConfig()
     for v0 in _starts(12, 4, 1):
-        v, *rest = _ascend(c, c_off, v0, cfg)
+        v, *rest, _ = _ascend(c, c_off, v0, cfg)
         w, sweeps, objs, status = _cyclic_reference(c, c_off, v0, cfg)
         assert np.array_equal(v, w)
         assert rest == [sweeps, objs[-1], status]
@@ -313,7 +341,7 @@ def test_single_run_rows_sweep_bitwise_as_the_reference():
              random_gram(12, 12, rng), OracleConfig()),
             (k3, k3, frozen, OracleConfig(max_sweeps=1)),
             (k3, k3, frozen, OracleConfig())]:
-        v, *rest = _ascend(c, c_off, starts, cfg)
+        v, *rest, _ = _ascend(c, c_off, starts, cfg)
         w, sweeps, objs, status = _cyclic_reference(c, c_off, starts, cfg)
         assert np.array_equal(v, w)
         assert rest == [sweeps, objs[-1], status]
@@ -417,6 +445,39 @@ def test_dual_test_agrees_with_the_spectrum():
     assert len(verdicts) > 1790 and 0.4 < np.mean(verdicts) < 0.7
 
 
+def test_a_hopeless_gap_check_would_fail_its_factorization():
+    # seeded costs and unit-row factors, taken a seeded number of sweeps
+    # toward a maximizer; delta is put 1e-9 to either side of
+    # -lambda_min(Diag(y) - C), where the factorization decides, and at
+    # halvings of -lambda_min, where the gradient refutes most checks.
+    # Wherever _gap_hopeless skips a check, the factorization fails
+    rng = np.random.default_rng(53)
+    skipped = passed = 0
+    for n in range(3, 25):
+        for k in range(6):
+            if k % 2:
+                c = rng.standard_normal((n, n))
+                c = 0.5 * (c + c.T)
+            else:
+                c = _gnp(n, 0.4, rng) * rng.choice((-1.0, 1.0), (n, n))
+                c = np.triu(c, 1) + np.triu(c, 1).T
+            v0 = random_gram(n, default_rank_budget(n), rng)
+            cfg = OracleConfig(max_sweeps=int(rng.integers(1, 200)))
+            v = _ascend(c, c - np.diag(np.diag(c)), v0, cfg)[0]
+            cv = c @ v
+            y = (cv * v).sum(axis=1)
+            row_max = float(np.abs(c).sum(axis=1).max())
+            lam = np.linalg.eigvalsh(np.diag(y) - c)[0]
+            for delta in [-lam - 1e-9, -lam, -lam + 1e-9] + [
+                    -lam * 2.0**-j for j in range(1, 40, 2)]:
+                certified = _dual_certified(c, y, delta)
+                passed += certified
+                if _gap_hopeless(cv, v, y, delta, row_max):
+                    skipped += 1
+                    assert not certified, (n, k, delta, lam)
+    assert skipped > 100 and passed > 100
+
+
 def test_vertex_test_agrees_with_normal_cone_membership():
     rng = np.random.default_rng(31)
     verdicts = []
@@ -496,7 +557,7 @@ def test_uncertified_runs_end_as_one_ascent_call(max_sweeps):
     c = _complete(7)
     cfg = OracleConfig(max_sweeps=max_sweeps)
     for v0 in _starts(7, 3, 2):
-        v, *rest = _ascend(c, c, v0, cfg)
+        v, *rest, _ = _ascend(c, c, v0, cfg)
         assert rest[2] != "certified_vertex"
         w, sweeps, objs, status = _cyclic_reference(c, c, v0, cfg)
         assert np.array_equal(v, w)
